@@ -285,9 +285,8 @@ def cmd_mode_field(args) -> int:
     return 0
 
 
-def cmd_propagate(args) -> int:
-    slab = _slab_from(args)
-    cfg = BpmConfig.for_slab(
+def _bpm_config(args, slab: SlabConfig) -> BpmConfig:
+    return BpmConfig.for_slab(
         slab,
         transverse_halfwidth_X=args.X,
         nx=args.nx,
@@ -295,6 +294,11 @@ def cmd_propagate(args) -> int:
         absorber_width=args.absorber_width,
         absorber_strength=args.absorber_strength,
     )
+
+
+def cmd_propagate(args) -> int:
+    slab = _slab_from(args)
+    cfg = _bpm_config(args, slab)
     prop = Propagator(cfg)
     meta = {
         "k0a": args.k0a,
@@ -367,14 +371,7 @@ def cmd_propagate(args) -> int:
 
 def cmd_decay(args) -> int:
     slab = _slab_from(args)
-    cfg = BpmConfig.for_slab(
-        slab,
-        transverse_halfwidth_X=args.X,
-        nx=args.nx,
-        dz=args.dz,
-        absorber_width=args.absorber_width,
-        absorber_strength=args.absorber_strength,
-    )
+    cfg = _bpm_config(args, slab)
     res = _refined_mode(slab, args.m)
     column = tapered_mode_column(mode_profile(res, slab), cfg)
     rate = measure_decay(cfg, column, args.z_max)

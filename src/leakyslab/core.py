@@ -1,4 +1,4 @@
-"""Slab configuration, eigenvalue bookkeeping and wavenumber conversions.
+"""Slab configuration, eigenvalue bookkeeping, wavenumbers, dispersion kernel.
 
 Units convention
 ----------------
@@ -15,6 +15,11 @@ Wavenumber conventions (K exterior, Q interior, both in units of k0):
 
 Leaky modes live on the branch with K in the closed fourth quadrant
 (Re K >= 0, Im K <= 0).
+
+Dispersion kernel: ``_dispersion`` gives Q and the outgoing condition
+f(K) = cos(2QA) - i*g*sin(2QA), g = (K**2 + Q**2)/(2*K*Q), the denominator
+of the transmission amplitude t = e^{-2iKA}/f; its zeros with K in the
+fourth quadrant are the leaky modes.  Every module takes Q and f from it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -112,8 +119,24 @@ def eigenvalue_to_wavenumbers(eps: ComplexEigenvalue, cfg: SlabConfig) -> Wavenu
     The round trip eps = K**2/2 - 1 holds to machine precision.
     """
     K = fourth_quadrant_sqrt(2.0 * (eps.value + 1.0))
-    Q = cmath.sqrt(cfg.core_index_U0 * (K * K + 2.0 * (cfg.core_index_U0 - 1.0)))
+    Q, _ = _dispersion(K, cfg)
     return Wavenumbers(K=K, Q=Q)
+
+
+def _dispersion(K, cfg: SlabConfig):
+    """Interior wavenumber Q and outgoing condition f at exterior wavenumber K.
+
+    A Python complex K (a Newton iterate) is evaluated with cmath, and f is
+    None where K = 0 or Q = 0.  Any other K, scalar or array, is evaluated
+    elementwise with numpy; a real K on the radiation band gives a real Q.
+    """
+    lib = cmath if isinstance(K, complex) else np
+    U0 = cfg.core_index_U0
+    A = cfg.half_width_A
+    Q = lib.sqrt(U0 * (K * K + 2.0 * (U0 - 1.0)))
+    if lib is cmath and (K == 0 or Q == 0):
+        return Q, None
+    return Q, lib.cos(2 * Q * A) - 0.5j * (K / Q + Q / K) * lib.sin(2 * Q * A)
 
 
 def wavenumbers_to_eigenvalue(wn: Wavenumbers) -> ComplexEigenvalue:

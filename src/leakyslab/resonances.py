@@ -8,12 +8,11 @@ amplitude, equivalently the purely outgoing matching determinant):
 
 whose zeros with K in the fourth quadrant are the leaky modes.  A winding
 number counter over a rectangle in the eps plane provides an independent
-root count.
+root count.  Both evaluate f through the dispersion kernel of ``core``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -23,13 +22,16 @@ from .core import (
     ComplexEigenvalue,
     SlabConfig,
     Wavenumbers,
+    _dispersion,
     eigenvalue_to_wavenumbers,
-    fourth_quadrant_sqrt,
 )
 from .errors import ConvergenceError, RootJumpError
 
 APPROXIMATE = "approximate"
 REFINED = "refined"
+
+# complex-plane step of the central difference in Newton's derivative
+_DERIVATIVE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,10 @@ def approximate_resonances(cfg: SlabConfig) -> list[Resonance]:
 
 def _condition_from_K(K: complex, cfg: SlabConfig) -> complex:
     """Quantization condition evaluated from the exterior wavenumber."""
-    U0 = cfg.core_index_U0
-    A = cfg.half_width_A
-    Q = cmath.sqrt(U0 * (K * K + 2.0 * (U0 - 1.0)))
-    if K == 0 or Q == 0:
+    _, f = _dispersion(K, cfg)
+    if f is None:
         raise ValueError("K = 0 or Q = 0 is a pole of the outgoing condition")
-    return cmath.cos(2 * Q * A) - 0.5j * (K / Q + Q / K) * cmath.sin(2 * Q * A)
+    return f
 
 
 def siegert_residual(eps: ComplexEigenvalue, cfg: SlabConfig) -> complex:
@@ -124,7 +124,6 @@ def refine_resonance(
     cfg: SlabConfig,
     tol: float = 1e-12,
     max_iter: int = 100,
-    derivative_step: float = 1e-6,
 ) -> Resonance:
     """Newton-polish a seed to an exact root of the outgoing condition.
 
@@ -135,7 +134,7 @@ def refine_resonance(
     collision with a neighbouring mode.
     """
     K = complex(seed.wavenumbers.K)
-    h = derivative_step
+    h = _DERIVATIVE_STEP
     converged = False
     for _ in range(max_iter):
         val = _condition_from_K(K, cfg)
@@ -203,19 +202,14 @@ def _winding_on_segment(
         )
     ts = np.linspace(0.0, 1.0, n + 1)
     zs = z0 + (z1 - z0) * ts
-    K = np.array([fourth_quadrant_sqrt(2.0 * (z + 1.0)) for z in zs])
-    U0 = cfg.core_index_U0
-    A = cfg.half_width_A
-    Q = np.sqrt(U0 * (K * K + 2.0 * (U0 - 1.0)) + 0j)
-    vals = np.cos(2 * Q * A) - 0.5j * (K / Q + Q / K) * np.sin(2 * Q * A)
+    # principal sqrt: the fourth-quadrant branch wherever Re(eps) > -1
+    _, vals = _dispersion(np.sqrt(2.0 * (zs + 1.0)), cfg)
     dphi = np.angle(vals[1:] / vals[:-1])
-    total = 0.0
-    for i, d in enumerate(dphi):
-        if abs(d) > np.pi / 2:
-            total += _winding_on_segment(zs[i], zs[i + 1], cfg, 16, depth + 1)
-        else:
-            total += d
-    return total
+    coarse = np.abs(dphi) > np.pi / 2
+    return float(dphi[~coarse].sum()) + sum(
+        _winding_on_segment(zs[i], zs[i + 1], cfg, 16, depth + 1)
+        for i in np.flatnonzero(coarse)
+    )
 
 
 def count_leaky_modes(

@@ -1,13 +1,15 @@
-"""Real-energy scattering off the slab: transfer matrix, r/t, phase, FBW sum.
+"""Real-energy scattering off the slab: r/t, transmission phase, FBW sum.
 
-Amplitudes are computed by 2x2 interface matrix products across x = -A and
-x = +A in the plane-wave basis (a*e^{iwx} + b*e^{-iwx} per region), so flux
-conservation is a property of the construction rather than an input.
+Amplitudes are closed forms in the outgoing condition f(K) of the core
+dispersion kernel: t = e^{-2iKA}/f and r = t*(i/2)(Q/K - K/Q)*sin(2QA).
+Flux conservation |r|^2 + |t|^2 = 1 follows from |f|^2 = 1 +
+(1/4)(Q/K - K/Q)^2 sin^2(2QA).
 
 The transmission phase phi is the quantity entering the wave-packet
 integrands: phi = arg t + 2*K*A - pi/2.  Single-point calls return its
-principal value in (-pi/2, pi/2]; sweeps return the continuously unwrapped
-branch (accumulated along increasing K with adaptive refinement).
+principal value in (-pi/2, pi/2]; sweeps return the continuous branch,
+evaluated in closed form and shifted by a multiple of pi so that the first
+grid point carries its principal value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SlabConfig
+from .core import SlabConfig, _dispersion
 
 
 @dataclass(frozen=True)
@@ -63,37 +65,26 @@ class Curve:
             )
 
 
-def _check_radiation_band(eps_R: np.ndarray | float):
-    e = np.asarray(eps_R, dtype=float)
-    if np.any(e <= -1.0) or np.any(e >= 0.0):
-        raise ValueError("eps_R must lie strictly inside the radiation band (-1, 0)")
+def _amplitudes(K, cfg: SlabConfig):
+    """t, r and the continuous transmission phase phi at real K > 0.
 
+    t = e^{-2iKA}/f and r = t * (i/2)(Q/K - K/Q) sin(2QA), with f from the
+    dispersion kernel.  Writing conj(f) = e^{2iQA} (1 + d s^2 + i d s c),
+    with s = sin 2QA, c = cos 2QA and d = g - 1 = (Q - K)^2/(2KQ) >= 0, gives
 
-def _amplitudes_vec(eps_R, cfg: SlabConfig):
-    """Vectorized r(eps), t(eps) via the two interface matrices."""
-    e = np.asarray(eps_R, dtype=float)
+        phi = -arg f - pi/2 = 2QA - pi/2 + arctan(d s c / (1 + d s^2)),
+
+    continuous in K because the arctan denominator is at least 1.
+    """
     A = cfg.half_width_A
-    U0 = cfg.core_index_U0
-    K = np.sqrt(2.0 * (e + 1.0)).astype(complex)
-    Q = np.sqrt(U0 * (K * K + 2.0 * (U0 - 1.0)))
-
-    def interface(x0, w1, w2):
-        rho = w1 / w2
-        m11 = 0.5 * (1 + rho) * np.exp(1j * (w1 - w2) * x0)
-        m12 = 0.5 * (1 - rho) * np.exp(-1j * (w1 + w2) * x0)
-        m21 = 0.5 * (1 - rho) * np.exp(1j * (w1 + w2) * x0)
-        m22 = 0.5 * (1 + rho) * np.exp(-1j * (w1 - w2) * x0)
-        return m11, m12, m21, m22
-
-    a11, a12, a21, a22 = interface(-A, K, Q)   # vacuum -> core at x=-A
-    b11, b12, b21, b22 = interface(+A, Q, K)   # core -> vacuum at x=+A
-    m11 = b11 * a11 + b12 * a21
-    m12 = b11 * a12 + b12 * a22
-    m21 = b21 * a11 + b22 * a21
-    m22 = b21 * a12 + b22 * a22
-    r = -m21 / m22
-    t = (m11 * m22 - m12 * m21) / m22
-    return K, r, t
+    Q, f = _dispersion(K, cfg)
+    s = np.sin(2.0 * Q * A)
+    c = np.cos(2.0 * Q * A)
+    t = np.exp(-2j * K * A) / f
+    r = t * 0.5j * (Q / K - K / Q) * s
+    d = (Q - K) ** 2 / (2.0 * K * Q)
+    phi = 2.0 * Q * A - math.pi / 2.0 + np.arctan(d * s * c / (1.0 + d * s * s))
+    return t, r, phi
 
 
 def _fold_half_pi(x):
@@ -101,14 +92,20 @@ def _fold_half_pi(x):
     return x - np.pi * np.round(x / np.pi)
 
 
+def _band_wavenumber(eps_R) -> np.ndarray:
+    """K = sqrt(2*(eps_R + 1)); raises ValueError outside the radiation band."""
+    e = np.asarray(eps_R, dtype=float)
+    if np.any(e <= -1.0) or np.any(e >= 0.0):
+        raise ValueError("eps_R must lie strictly inside the radiation band (-1, 0)")
+    return np.sqrt(2.0 * (e + 1.0))
+
+
 def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
     """r, t and the principal-branch transmission phase at one eps_R.
 
     Raises ValueError outside the radiation band (-1, 0).
     """
-    _check_radiation_band(eps_R)
-    K, r, t = _amplitudes_vec(eps_R, cfg)
-    phi = np.angle(t) + 2.0 * K.real * cfg.half_width_A - math.pi / 2.0
+    t, r, phi = _amplitudes(_band_wavenumber(eps_R), cfg)
     return ScatteringAmplitudes(
         r=complex(r), t=complex(t), phase_phi=float(_fold_half_pi(phi))
     )
@@ -116,17 +113,24 @@ def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
 
 def transmission_coefficient(eps_R: float, cfg: SlabConfig) -> float:
     """T = |t|^2 in (0, 1]."""
-    _check_radiation_band(eps_R)
-    _, _, t = _amplitudes_vec(eps_R, cfg)
+    t, _, _ = _amplitudes(_band_wavenumber(eps_R), cfg)
     return float(np.abs(t) ** 2)
+
+
+def _sweep(eps_grid, cfg: SlabConfig):
+    e = np.asarray(eps_grid, dtype=float)
+    K = _band_wavenumber(e)
+    if e.ndim != 1 or len(e) == 0:
+        raise ValueError("eps_grid must be a non-empty 1-D array")
+    t, _, phi = _amplitudes(K, cfg)
+    # shift the continuous branch by a multiple of pi so that its first
+    # point is the principal value
+    return e, t, phi - np.pi * np.round(phi[0] / np.pi)
 
 
 def transmission_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     """T(eps) and the unwrapped phase phi(eps) over an increasing grid."""
-    e = np.asarray(eps_grid, dtype=float)
-    _check_radiation_band(e)
-    _, _, t = _amplitudes_vec(e, cfg)
-    phi = unwrapped_phase(e, cfg)
+    e, t, phi = _sweep(eps_grid, cfg)
     return Curve(
         abscissa=e,
         values=np.column_stack([np.abs(t) ** 2, phi]),
@@ -134,40 +138,13 @@ def transmission_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     )
 
 
-def _principal_phase(eps_R, cfg: SlabConfig):
-    K, _, t = _amplitudes_vec(eps_R, cfg)
-    return _fold_half_pi(np.angle(t) + 2.0 * K.real * cfg.half_width_A - math.pi / 2.0)
-
-
-def _aligned_delta(e0, e1, p0, p1, cfg, depth=0):
-    # Difference of the continuous phase across [e0, e1]; bisect until the
-    # mod-pi branch assignment is unambiguous (|delta| < pi/4).
-    d = float(_fold_half_pi(p1 - p0))
-    if abs(d) < np.pi / 4 or depth >= 40:
-        return d
-    mid = 0.5 * (e0 + e1)
-    pm = float(_principal_phase(mid, cfg))
-    return _aligned_delta(e0, mid, p0, pm, cfg, depth + 1) + _aligned_delta(
-        mid, e1, pm, p1, cfg, depth + 1
-    )
-
-
 def unwrapped_phase(eps_grid, cfg: SlabConfig) -> np.ndarray:
     """Continuously unwrapped phi over an increasing eps grid.
 
-    Anchored at the principal value of the first point; increments are
-    accumulated with adaptive bisection so each step stays below pi/4.
+    Evaluated in closed form (no accumulation), so any grid spacing lands on
+    the same branch; anchored at the principal value of the first point.
     """
-    e = np.asarray(eps_grid, dtype=float)
-    _check_radiation_band(e)
-    if e.ndim != 1 or len(e) == 0:
-        raise ValueError("eps_grid must be a non-empty 1-D array")
-    p = np.atleast_1d(_principal_phase(e, cfg))
-    out = np.empty_like(p)
-    out[0] = p[0]
-    for i in range(1, len(e)):
-        out[i] = out[i - 1] + _aligned_delta(e[i - 1], e[i], p[i - 1], p[i], cfg)
-    return out
+    return _sweep(eps_grid, cfg)[2]
 
 
 def fbw_superposition(

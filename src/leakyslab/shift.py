@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SlabConfig
+from .core import SlabConfig, _dispersion
 from .errors import PeakAmbiguityError
-from .scattering import Curve, _amplitudes_vec, _check_radiation_band
+from .scattering import Curve, _amplitudes, _band_wavenumber
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,9 @@ class ShiftSample:
     z_t: float
 
 
-def phase_derivative(eps_R, cfg: SlabConfig):
-    """Analytic dphi/dK on the radiation band; scalar or array input.
-
-    Derived by differentiating the arctan form of the transmission phase
-    with Q'(K) = U0*K/Q; the expression below is regular across the
-    transparency points sin(2QA) = 0 (the denominator never vanishes).
-    """
-    e = np.asarray(eps_R, dtype=float)
-    _check_radiation_band(e)
-    A = cfg.half_width_A
-    U0 = cfg.core_index_U0
-    K = np.sqrt(2.0 * (e + 1.0))
-    Q = np.sqrt(U0 * (K * K + 2.0 * (U0 - 1.0)))
+def _dphi_dK(K, Q, A, U0):
+    # Regular across the transparency points sin(2QA) = 0: the denominator
+    # S^2 s^2 + P^2 c^2 never vanishes.  Broadcasts over K, Q and A.
     Qp = U0 * K / Q
     P = 2.0 * K * Q
     S = K * K + Q * Q
@@ -56,9 +46,21 @@ def phase_derivative(eps_R, cfg: SlabConfig):
     Sp = 2.0 * K + 2.0 * Q * Qp
     s = np.sin(2.0 * Q * A)
     c = np.cos(2.0 * Q * A)
-    out = (2.0 * A * Qp * P * S - (Pp * S - P * Sp) * c * s) / (
+    return (2.0 * A * Qp * P * S - (Pp * S - P * Sp) * c * s) / (
         S * S * s * s + P * P * c * c
     )
+
+
+def phase_derivative(eps_R, cfg: SlabConfig):
+    """Analytic dphi/dK on the radiation band; scalar or array input.
+
+    Derived by differentiating the arctan form of the transmission phase
+    with Q'(K) = U0*K/Q; the expression is regular across the transparency
+    points sin(2QA) = 0.
+    """
+    K = _band_wavenumber(eps_R)
+    Q, _ = _dispersion(K, cfg)
+    out = _dphi_dK(K, Q, cfg.half_width_A, cfg.core_index_U0)
     return float(out) if np.isscalar(eps_R) else out
 
 
@@ -67,8 +69,7 @@ def longitudinal_shift(eps_R: float, cfg: SlabConfig) -> ShiftSample:
 
     z_in = -A/K, k0*delta_z = (1/K)*dphi/dK, z_t = z_in + k0*delta_z.
     """
-    _check_radiation_band(eps_R)
-    K = math.sqrt(2.0 * (eps_R + 1.0))
+    K = float(_band_wavenumber(eps_R))
     dz = phase_derivative(eps_R, cfg) / K
     z_in = -cfg.half_width_A / K
     return ShiftSample(eps_R=eps_R, k0_delta_z=dz, z_in=z_in, z_t=z_in + dz)
@@ -77,8 +78,7 @@ def longitudinal_shift(eps_R: float, cfg: SlabConfig) -> ShiftSample:
 def shift_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     """k0*delta_z (plus entry/exit points) over an eigenvalue grid."""
     e = np.asarray(eps_grid, dtype=float)
-    _check_radiation_band(e)
-    K = np.sqrt(2.0 * (e + 1.0))
+    K = _band_wavenumber(e)
     dz = phase_derivative(e, cfg) / K
     z_in = -cfg.half_width_A / K
     return Curve(
@@ -91,14 +91,11 @@ def shift_sweep(eps_grid, cfg: SlabConfig) -> Curve:
 def width_sweep(eps_R: float, halfwidth_grid, core_index_U0: float) -> Curve:
     """k0*delta_z at fixed eps_R as a function of the slab half width k0*a."""
     As = np.asarray(halfwidth_grid, dtype=float)
-    _check_radiation_band(eps_R)
-    K = math.sqrt(2.0 * (eps_R + 1.0))
-    dz = np.array(
-        [
-            phase_derivative(eps_R, SlabConfig(half_width_A=a, core_index_U0=core_index_U0)) / K
-            for a in As
-        ]
-    )
+    K = _band_wavenumber(eps_R)
+    # Q does not depend on A; the narrowest slab validates the whole grid
+    cfg = SlabConfig(half_width_A=As.min(), core_index_U0=core_index_U0)
+    Q, _ = _dispersion(K, cfg)
+    dz = _dphi_dK(K, Q, As, core_index_U0) / K
     return Curve(abscissa=As, values=dz, labels=("k0a", "k0_delta_z"))
 
 
@@ -150,8 +147,7 @@ def wavepacket_shift(
 
     Converges to longitudinal_shift(eps_center) as sigma_K -> 0.
     """
-    _check_radiation_band(eps_center)
-    Kc = math.sqrt(2.0 * (eps_center + 1.0))
+    Kc = float(_band_wavenumber(eps_center))
     sig = float(packet_width_sigmaK)
     if sig <= 0:
         raise ValueError("packet_width_sigmaK must be positive")
@@ -167,7 +163,7 @@ def wavepacket_shift(
 
     k, w = _gauss_legendre_composite(Kc - 6.0 * sig, Kc + 6.0 * sig, panels, nodes_per_panel)
     f = np.exp(-((k - Kc) ** 2) / (2.0 * sig * sig))
-    _, _, t = _amplitudes_vec(k * k / 2.0 - 1.0, cfg)
+    t, _, _ = _amplitudes(k, cfg)
 
     z0 = x_observe / Kc
     half_window = 8.0 / (Kc * sig) + 300.0

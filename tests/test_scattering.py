@@ -58,6 +58,18 @@ def closed_form_phi_principal(eps_R: float, cfg: SlabConfig) -> float:
 
 # -----------------------------------------------------------------------------
 
+# the reference slab plus a thin strong-contrast and a wide weak-contrast
+# slab from the corners of the benchmark envelope
+ENVELOPE_SLABS = [
+    SlabConfig(half_width_A=30.0, core_index_U0=1.5),
+    SlabConfig(half_width_A=5.203723, core_index_U0=1.873355),
+    SlabConfig(half_width_A=60.0, core_index_U0=1.05),
+]
+
+
+def _slab_id(slab: SlabConfig) -> str:
+    return f"{slab.half_width_A}-{slab.core_index_U0}"
+
 
 def test_transparency_at_half_wave_resonances(slab30):
     for m in range(24, 41):
@@ -77,13 +89,14 @@ def test_unitarity_over_band(slab30):
         assert abs(abs(amp.r) ** 2 + abs(amp.t) ** 2 - 1.0) <= 1e-12
 
 
-def test_matrix_amplitudes_match_closed_forms(slab30):
+@pytest.mark.parametrize("slab", ENVELOPE_SLABS, ids=_slab_id)
+def test_amplitudes_match_closed_forms(slab):
     rng = np.random.default_rng(5)
     for eps in rng.uniform(-0.999, -0.001, 200):
-        amp = transfer_amplitudes(eps, slab30)
-        assert amp.t == pytest.approx(closed_form_t(eps, slab30), abs=1e-12)
-        assert amp.r == pytest.approx(closed_form_r(eps, slab30), abs=1e-12)
-        assert abs(amp.t) ** 2 == pytest.approx(closed_form_T(eps, slab30), abs=1e-12)
+        amp = transfer_amplitudes(eps, slab)
+        assert amp.t == pytest.approx(closed_form_t(eps, slab), abs=1e-12)
+        assert amp.r == pytest.approx(closed_form_r(eps, slab), abs=1e-12)
+        assert abs(amp.t) ** 2 == pytest.approx(closed_form_T(eps, slab), abs=1e-12)
 
 
 def test_peak_of_transmission_near_m24(slab30):
@@ -130,29 +143,32 @@ def test_phase_equals_closed_form_mod_pi(slab30):
         assert abs(diff - round(diff)) <= 1e-9
 
 
-def test_unwrapped_phase_is_continuous_and_matches_crossing_count(slab30):
+@pytest.mark.parametrize("slab", ENVELOPE_SLABS, ids=_slab_id)
+def test_unwrapped_phase_is_continuous_and_matches_crossing_count(slab):
     grid = np.linspace(-0.995, -0.005, 3000)
-    phi = unwrapped_phase(grid, slab30)
+    phi = unwrapped_phase(grid, slab)
     assert np.all(np.abs(np.diff(phi)) < math.pi / 4)
     # independent unwrap: principal arctan branch + pi per sin(2QA) zero crossing
-    u0 = slab30.core_index_U0
-    A = slab30.half_width_A
+    u0 = slab.core_index_U0
+    A = slab.half_width_A
     K = np.sqrt(2 * (grid + 1))
     Q = np.sqrt(u0 * (K * K + 2 * (u0 - 1)))
     crossings = np.floor(2 * Q * A / math.pi)
-    ref = np.array([closed_form_phi_principal(e, slab30) for e in grid])
+    ref = np.array([closed_form_phi_principal(e, slab) for e in grid])
     ref = ref + math.pi * (crossings - crossings[0])
     assert np.allclose(phi, ref, atol=1e-9)
 
 
-def test_unwrapped_phase_coarse_grid_refines_internally(slab30):
-    # 40 points over the band: raw neighbor jumps far exceed pi/4, the
-    # accumulation must still land on the same branch as a dense sweep
+@pytest.mark.parametrize("slab", ENVELOPE_SLABS, ids=_slab_id)
+def test_unwrapped_phase_coarse_grid_matches_dense_sweep(slab):
+    # 40 points over the band: raw neighbor jumps far exceed pi/4 (several
+    # pi on the wide slab), the coarse sweep must still land on the same
+    # branch as a dense sweep
     refine = 512
     coarse = np.linspace(-0.9, -0.1, 40)
     dense = np.linspace(-0.9, -0.1, 39 * refine + 1)
-    phi_c = unwrapped_phase(coarse, slab30)
-    phi_d = unwrapped_phase(dense, slab30)
+    phi_c = unwrapped_phase(coarse, slab)
+    phi_d = unwrapped_phase(dense, slab)
     assert np.allclose(phi_c, phi_d[::refine], atol=1e-6)
 
 

@@ -82,6 +82,16 @@ def test_negative_shift_exists_in_width_sweep():
     assert curve.values.min() < 0.0
 
 
+def test_width_sweep_equals_per_width_phase_derivative():
+    eps, u0 = -0.995, 1.5
+    widths = np.linspace(1.0, 60.0, 1200)
+    K = math.sqrt(2 * (eps + 1))
+    per_width = np.array(
+        [phase_derivative(eps, SlabConfig(half_width_A=a, core_index_U0=u0)) / K for a in widths]
+    )
+    assert np.array_equal(width_sweep(eps, widths, u0).values, per_width)
+
+
 def test_width_sweep_spot_value_large_slab():
     # the analytic derivative stays usable at macroscopic widths
     big = SlabConfig(half_width_A=50_000.0, core_index_U0=1.5)
