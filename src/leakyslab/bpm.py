@@ -10,9 +10,14 @@ reference index n0 only adds the global phase exp(-i n0 z).  With N = diag(n)
 the matrix S = N (H + n0) - i N sigma is symmetric tridiagonal, and the
 n-weighted Crank-Nicolson step (N + i dz/2 S) E' = (N - i dz/2 S) E is
 unconditionally stable and, without absorber, conserves sum n|E|^2 dx
-exactly.  A quadratic-ramp imaginary potential sigma near the domain edges
-damps outgoing radiation.  Used as an initial-value cross-check on the modal
-decay rates: a leaky mode's core power falls as exp(-Gamma z).
+exactly.  The left-hand matrix is LU-factored once per Propagator (LAPACK
+zgttrf) and each step is one tridiagonal back-substitution (zgttrs).  A
+quadratic-ramp imaginary potential sigma near the domain edges damps outgoing
+radiation.  Used as an initial-value cross-check on the modal decay rates: a
+leaky mode's core power falls as exp(-Gamma z).
+
+scipy is imported when the first Propagator is built, not with this module,
+so ``import leakyslab`` does not load ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .core import SlabConfig
 from .errors import NonExponentialDecayError, UnstableStepError
@@ -89,10 +93,22 @@ class BpmConfig:
         )
 
 
+def _window(x: np.ndarray, half: float) -> slice:
+    """The contiguous slice of the increasing grid x where |x| <= half."""
+    return slice(int(np.searchsorted(x, -half, "left")), int(np.searchsorted(x, half, "right")))
+
+
 class Propagator:
-    """Precomputed Crank-Nicolson stepper for one BpmConfig."""
+    """Crank-Nicolson stepper for one BpmConfig, its matrix factored once.
+
+    Building the first Propagator imports scipy's LAPACK wrappers.
+    ``interior`` (outside the absorber) and ``core`` (|x| <= core_halfwidth)
+    are contiguous slices of the grid.
+    """
 
     def __init__(self, cfg: BpmConfig):
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
         self.cfg = cfg
         X = cfg.transverse_halfwidth_X
         self.x = np.linspace(-X, X, cfg.nx)
@@ -111,20 +127,20 @@ class Propagator:
         self._s_off = -0.5 / (self.dx * self.dx) * np.ones(cfg.nx - 1)
         main = self._s_main - 1j * n * sigma
         theta = 0.5j * cfg.dz
-        self._ab = np.zeros((3, cfg.nx), dtype=complex)
-        self._ab[0, 1:] = theta * self._s_off
-        self._ab[1, :] = n + theta * main
-        self._ab[2, :-1] = theta * self._s_off
+        off = theta * self._s_off
+        dl, d, du, du2, ipiv, info = zgttrf(off, n + theta * main, off)
+        if info != 0:
+            raise ValueError(f"Crank-Nicolson matrix is singular (zgttrf info={info})")
+        self._lu = (dl, d, du, du2, ipiv)
+        self._gttrs = zgttrs
         self._rhs_main = n - theta * main
-        self._rhs_off = -theta * self._s_off
-        self.interior = np.abs(self.x) <= X - cfg.absorber_width
+        self._rhs_off = -off
+        self.interior = _window(self.x, X - cfg.absorber_width)
+        self.core = _window(self.x, cfg.core_halfwidth)
 
-    def norm(self, column: np.ndarray, where: np.ndarray | None = None) -> float:
-        """Weighted power sum n|E|^2 dx (the step's invariant), optionally over a mask."""
-        density = self.n * np.abs(column) ** 2
-        if where is not None:
-            density = density[where]
-        return float(np.sum(density) * self.dx)
+    def norm(self, column: np.ndarray, where: slice = slice(None)) -> float:
+        """Weighted power sum n|E|^2 dx (the step's invariant), optionally over a slice."""
+        return float(np.sum(self.n[where] * np.abs(column[where]) ** 2) * self.dx)
 
     def step(self, column: np.ndarray) -> np.ndarray:
         """One dz step; aborts if the interior norm grows by more than 1%."""
@@ -135,7 +151,7 @@ class Propagator:
         rhs = self._rhs_main * column
         rhs[:-1] += self._rhs_off * column[1:]
         rhs[1:] += self._rhs_off * column[:-1]
-        out = solve_banded((1, 1), self._ab, rhs)
+        out, _ = self._gttrs(*self._lu, rhs, overwrite_b=1)
         after = self.norm(out, self.interior)
         # ignore fields whose interior content is negligible vs the total
         base = max(before, 1e-6 * self.norm(column))
@@ -147,7 +163,7 @@ class Propagator:
 
     def core_power(self, column: np.ndarray) -> float:
         """Weighted power sum n|E|^2 dx over the core |x| <= core_halfwidth."""
-        return self.norm(column, np.abs(self.x) <= self.cfg.core_halfwidth)
+        return self.norm(column, self.core)
 
     def guided_basis(self) -> np.ndarray:
         """Discrete guided modes, orthonormal in the n-weighted product.
@@ -156,6 +172,8 @@ class Propagator:
         symmetric similarity transform N^{-1/2} S N^{-1/2}; the returned
         columns v satisfy v_i^T N v_j = delta_ij.
         """
+        from scipy.linalg import eigh_tridiagonal
+
         n0 = self.cfg.reference_index_n0
         root_n = np.sqrt(self.n)
         lo = n0 - float(np.max(self.n))

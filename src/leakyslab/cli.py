@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation problem, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -53,6 +54,11 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _floats(values) -> list:
+    """Values as (nested) lists of Python floats, the form repr and json write."""
+    return np.asarray(values, dtype=float).tolist()
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -99,8 +105,7 @@ def curve_to_csv(curve: Curve, command: str, meta: dict) -> str:
         cols.extend(_split_complex(name, values[:, j]))
     lines = _meta_lines(command, meta)
     lines.append(",".join(name for name, _ in cols))
-    for i in range(len(curve.abscissa)):
-        lines.append(",".join(_fmt(float(col[i])) for _, col in cols))
+    lines.extend(map(",".join, zip(*(map(repr, _floats(col)) for _, col in cols))))
     return "\n".join(lines) + "\n"
 
 
@@ -112,7 +117,7 @@ def curve_to_json(curve: Curve, command: str, meta: dict) -> str:
     doc = {
         "command": command,
         "meta": {k: meta[k] for k in sorted(meta)},
-        "columns": {name: [float(v) for v in col] for name, col in cols},
+        "columns": {name: _floats(col) for name, col in cols},
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
@@ -121,9 +126,10 @@ def grid_to_csv(grid: FieldGrid, component: str, command: str, meta: dict) -> st
     comp = _component(grid.amplitudes, component)
     lines = _meta_lines(command, meta)
     lines.append(f"x,z,{component}_E")
-    for i, xv in enumerate(grid.x_grid):
-        for j, zv in enumerate(grid.z_grid):
-            lines.append(f"{_fmt(float(xv))},{_fmt(float(zv))},{_fmt(float(comp[i, j]))}")
+    # one row per (x, z), z varying fastest; each label is formatted once
+    xz = itertools.product(map(repr, _floats(grid.x_grid)), map(repr, _floats(grid.z_grid)))
+    cells = map(repr, _floats(comp.ravel()))
+    lines.extend(f"{xv},{zv},{v}" for (xv, zv), v in zip(xz, cells))
     return "\n".join(lines) + "\n"
 
 
@@ -131,10 +137,10 @@ def grid_to_json(grid: FieldGrid, command: str, meta: dict) -> str:
     doc = {
         "command": command,
         "meta": {k: meta[k] for k in sorted(meta)},
-        "x": [float(v) for v in grid.x_grid],
-        "z": [float(v) for v in grid.z_grid],
-        "re": [[float(v) for v in row] for row in grid.amplitudes.real],
-        "im": [[float(v) for v in row] for row in grid.amplitudes.imag],
+        "x": _floats(grid.x_grid),
+        "z": _floats(grid.z_grid),
+        "re": _floats(grid.amplitudes.real),
+        "im": _floats(grid.amplitudes.imag),
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 

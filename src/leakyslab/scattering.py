@@ -93,9 +93,9 @@ def _fold_half_pi(x):
 
 
 def _band_wavenumber(eps_R) -> np.ndarray:
-    """K = sqrt(2*(eps_R + 1)); raises ValueError outside the radiation band."""
+    """K = sqrt(2*(eps_R + 1)); raises ValueError outside the radiation band (or on NaN)."""
     e = np.asarray(eps_R, dtype=float)
-    if np.any(e <= -1.0) or np.any(e >= 0.0):
+    if not np.all((e > -1.0) & (e < 0.0)):
         raise ValueError("eps_R must lie strictly inside the radiation band (-1, 0)")
     return np.sqrt(2.0 * (e + 1.0))
 

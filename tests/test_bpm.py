@@ -1,10 +1,16 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
+import leakyslab
 from leakyslab import (
     NonExponentialDecayError,
     SlabConfig,
@@ -210,3 +216,64 @@ def test_guided_projection_removes_trapped_floor(slab30, refined_modes, cfg30):
     overlap = np.max(np.abs(basis.T @ (n * cleaned)))
     assert overlap < 1e-12
     assert np.max(np.abs(basis.T @ (n * col))) > 1e-6
+
+
+def test_import_path_does_not_load_scipy_linalg():
+    # scipy.linalg is loaded by the first Propagator, not by the package
+    src = str(Path(leakyslab.__file__).resolve().parents[1])
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import leakyslab.cli\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
+        "from leakyslab import SlabConfig\n"
+        "from leakyslab.bpm import BpmConfig, Propagator\n"
+        "prop = Propagator(BpmConfig.for_slab(SlabConfig(30.0, 1.5), nx=513))\n"
+        "col = prop.step(np.exp(-prop.x**2 / 200.0).astype(complex))\n"
+        "assert np.all(np.isfinite(col)) and prop.norm(col) > 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def crank_nicolson_band(cfg: BpmConfig):
+    """Oracle: the n-weighted Crank-Nicolson band (N + i dz/2 S) and its right-hand side.
+
+    S = N (H + n0) - i N sigma, built here from the config alone.
+    """
+    x = np.linspace(-cfg.transverse_halfwidth_X, cfg.transverse_halfwidth_X, cfg.nx)
+    dx = x[1] - x[0]
+    n = np.asarray(cfg.n_profile(x), dtype=float)
+    ramp = (np.abs(x) - (cfg.transverse_halfwidth_X - cfg.absorber_width)) / cfg.absorber_width
+    sigma = np.where(ramp > 0, cfg.absorber_strength * ramp**2, 0.0)
+    off = -0.5 / (dx * dx) * np.ones(cfg.nx - 1)
+    main = 1.0 / (dx * dx) - n * n + cfg.reference_index_n0 * n - 1j * n * sigma
+    theta = 0.5j * cfg.dz
+    ab = np.zeros((3, cfg.nx), dtype=complex)
+    ab[0, 1:] = theta * off
+    ab[1, :] = n + theta * main
+    ab[2, :-1] = theta * off
+    return ab, n - theta * main, -theta * off
+
+
+def test_factored_step_matches_banded_solve(slab30, refined_modes):
+    cfg = BpmConfig.for_slab(slab30, nx=1025)
+    prop = Propagator(cfg)
+    ab, rhs_main, rhs_off = crank_nicolson_band(cfg)
+    r32 = next(r for r in refined_modes if r.mode_index_m == 32)
+    col = ref = tapered_mode_column(mode_profile(r32, slab30), cfg)
+    for _ in range(250):
+        col = prop.step(col)
+        rhs = rhs_main * ref
+        rhs[:-1] += rhs_off * ref[1:]
+        rhs[1:] += rhs_off * ref[:-1]
+        ref = solve_banded((1, 1), ab, rhs)
+    assert np.array_equal(col, ref)
+    # the precomputed window slices sum what the boolean masks selected
+    dens = prop.n * np.abs(col) ** 2
+    interior = np.abs(prop.x) <= cfg.transverse_halfwidth_X - cfg.absorber_width
+    core = np.abs(prop.x) <= cfg.core_halfwidth
+    assert prop.norm(col, prop.interior) == float(np.sum(dens[interior]) * prop.dx)
+    assert prop.core_power(col) == float(np.sum(dens[core]) * prop.dx)
+    assert prop.norm(col) == float(np.sum(dens) * prop.dx)

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from leakyslab.cli import main, parse_grid
+from leakyslab import Curve, FieldGrid, __version__
+from leakyslab.cli import (
+    curve_to_csv,
+    curve_to_json,
+    grid_to_csv,
+    grid_to_json,
+    main,
+    parse_grid,
+)
 from conftest import REFERENCE_EIGENVALUES
 
 
@@ -228,6 +236,18 @@ def test_validation_exit_code(capsys):
     assert "error" in err
 
 
+def test_nan_grid_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code, stdout, err = run(
+        ["transmission", "--k0a", "30", "--u0", "1.5", "--eps", "nan:nan:1", "-o", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "radiation band" in err
+    assert not out.exists()
+    assert "nan" not in stdout
+
+
 def test_numerical_failure_exit_code(capsys):
     # an inward packet launched from the absorber zone trips the interior
     # growth detector, which must map to exit code 3
@@ -260,3 +280,60 @@ def test_json_curve_format(capsys):
     doc = json.loads(out)
     assert set(doc["columns"]) == {"eps_R", "T", "phi"}
     assert doc["meta"]["k0a"] == 30.0
+
+
+# Values whose shortest repr is easy to get wrong: signed zero, the smallest
+# subnormal, a float past the exact-integer range, a repeating binary
+# fraction and NaN.
+AWKWARD = [-0.0, 5e-324, 1e16, 1 / 3, float("nan")]
+
+
+def csv_body(text):
+    assert text.endswith("\n")
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def test_curve_writers_match_per_element_repr():
+    abscissa = np.array([-1e16, -0.0, 5e-324, 1 / 3, 2.0])
+    real = np.array(AWKWARD)
+    cplx = real + 1j * real[::-1]
+    curve = Curve(abscissa=abscissa, values=np.column_stack([real, cplx]), labels=("x", "a", "b"))
+    # column_stack makes the real column complex, with a zero imaginary part
+    names = ["x", "re_a", "im_a", "re_b", "im_b"]
+    columns = [abscissa, real, np.zeros(5), cplx.real, cplx.imag]
+    meta = {"k": 1.5}
+    text = curve_to_csv(curve, "probe", meta)
+    assert text.startswith(f"# leakyslab probe v{__version__}\n# k=1.5\n")
+    rows = [",".join(repr(float(col[i])) for col in columns) for i in range(5)]
+    assert csv_body(text) == [",".join(names)] + rows
+    doc = {
+        "command": "probe",
+        "meta": meta,
+        "columns": {name: [float(v) for v in col] for name, col in zip(names, columns)},
+    }
+    assert curve_to_json(curve, "probe", meta) == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_grid_writers_match_per_element_repr():
+    # 3 x 5, so that swapping the x and z loops would show
+    x = np.array([-0.0, 5e-324, 1 / 3])
+    z = np.array([0.0, 1 / 3, 1.0, 1e16, 1e16])
+    real = np.array(AWKWARD * 3).reshape(3, 5)
+    amps = real + 1j * real[::-1, ::-1]
+    grid = FieldGrid(x_grid=x, z_grid=z, amplitudes=amps)
+    for component, comp in (("re", amps.real), ("im", amps.imag), ("abs2", np.abs(amps) ** 2)):
+        rows = [
+            f"{float(x[i])!r},{float(z[j])!r},{float(comp[i, j])!r}"
+            for i in range(3)
+            for j in range(5)
+        ]
+        assert csv_body(grid_to_csv(grid, component, "probe", {})) == [f"x,z,{component}_E"] + rows
+    doc = {
+        "command": "probe",
+        "meta": {},
+        "x": [float(v) for v in x],
+        "z": [float(v) for v in z],
+        "re": [[float(v) for v in row] for row in amps.real],
+        "im": [[float(v) for v in row] for row in amps.imag],
+    }
+    assert grid_to_json(grid, "probe", {}) == json.dumps(doc, indent=1, sort_keys=True) + "\n"

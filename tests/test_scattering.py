@@ -11,6 +11,7 @@ from leakyslab import (
     transmission_coefficient,
     transmission_sweep,
     unwrapped_phase,
+    width_sweep,
 )
 
 
@@ -173,11 +174,15 @@ def test_unwrapped_phase_coarse_grid_matches_dense_sweep(slab):
 
 
 def test_domain_validation(slab30):
-    for bad in (-1.0, -1.5, 0.0, 0.5):
+    # NaN fails every comparison, so the band check must ask "inside"
+    # rather than "outside"
+    for bad in (-1.0, -1.5, 0.0, 0.5, float("nan")):
         with pytest.raises(ValueError, match="radiation band"):
             transfer_amplitudes(bad, slab30)
         with pytest.raises(ValueError, match="radiation band"):
             transmission_coefficient(bad, slab30)
+        with pytest.raises(ValueError, match="radiation band"):
+            width_sweep(bad, np.linspace(1.0, 60.0, 5), 1.5)
 
 
 def test_fbw_superposition_single_line():
