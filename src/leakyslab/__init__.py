@@ -58,7 +58,7 @@ from .shift import (
     wavepacket_shift,
     width_sweep,
 )
-from .bpm import BpmConfig, Propagator, measure_decay, step, tapered_mode_column
+from .bpm import BpmConfig, Propagator, measure_decay, tapered_mode_column
 
 __all__ = [
     "BpmConfig",
@@ -99,7 +99,6 @@ __all__ = [
     "refine_resonance",
     "shift_sweep",
     "siegert_residual",
-    "step",
     "survival_amplitude",
     "tapered_mode_column",
     "transfer_amplitudes",

@@ -22,14 +22,19 @@ so ``import leakyslab`` does not load ``scipy.linalg``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import SlabConfig
 from .errors import NonExponentialDecayError, UnstableStepError
 from .fields import ModeField
+
+# tapered_mode_column's window edges, in units of the core half width
+_TAPER_INNER = 2.0
+_TAPER_OUTER = 3.0
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,9 @@ class BpmConfig:
             raise ValueError("transverse_halfwidth_X must be at least 4x the core half width")
         if not self.absorber_width < self.transverse_halfwidth_X - self.core_halfwidth:
             raise ValueError("absorber_width must leave the core untouched")
+        for name in ("transverse_halfwidth_X", "dz", "absorber_width", "absorber_strength"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @classmethod
     def for_slab(
@@ -142,24 +150,37 @@ class Propagator:
         """Weighted power sum n|E|^2 dx (the step's invariant), optionally over a slice."""
         return float(np.sum(self.n[where] * np.abs(column[where]) ** 2) * self.dx)
 
-    def step(self, column: np.ndarray) -> np.ndarray:
-        """One dz step; aborts if the interior norm grows by more than 1%."""
+    def march(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
+        """Yield the column after each of nsteps dz steps.
+
+        Aborts with UnstableStepError if the interior norm grows by more than
+        1% in one step; each step's interior norm is carried to the next.
+        The march continues from the yielded arrays: do not modify them.
+        """
         column = np.asarray(column, dtype=complex)
         if column.shape != self.x.shape:
             raise ValueError(f"column length {column.shape} does not match nx={self.cfg.nx}")
         before = self.norm(column, self.interior)
-        rhs = self._rhs_main * column
-        rhs[:-1] += self._rhs_off * column[1:]
-        rhs[1:] += self._rhs_off * column[:-1]
-        out, _ = self._gttrs(*self._lu, rhs, overwrite_b=1)
-        after = self.norm(out, self.interior)
-        # ignore fields whose interior content is negligible vs the total
-        base = max(before, 1e-6 * self.norm(column))
-        if base > 0 and after > 1.01 * base:
-            raise UnstableStepError(
-                f"interior norm grew by {(after / base - 1) * 100:.2f}% in one step"
-            )
-        return out
+        for _ in range(nsteps):
+            rhs = self._rhs_main * column
+            rhs[:-1] += self._rhs_off * column[1:]
+            rhs[1:] += self._rhs_off * column[:-1]
+            out, _ = self._gttrs(*self._lu, rhs, overwrite_b=1)
+            after = self.norm(out, self.interior)
+            # base >= before, so the whole-grid norm is needed only past 1.01 * before;
+            # its floor ignores fields whose interior content is negligible vs the total
+            if after > 1.01 * before:
+                base = max(before, 1e-6 * self.norm(column))
+                if base > 0 and after > 1.01 * base:
+                    raise UnstableStepError(
+                        f"interior norm grew by {(after / base - 1) * 100:.2f}% in one step"
+                    )
+            yield out
+            column, before = out, after
+
+    def step(self, column: np.ndarray) -> np.ndarray:
+        """One dz step of march."""
+        return next(self.march(column, 1))
 
     def core_power(self, column: np.ndarray) -> float:
         """Weighted power sum n|E|^2 dx over the core |x| <= core_halfwidth."""
@@ -199,22 +220,16 @@ class Propagator:
         return column - basis @ (basis.T @ (self.n * column))
 
 
-def step(field_column: np.ndarray, cfg: BpmConfig) -> np.ndarray:
-    """Advance one column by a single dz step (one-shot convenience)."""
-    return Propagator(cfg).step(field_column)
-
-
-def tapered_mode_column(mode: ModeField, cfg: BpmConfig,
-                        inner: float = 2.0, outer: float = 3.0) -> np.ndarray:
+def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     """Sample a leaky-mode profile, windowed to suppress the unbounded tail.
 
-    Unity up to inner*A, smooth cosine-squared roll-off, zero beyond
-    outer*A; peak amplitude normalized to 1.
+    Unity up to 2A, smooth cosine-squared roll-off, zero beyond 3A; peak
+    amplitude normalized to 1.
     """
     x = np.linspace(-cfg.transverse_halfwidth_X, cfg.transverse_halfwidth_X, cfg.nx)
     a = cfg.core_halfwidth
     column = mode.evaluate(x)
-    r = (np.abs(x) - inner * a) / ((outer - inner) * a)
+    r = (np.abs(x) - _TAPER_INNER * a) / ((_TAPER_OUTER - _TAPER_INNER) * a)
     window = np.where(r <= 0, 1.0, np.where(r >= 1, 0.0, np.cos(0.5 * np.pi * np.clip(r, 0, 1)) ** 2))
     column = column * window
     return column / np.max(np.abs(column))
@@ -241,9 +256,8 @@ def measure_decay(
         raise ValueError("z_max spans fewer than 10 steps")
     power = np.empty(nsteps + 1)
     power[0] = prop.core_power(column)
-    for i in range(nsteps):
-        column = prop.step(column)
-        power[i + 1] = prop.core_power(column)
+    for i, column in enumerate(prop.march(column, nsteps), 1):
+        power[i] = prop.core_power(column)
     z = np.arange(nsteps + 1) * cfg.dz
     window = (z >= 0.2 * z_max) & (z <= 0.8 * z_max)
     logp = np.log(power[window])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -26,7 +27,7 @@ from .core import SlabConfig
 from .errors import LeakySlabError
 from .fbw import FbwLine, fourier_coefficient, lineshape
 from .fields import FieldGrid, default_render_grids, mode_profile, propagate_mode
-from .resonances import approximate_resonances, refine_all
+from .resonances import approximate_resonances, refine_all, refine_resonance
 from .scattering import Curve, transmission_sweep
 from .shift import shift_sweep, width_sweep
 
@@ -43,9 +44,12 @@ def parse_grid(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise ValueError(f"bad grid specification {spec!r}: {exc}") from None
+    if math.isinf(start) or math.isinf(stop):
+        raise ValueError(f"grid endpoints must be finite, got {spec!r}")
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
-    if count > 1 and stop <= start:
+    # a NaN endpoint fails here; a one-point NaN grid fails where it is used
+    if count > 1 and not stop > start:
         raise ValueError(f"grid stop must exceed start, got {spec!r}")
     return np.linspace(start, stop, count)
 
@@ -61,88 +65,93 @@ def _floats(values) -> list:
     return np.asarray(values, dtype=float).tolist()
 
 
-def _resolve_out(path: str | None) -> Path | None:
+def _cells(values):
+    """One repr per value in C order, cast to float first; lazy until iterated."""
+    yield from map(repr, _floats(np.ravel(values)))
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write text to stdout, or to path (relative paths under $LEAKYSLAB_OUTDIR)."""
     if path is None:
-        return None
+        sys.stdout.write(text)
+        return
     p = Path(path)
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not p.is_absolute():
         p = Path(outdir) / p
-    return p
+    p.parent.mkdir(parents=True, exist_ok=True)
+    p.write_text(text)
 
 
-class _Sink:
-    """Write to a file or stdout."""
-
-    def __init__(self, path: Path | None):
-        self.path = path
-
-    def write(self, text: str):
-        if self.path is None:
-            sys.stdout.write(text)
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(text)
-
-
-def _meta_lines(command: str, meta: dict) -> list[str]:
+def _csv(command: str, meta: dict, names, columns) -> str:
+    """'#' lines naming the command and the sorted flags, a header row, then
+    one row per index of the columns of already-formatted cells."""
     lines = [f"# leakyslab {command} v{__version__}"]
-    for key in sorted(meta):
-        lines.append(f"# {key}={_fmt(meta[key])}")
-    return lines
+    lines.extend(f"# {key}={_fmt(meta[key])}" for key in sorted(meta))
+    lines.append(",".join(names))
+    lines.extend(map(",".join, zip(*columns)))
+    return "\n".join(lines) + "\n"
 
 
-def _split_complex(name: str, col: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    if np.iscomplexobj(col):
-        return [(f"re_{name}", col.real), (f"im_{name}", col.imag)]
-    return [(name, col)]
+def _json(command: str, meta: dict, **body) -> str:
+    """One JSON document with sorted keys; arrays in body become lists of floats."""
+    doc = {"command": command, "meta": meta, **body}
+    return json.dumps(doc, indent=1, sort_keys=True, default=_floats) + "\n"
+
+
+def _emit(args, command: str, meta: dict, table) -> int:
+    """Write table = (names, columns, body) to -o (or stdout) as --format asks:
+    CSV of the formatted cell columns, or JSON of body.  Returns exit code 0."""
+    names, columns, body = table
+    if args.format == "json":
+        text = _json(command, meta, **body)
+    else:
+        text = _csv(command, meta, names, columns)
+    _write(args.output, text)
+    return 0
+
+
+def _curve_table(curve: Curve):
+    """A curve's columns by name, complex ones split into re_/im_ pairs."""
+    cols = {curve.labels[0]: curve.abscissa}
+    for name, col in zip(curve.labels[1:], curve.values.reshape(len(curve.abscissa), -1).T):
+        if np.iscomplexobj(col):
+            cols[f"re_{name}"], cols[f"im_{name}"] = col.real, col.imag
+        else:
+            cols[name] = col
+    return cols, map(_cells, cols.values()), {"columns": cols}
+
+
+def _grid_table(grid: FieldGrid, component: str):
+    """CSV: one (x, z, component) row per grid point, z varying fastest, each
+    label formatted once.  JSON: the grids and the real and imaginary parts."""
+    xs, zs = list(_cells(grid.x_grid)), list(_cells(grid.z_grid))
+    columns = (
+        itertools.chain.from_iterable(itertools.repeat(x, len(zs)) for x in xs),
+        itertools.chain.from_iterable(itertools.repeat(zs, len(xs))),
+        _cells(_component(grid.amplitudes, component)),
+    )
+    body = {"x": grid.x_grid, "z": grid.z_grid,
+            "re": grid.amplitudes.real, "im": grid.amplitudes.imag}
+    return ("x", "z", f"{component}_E"), columns, body
 
 
 def curve_to_csv(curve: Curve, command: str, meta: dict) -> str:
-    cols = [(curve.labels[0], curve.abscissa)]
-    values = curve.values if curve.values.ndim == 2 else curve.values[:, None]
-    for j, name in enumerate(curve.labels[1:]):
-        cols.extend(_split_complex(name, values[:, j]))
-    lines = _meta_lines(command, meta)
-    lines.append(",".join(name for name, _ in cols))
-    lines.extend(map(",".join, zip(*(map(repr, _floats(col)) for _, col in cols))))
-    return "\n".join(lines) + "\n"
+    names, columns, _ = _curve_table(curve)
+    return _csv(command, meta, names, columns)
 
 
 def curve_to_json(curve: Curve, command: str, meta: dict) -> str:
-    cols = [(curve.labels[0], curve.abscissa)]
-    values = curve.values if curve.values.ndim == 2 else curve.values[:, None]
-    for j, name in enumerate(curve.labels[1:]):
-        cols.extend(_split_complex(name, values[:, j]))
-    doc = {
-        "command": command,
-        "meta": {k: meta[k] for k in sorted(meta)},
-        "columns": {name: _floats(col) for name, col in cols},
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return _json(command, meta, **_curve_table(curve)[2])
 
 
 def grid_to_csv(grid: FieldGrid, component: str, command: str, meta: dict) -> str:
-    comp = _component(grid.amplitudes, component)
-    lines = _meta_lines(command, meta)
-    lines.append(f"x,z,{component}_E")
-    # one row per (x, z), z varying fastest; each label is formatted once
-    xz = itertools.product(map(repr, _floats(grid.x_grid)), map(repr, _floats(grid.z_grid)))
-    cells = map(repr, _floats(comp.ravel()))
-    lines.extend(f"{xv},{zv},{v}" for (xv, zv), v in zip(xz, cells))
-    return "\n".join(lines) + "\n"
+    names, columns, _ = _grid_table(grid, component)
+    return _csv(command, meta, names, columns)
 
 
 def grid_to_json(grid: FieldGrid, command: str, meta: dict) -> str:
-    doc = {
-        "command": command,
-        "meta": {k: meta[k] for k in sorted(meta)},
-        "x": _floats(grid.x_grid),
-        "z": _floats(grid.z_grid),
-        "re": _floats(grid.amplitudes.real),
-        "im": _floats(grid.amplitudes.imag),
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return _json(command, meta, **_grid_table(grid, "re")[2])
 
 
 def field_grid_from_json(path: Path) -> FieldGrid:
@@ -179,51 +188,21 @@ def cmd_resonances(args) -> int:
         )
     elif args.refine:
         modes = refine_all(modes, slab)
-    header = "m,eps_R,half_width_Gamma,residual,method"
-    lines = _meta_lines("resonances", meta)
-    lines.append(header)
-    for res in modes:
-        lines.append(
-            f"{res.mode_index_m},{_fmt(res.eigenvalue.eps_R)},"
-            f"{_fmt(res.eigenvalue.half_width_Gamma)},{_fmt(res.residual)},{res.method}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.format == "json":
-        doc = {
-            "command": "resonances",
-            "meta": meta,
-            "modes": [
-                {
-                    "m": res.mode_index_m,
-                    "eps_R": res.eigenvalue.eps_R,
-                    "half_width_Gamma": res.eigenvalue.half_width_Gamma,
-                    "residual": res.residual,
-                    "method": res.method,
-                }
-                for res in modes
-            ],
-        }
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    _Sink(_resolve_out(args.output)).write(text)
+    names = ("m", "eps_R", "half_width_Gamma", "residual", "method")
+    rows = [
+        (r.mode_index_m, r.eigenvalue.eps_R, r.eigenvalue.half_width_Gamma, r.residual, r.method)
+        for r in modes
+    ]
+    body = {"modes": [dict(zip(names, row)) for row in rows]}
+    _emit(args, "resonances", meta, (names, [map(_fmt, col) for col in zip(*rows)], body))
     return 2 if not modes else 0
-
-
-def _emit_curve(curve: Curve, args, command: str, meta: dict) -> int:
-    if args.format == "json":
-        text = curve_to_json(curve, command, meta)
-    else:
-        text = curve_to_csv(curve, command, meta)
-    _Sink(_resolve_out(args.output)).write(text)
-    return 0
 
 
 def cmd_transmission(args) -> int:
     slab = _slab_from(args)
-    grid = parse_grid(args.eps)
-    curve = transmission_sweep(grid, slab)
-    return _emit_curve(
-        curve, args, "transmission", {"k0a": args.k0a, "u0": args.u0, "eps": args.eps}
-    )
+    curve = transmission_sweep(parse_grid(args.eps), slab)
+    meta = {"k0a": args.k0a, "u0": args.u0, "eps": args.eps}
+    return _emit(args, "transmission", meta, _curve_table(curve))
 
 
 def cmd_shift(args) -> int:
@@ -238,7 +217,7 @@ def cmd_shift(args) -> int:
             raise ValueError("width sweep needs both --eps-fixed and --k0a-sweep")
         curve = width_sweep(args.eps_fixed, parse_grid(args.k0a_sweep), args.u0)
         meta = {"eps_fixed": args.eps_fixed, "k0a_sweep": args.k0a_sweep, "u0": args.u0}
-    return _emit_curve(curve, args, "shift", meta)
+    return _emit(args, "shift", meta, _curve_table(curve))
 
 
 def cmd_fbw(args) -> int:
@@ -252,7 +231,7 @@ def cmd_fbw(args) -> int:
         labels=("E", "omega", "re_C", "im_C"),
     )
     meta = {"e0": args.e0, "gamma": args.gamma, "grid": args.grid}
-    return _emit_curve(curve, args, "fbw", meta)
+    return _emit(args, "fbw", meta, _curve_table(curve))
 
 
 def _refined_mode(slab: SlabConfig, m: int):
@@ -262,8 +241,6 @@ def _refined_mode(slab: SlabConfig, m: int):
             f"mode index m={m} is not admissible for this slab "
             f"(allowed: {sorted(modes) or 'none'})"
         )
-    from .resonances import refine_resonance
-
     return refine_resonance(modes[m], slab)
 
 
@@ -283,16 +260,15 @@ def cmd_mode_field(args) -> int:
         "x": args.x or "default",
         "z": args.z or "default",
     }
-    if args.format == "json":
-        text = grid_to_json(grid, "mode-field", meta)
-    else:
-        text = grid_to_csv(grid, args.component, "mode-field", meta)
-    _Sink(_resolve_out(args.output)).write(text)
-    return 0
+    return _emit(args, "mode-field", meta, _grid_table(grid, args.component))
 
 
-def _bpm_config(args, slab: SlabConfig) -> BpmConfig:
-    return BpmConfig.for_slab(
+def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, dict]:
+    """Slab, BPM config and the flags they record, shared by propagate and decay."""
+    if not math.isfinite(args.z_max):
+        raise ValueError(f"z_max must be finite, got {args.z_max}")
+    slab = _slab_from(args)
+    cfg = BpmConfig.for_slab(
         slab,
         transverse_halfwidth_X=args.X,
         nx=args.nx,
@@ -300,12 +276,6 @@ def _bpm_config(args, slab: SlabConfig) -> BpmConfig:
         absorber_width=args.absorber_width,
         absorber_strength=args.absorber_strength,
     )
-
-
-def cmd_propagate(args) -> int:
-    slab = _slab_from(args)
-    cfg = _bpm_config(args, slab)
-    prop = Propagator(cfg)
     meta = {
         "k0a": args.k0a,
         "u0": args.u0,
@@ -316,6 +286,12 @@ def cmd_propagate(args) -> int:
         "absorber_strength": cfg.absorber_strength,
         "z_max": args.z_max,
     }
+    return slab, cfg, meta
+
+
+def cmd_propagate(args) -> int:
+    slab, cfg, meta = _bpm_setup(args)
+    prop = Propagator(cfg)
     if args.init_field is not None:
         grid_in = field_grid_from_json(Path(args.init_field))
         if len(grid_in.x_grid) != cfg.nx or not np.allclose(
@@ -331,6 +307,8 @@ def cmd_propagate(args) -> int:
         meta["m"] = args.m
     elif args.packet is not None:
         x0, width, kx = (float(v) for v in args.packet.split(":"))
+        if not (math.isfinite(x0) and math.isfinite(kx) and 0 < width < math.inf):
+            raise ValueError(f"packet needs finite x0, kx and width > 0, got {args.packet!r}")
         column = np.exp(-((prop.x - x0) ** 2) / (2 * width**2)) * np.exp(
             1j * kx * prop.x
         )
@@ -343,57 +321,43 @@ def cmd_propagate(args) -> int:
         init_grid = FieldGrid(
             x_grid=prop.x, z_grid=np.array([0.0]), amplitudes=column[:, None]
         )
-        _Sink(_resolve_out(args.save_init)).write(grid_to_json(init_grid, "propagate-init", meta))
+        _write(args.save_init, grid_to_json(init_grid, "propagate-init", meta))
 
     nsteps = int(round(args.z_max / cfg.dz))
-    every = max(1, nsteps // max(1, args.snapshots - 1)) if args.save_field else nsteps + 1
-    zs = [0.0]
+    every = max(1, nsteps // max(1, args.snapshots - 1))
     powers = [prop.core_power(column)]
-    snaps_z = [0.0]
-    snaps = [column.copy()]
-    for i in range(nsteps):
-        column = prop.step(column)
-        zs.append((i + 1) * cfg.dz)
+    snaps = {0: column}
+    for i, column in enumerate(prop.march(column, nsteps), 1):
         powers.append(prop.core_power(column))
-        if args.save_field and ((i + 1) % every == 0 or i + 1 == nsteps):
-            snaps_z.append((i + 1) * cfg.dz)
-            snaps.append(column.copy())
+        if args.save_field and (i % every == 0 or i == nsteps):
+            snaps[i] = column
 
     curve = Curve(
-        abscissa=np.asarray(zs),
+        abscissa=np.arange(nsteps + 1) * cfg.dz,
         values=np.asarray(powers),
         labels=("z", "core_power"),
     )
-    code = _emit_curve(curve, args, "propagate", meta)
+    _emit(args, "propagate", meta, _curve_table(curve))
     if args.save_field:
         grid_out = FieldGrid(
             x_grid=prop.x,
-            z_grid=np.asarray(snaps_z),
-            amplitudes=np.column_stack(snaps),
+            z_grid=np.array(list(snaps)) * cfg.dz,
+            amplitudes=np.column_stack(list(snaps.values())),
         )
-        _Sink(_resolve_out(args.save_field)).write(grid_to_json(grid_out, "propagate-field", meta))
-    return code
+        _write(args.save_field, grid_to_json(grid_out, "propagate-field", meta))
+    return 0
 
 
 def cmd_decay(args) -> int:
-    slab = _slab_from(args)
-    cfg = _bpm_config(args, slab)
+    slab, cfg, meta = _bpm_setup(args)
     res = _refined_mode(slab, args.m)
     column = tapered_mode_column(mode_profile(res, slab), cfg)
     rate = measure_decay(cfg, column, args.z_max)
-    meta = {
-        "k0a": args.k0a,
-        "u0": args.u0,
-        "m": args.m,
-        "z_max": args.z_max,
-        "nx": cfg.nx,
-        "dz": cfg.dz,
-    }
-    lines = _meta_lines("decay", meta)
-    lines.append("m,measured_rate,width_Gamma_refined")
-    lines.append(f"{args.m},{_fmt(rate)},{_fmt(res.eigenvalue.width_Gamma)}")
-    _Sink(_resolve_out(args.output)).write("\n".join(lines) + "\n")
-    return 0
+    meta["m"] = args.m
+    cols = {"m": [args.m], "measured_rate": [rate],
+            "width_Gamma_refined": [res.eigenvalue.width_Gamma]}
+    columns = [map(_fmt, col) for col in cols.values()]
+    return _emit(args, "decay", meta, (cols, columns, {"columns": cols}))
 
 
 class _Parser(argparse.ArgumentParser):

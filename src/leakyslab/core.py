@@ -55,6 +55,9 @@ class SlabConfig:
             )
         if self.clad_index != 1.0:
             raise ValueError("clad_index is fixed to 1 (vacuum)")
+        for name in ("half_width_A", "core_index_U0"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def well_depth(self) -> float:

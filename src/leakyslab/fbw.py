@@ -22,6 +22,9 @@ class FbwLine:
     def __post_init__(self):
         if self.width_Gamma < 0:
             raise ValueError(f"width_Gamma must be >= 0, got {self.width_Gamma}")
+        for name in ("center_E0", "width_Gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def lineshape(line: FbwLine, E):

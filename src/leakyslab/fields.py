@@ -16,6 +16,8 @@ from .core import SlabConfig
 from .resonances import REFINED, Resonance
 
 _NORM_GRID = 4001
+# interior_node_count samples the core at this many points
+_NODE_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class ModeField:
     resonance: Resonance
     slab: SlabConfig
     coefficients: tuple[complex, complex, complex, complex]
-    normalization: str = "interior_max"
 
     def evaluate(self, x) -> np.ndarray:
         """phi(x) on an arbitrary set of points (units of 1/k0)."""
@@ -83,6 +84,8 @@ class FieldGrid:
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "z_grid", z)
         object.__setattr__(self, "amplitudes", a)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+            raise ValueError("grids must be finite")
         if np.any(np.diff(x) <= 0) or np.any(np.diff(z) < 0):
             raise ValueError("grids must be increasing")
         if a.shape != (len(x), len(z)):
@@ -129,10 +132,10 @@ def mode_profile(res: Resonance, cfg: SlabConfig) -> ModeField:
     return ModeField(resonance=res, slab=cfg, coefficients=coeffs)
 
 
-def interior_node_count(field: ModeField, samples: int = 8192) -> int:
+def interior_node_count(field: ModeField) -> int:
     """Sign changes of Re(phi) strictly inside the core."""
     A = field.slab.half_width_A
-    xs = np.linspace(-A, A, samples)[1:-1]
+    xs = np.linspace(-A, A, _NODE_SAMPLES)[1:-1]
     re = np.real(field.evaluate(xs))
     return int(np.sum(np.sign(re[:-1]) * np.sign(re[1:]) < 0))
 

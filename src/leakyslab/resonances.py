@@ -32,6 +32,11 @@ REFINED = "refined"
 
 # complex-plane step of the central difference in Newton's derivative
 _DERIVATIVE_STEP = 1e-6
+# Newton stops once |f| <= _NEWTON_TOL, or fails after _NEWTON_MAX_ITER steps
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 100
+# initial samples per rectangle edge of the argument-principle count
+_SAMPLES_PER_EDGE = 2048
 
 
 @dataclass(frozen=True)
@@ -119,12 +124,7 @@ def siegert_residual(eps: ComplexEigenvalue, cfg: SlabConfig) -> complex:
     return _condition_from_K(wn.K, cfg)
 
 
-def refine_resonance(
-    seed: Resonance,
-    cfg: SlabConfig,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> Resonance:
+def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
     """Newton-polish a seed to an exact root of the outgoing condition.
 
     The iteration runs in the exterior wavenumber K (analytic away from
@@ -136,9 +136,9 @@ def refine_resonance(
     K = complex(seed.wavenumbers.K)
     h = _DERIVATIVE_STEP
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         val = _condition_from_K(K, cfg)
-        if abs(val) <= tol:
+        if abs(val) <= _NEWTON_TOL:
             converged = True
             break
         dval = (_condition_from_K(K + h, cfg) - _condition_from_K(K - h, cfg)) / (2 * h)
@@ -149,7 +149,7 @@ def refine_resonance(
             break
     if not converged:
         raise ConvergenceError(
-            f"no convergence after {max_iter} iterations for seed m={seed.mode_index_m}"
+            f"no convergence after {_NEWTON_MAX_ITER} iterations for seed m={seed.mode_index_m}"
         )
     if K.real < 0 or K.imag > 0:
         raise RootJumpError(
@@ -169,9 +169,9 @@ def refine_resonance(
     )
 
 
-def refine_all(seeds: list[Resonance], cfg: SlabConfig, **kwargs) -> list[Resonance]:
+def refine_all(seeds: list[Resonance], cfg: SlabConfig) -> list[Resonance]:
     """Refine every seed; independent per mode."""
-    return [refine_resonance(s, cfg, **kwargs) for s in seeds]
+    return [refine_resonance(s, cfg) for s in seeds]
 
 
 def narrowness_diagnostic(resonances: list[Resonance]) -> list[float]:
@@ -216,7 +216,6 @@ def count_leaky_modes(
     cfg: SlabConfig,
     eps_R_limits: tuple[float, float] = (-0.999, -0.001),
     eps_I_limits: tuple[float, float] = (-0.15, 0.05),
-    samples_per_edge: int = 2048,
 ) -> int:
     """Argument-principle count of outgoing-condition roots in a rectangle.
 
@@ -237,6 +236,6 @@ def count_leaky_modes(
     total = 0.0
     for i in range(4):
         total += _winding_on_segment(
-            corners[i], corners[(i + 1) % 4], cfg, samples_per_edge
+            corners[i], corners[(i + 1) % 4], cfg, _SAMPLES_PER_EDGE
         )
     return round(total / (2.0 * np.pi))

@@ -52,6 +52,8 @@ class Curve:
         object.__setattr__(self, "values", v)
         if a.ndim != 1 or len(a) < 1:
             raise ValueError("abscissa must be a non-empty 1-D grid")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("abscissa must be finite")
         if np.any(np.diff(a) <= 0):
             raise ValueError("abscissa must be strictly increasing")
         if v.shape[0] != a.shape[0]:

@@ -17,7 +17,6 @@ from leakyslab import (
     UnstableStepError,
     measure_decay,
     mode_profile,
-    step,
     tapered_mode_column,
 )
 from leakyslab.bpm import BpmConfig, Propagator
@@ -170,26 +169,66 @@ def test_non_exponential_flag(slab30, refined_modes, cfg30):
     assert info.value.r_squared < 0.99
 
 
-def test_instability_detector_flags_interior_growth(slab30, cfg30):
+@pytest.mark.parametrize("how", ["step", "march"])
+def test_instability_detector_flags_interior_growth(slab30, cfg30, how):
     # a packet crossing from the absorber zone into the interior raises the
-    # interior norm by far more than 1% in single steps
+    # interior norm by far more than 1% in single steps: in the first step
+    # from 5 units inside the absorber, after 30 slower steps from 8 units,
+    # which checks the norm march carries from step to step
     prop = Propagator(cfg30)
-    x0 = cfg30.transverse_halfwidth_X - cfg30.absorber_width + 5.0
-    col = np.exp(-((prop.x - x0) ** 2) / (2 * 2.0**2)) * np.exp(-0.5j * prop.x)
-    with pytest.raises(UnstableStepError):
-        for _ in range(200):
+    for depth in (5.0, 8.0):
+        x0 = cfg30.transverse_halfwidth_X - cfg30.absorber_width + depth
+        col = np.exp(-((prop.x - x0) ** 2) / (2 * 2.0**2)) * np.exp(-0.5j * prop.x)
+        expected = first_unstable_step(prop, col, 200)
+        done = 0
+        with pytest.raises(UnstableStepError) as info:
+            if how == "step":
+                for _ in range(200):
+                    col = prop.step(col)
+                    done += 1
+            else:
+                for done, col in enumerate(prop.march(col, 200), 1):
+                    pass
+        assert (done, str(info.value)) == expected
+
+
+def first_unstable_step(prop, col, nsteps):
+    """Oracle: the steps an unguarded banded march completes before the interior
+    norm first grows by more than 1% of max(its value, 1e-6 of the total),
+    and the error message for that step."""
+    ab, rhs_main, rhs_off = crank_nicolson_band(prop.cfg)
+    for done in range(nsteps):
+        rhs = rhs_main * col
+        rhs[:-1] += rhs_off * col[1:]
+        rhs[1:] += rhs_off * col[:-1]
+        new = solve_banded((1, 1), ab, rhs)
+        base = max(prop.norm(col, prop.interior), 1e-6 * prop.norm(col))
+        after = prop.norm(new, prop.interior)
+        if base > 0 and after > 1.01 * base:
+            return done, f"interior norm grew by {(after / base - 1) * 100:.2f}% in one step"
+        col = new
+    raise AssertionError(f"no step grew the interior norm by 1% in {nsteps} steps")
+
+
+def test_march_equals_successive_steps(slab30, refined_modes, cfg30):
+    prop = Propagator(cfg30)
+    r32 = next(r for r in refined_modes if r.mode_index_m == 32)
+    # a packet straddling the absorber edge drifts inward: its interior norm
+    # grows by under 1% per step but by over 1% within a few steps, so a
+    # growth guard that compared against a stale norm would trip
+    edge = cfg30.transverse_halfwidth_X - cfg30.absorber_width
+    packet = np.exp(-((prop.x - edge) ** 2) / (2 * 5.0**2)) * np.exp(-0.3j * prop.x)
+    for col in (tapered_mode_column(mode_profile(r32, slab30), cfg30), packet):
+        marched = list(prop.march(col, 250))
+        assert len(marched) == 250
+        for out in marched:
             col = prop.step(col)
-
-
-def test_module_level_step_matches_propagator(slab30, cfg30):
-    prop = Propagator(cfg30)
-    col = np.exp(-prop.x**2 / 200.0).astype(complex)
-    assert np.array_equal(step(col, cfg30), prop.step(col))
+            assert np.array_equal(out, col)
 
 
 def test_step_validates_column_length(cfg30):
     with pytest.raises(ValueError, match="column length"):
-        step(np.zeros(17, dtype=complex), cfg30)
+        Propagator(cfg30).step(np.zeros(17, dtype=complex))
 
 
 def test_config_validation(slab30):
@@ -201,6 +240,14 @@ def test_config_validation(slab30):
         BpmConfig.for_slab(slab30, transverse_halfwidth_X=100.0)
     with pytest.raises(ValueError, match="absorber_width"):
         BpmConfig.for_slab(slab30, absorber_width=220.0)
+    with pytest.raises(ValueError, match="dz"):
+        BpmConfig.for_slab(slab30, dz=math.inf)
+    with pytest.raises(ValueError, match="dz"):
+        BpmConfig.for_slab(slab30, dz=math.nan)
+    with pytest.raises(ValueError, match="absorber_strength"):
+        BpmConfig.for_slab(slab30, absorber_strength=math.nan)
+    with pytest.raises(ValueError, match="absorber_strength"):
+        BpmConfig.for_slab(slab30, absorber_strength=-math.inf)
 
 
 def test_guided_projection_removes_trapped_floor(slab30, refined_modes, cfg30):

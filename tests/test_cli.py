@@ -3,7 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from leakyslab import Curve, FieldGrid, __version__
+from leakyslab import (
+    Curve,
+    FieldGrid,
+    SlabConfig,
+    __version__,
+    approximate_resonances,
+    measure_decay,
+    mode_profile,
+    refine_all,
+    refine_resonance,
+    tapered_mode_column,
+)
+from leakyslab.bpm import BpmConfig
 from leakyslab.cli import (
     curve_to_csv,
     curve_to_json,
@@ -39,6 +51,12 @@ def test_parse_grid():
         parse_grid("0:1:0")
     with pytest.raises(ValueError, match="stop must exceed"):
         parse_grid("1:0:5")
+    with pytest.raises(ValueError, match="stop must exceed"):
+        parse_grid("nan:nan:3")
+    with pytest.raises(ValueError, match="finite"):
+        parse_grid("-1:inf:3")
+    with pytest.raises(ValueError, match="finite"):
+        parse_grid("-inf:0:1")
 
 
 def test_resonances_table_matches_reference(capsys):
@@ -70,6 +88,15 @@ def test_resonances_empty_range_warns(capsys):
     assert "empty" in err
     _, rows = parse_csv(out)
     assert rows == []
+    meta = {"k0a": 0.1, "u0": 1.5, "refine": False}
+    assert out.splitlines() == header("resonances", meta) + [
+        "m,eps_R,half_width_Gamma,residual,method"
+    ]
+    code, out, err = run(["resonances", "--k0a", "0.1", "--u0", "1.5", "--format", "json"], capsys)
+    assert code == 2
+    assert "empty" in err
+    doc = {"command": "resonances", "meta": meta, "modes": []}
+    assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
@@ -246,6 +273,23 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
     assert "radiation band" in err
     assert not out.exists()
     assert "nan" not in stdout
+    # every other non-finite number is refused before anything is written
+    bpm = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513"]
+    for argv in (
+        ["fbw", "--e0", "0", "--gamma", "1", "--grid", "nan:nan:1"],
+        ["fbw", "--e0", "0", "--gamma", "1", "--grid", "-1:inf:3"],
+        ["fbw", "--e0", "0", "--gamma", "nan", "--grid", "-1:1:3"],
+        ["resonances", "--k0a", "inf", "--u0", "1.5"],
+        ["resonances", "--k0a", "30", "--u0", "inf"],
+        [*bpm, "--packet", "0:10:0.4", "--absorber-strength", "nan"],
+        [*bpm, "--packet", "0:10:0.4", "--dz", "inf"],
+        [*bpm, "--packet", "0:0:0", "--z-max", "1"],
+    ):
+        code, stdout, err = run([*argv, "-o", str(out)], capsys)
+        assert code == 2, argv
+        assert err.startswith("error: "), err
+        assert not out.exists()
+        assert stdout == ""
 
 
 def test_numerical_failure_exit_code(capsys):
@@ -337,3 +381,70 @@ def test_grid_writers_match_per_element_repr():
         "im": [[float(v) for v in row] for row in amps.imag],
     }
     assert grid_to_json(grid, "probe", {}) == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def header(command, meta):
+    return [f"# leakyslab {command} v{__version__}"] + [f"# {k}={meta[k]}" for k in sorted(meta)]
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_resonances_writers_match_per_element_repr(capsys, refine):
+    slab = SlabConfig(30.0, 1.5)
+    modes = approximate_resonances(slab)
+    if refine:
+        modes = refine_all(modes, slab)
+    argv = ["resonances", "--k0a", "30", "--u0", "1.5"] + ["--refine"] * refine
+    meta = {"k0a": 30.0, "u0": 1.5, "refine": refine}
+    rows = [
+        f"{r.mode_index_m:d},{r.eigenvalue.eps_R!r},{r.eigenvalue.half_width_Gamma!r},"
+        f"{r.residual!r},{r.method}"
+        for r in modes
+    ]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines() == header("resonances", meta) + [
+        "m,eps_R,half_width_Gamma,residual,method"
+    ] + rows
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = {
+        "command": "resonances",
+        "meta": meta,
+        "modes": [
+            {"m": r.mode_index_m, "eps_R": r.eigenvalue.eps_R,
+             "half_width_Gamma": r.eigenvalue.half_width_Gamma,
+             "residual": r.residual, "method": r.method}
+            for r in modes
+        ],
+    }
+    assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert all(type(mode["m"]) is int and type(mode["method"]) is str
+               for mode in json.loads(out)["modes"])
+
+
+def test_decay_writers_match_per_element_repr(capsys):
+    slab = SlabConfig(30.0, 1.5)
+    cfg = BpmConfig.for_slab(slab, transverse_halfwidth_X=120.0, nx=513, dz=0.1)
+    seed = next(r for r in approximate_resonances(slab) if r.mode_index_m == 36)
+    res = refine_resonance(seed, slab)
+    rate = measure_decay(cfg, tapered_mode_column(mode_profile(res, slab), cfg), 30.0)
+    argv = ["decay", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513",
+            "--dz", "0.1", "--m", "36", "--z-max", "30"]
+    # the header records every BPM flag, absorber included
+    meta = {"k0a": 30.0, "u0": 1.5, "m": 36, "z_max": 30.0, "nx": 513, "dz": 0.1,
+            "X": 120.0, "absorber_width": 30.0, "absorber_strength": 0.05}
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines() == header("decay", meta) + [
+        "m,measured_rate,width_Gamma_refined",
+        f"36,{rate!r},{res.eigenvalue.width_Gamma!r}",
+    ]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = {
+        "command": "decay",
+        "meta": meta,
+        "columns": {"m": [36], "measured_rate": [rate],
+                    "width_Gamma_refined": [res.eigenvalue.width_Gamma]},
+    }
+    assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"

@@ -91,6 +91,12 @@ def test_config_validation():
         SlabConfig(half_width_A=0.0, core_index_U0=1.5)
     with pytest.raises(ValueError, match="core_index_U0"):
         SlabConfig(half_width_A=30.0, core_index_U0=1.0)
+    with pytest.raises(ValueError, match="half_width_A"):
+        SlabConfig(half_width_A=math.inf, core_index_U0=1.5)
+    with pytest.raises(ValueError, match="half_width_A"):
+        SlabConfig(half_width_A=math.nan, core_index_U0=1.5)
+    with pytest.raises(ValueError, match="core_index_U0"):
+        SlabConfig(half_width_A=30.0, core_index_U0=math.inf)
     with pytest.raises(ValueError, match="clad_index"):
         SlabConfig(half_width_A=30.0, core_index_U0=1.5, clad_index=1.2)
     with pytest.raises(ValueError, match="half_width_Gamma"):

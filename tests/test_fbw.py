@@ -100,3 +100,9 @@ def test_lifetime_values():
 def test_width_validation():
     with pytest.raises(ValueError, match="width_Gamma"):
         FbwLine(center_E0=0.0, width_Gamma=-0.1)
+    with pytest.raises(ValueError, match="width_Gamma"):
+        FbwLine(center_E0=0.0, width_Gamma=math.nan)
+    with pytest.raises(ValueError, match="width_Gamma"):
+        FbwLine(center_E0=0.0, width_Gamma=math.inf)
+    with pytest.raises(ValueError, match="center_E0"):
+        FbwLine(center_E0=math.inf, width_Gamma=1.0)

@@ -148,3 +148,7 @@ def test_field_grid_validation():
         FieldGrid(np.array([1.0, 0.0]), np.array([0.0]), np.zeros((2, 1)))
     with pytest.raises(ValueError, match="shape"):
         FieldGrid(np.array([0.0, 1.0]), np.array([0.0]), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="grids must be finite"):
+        FieldGrid(np.array([np.nan]), np.array([0.0]), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="grids must be finite"):
+        FieldGrid(np.array([0.0, 1.0]), np.array([0.0, np.inf]), np.zeros((2, 2)))

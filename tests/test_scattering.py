@@ -214,3 +214,7 @@ def test_curve_validation():
         Curve(abscissa=[0.0, 1.0], values=[1.0], labels=("x", "y"))
     with pytest.raises(ValueError, match="labels"):
         Curve(abscissa=[0.0, 1.0], values=[1.0, 2.0], labels=("x",))
+    with pytest.raises(ValueError, match="finite"):
+        Curve(abscissa=[float("nan")], values=[1.0], labels=("x", "y"))
+    with pytest.raises(ValueError, match="finite"):
+        Curve(abscissa=[0.0, float("inf")], values=[1.0, 2.0], labels=("x", "y"))
