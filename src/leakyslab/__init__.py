@@ -19,7 +19,6 @@ from .core import (
     Wavenumbers,
     beam_slope,
     eigenvalue_to_wavenumbers,
-    wavenumbers_to_eigenvalue,
 )
 from .errors import (
     ConvergenceError,
@@ -30,7 +29,7 @@ from .errors import (
     UnstableStepError,
 )
 from .fbw import FbwLine, fourier_coefficient, lifetime, lineshape, survival_amplitude
-from .fields import FieldGrid, ModeField, interior_node_count, mode_profile, propagate_mode
+from .fields import FieldGrid, ModeField, mode_profile, propagate_mode
 from .resonances import (
     Resonance,
     approximate_resonances,
@@ -85,7 +84,6 @@ __all__ = [
     "eigenvalue_to_wavenumbers",
     "fbw_superposition",
     "fourier_coefficient",
-    "interior_node_count",
     "lifetime",
     "lineshape",
     "longitudinal_shift",
@@ -105,7 +103,6 @@ __all__ = [
     "transmission_coefficient",
     "transmission_sweep",
     "unwrapped_phase",
-    "wavenumbers_to_eigenvalue",
     "wavepacket_shift",
     "width_sweep",
 ]

@@ -1,4 +1,4 @@
-"""Finite-difference paraxial propagator with absorbing boundaries.
+"""Finite-difference paraxial propagator with a transparent boundary.
 
 Marches i dE/dz = (H + n0) E with the library's own eigenvalue operator
 
@@ -7,14 +7,17 @@ Marches i dE/dz = (H + n0) E with the library's own eigenvalue operator
 whose eigenvalues satisfy K**2/2 = eps + 1 outside and Q**2 = 2*U0*(eps + U0)
 inside the core, with E and dE/dx continuous (see ``core``).  The constant
 reference index n0 only adds the global phase exp(-i n0 z).  With N = diag(n)
-the matrix S = N (H + n0) - i N sigma is symmetric tridiagonal, and the
-n-weighted Crank-Nicolson step (N + i dz/2 S) E' = (N - i dz/2 S) E is
-unconditionally stable and, without absorber, conserves sum n|E|^2 dx
-exactly.  The left-hand matrix is LU-factored once per Propagator (LAPACK
-zgttrf) and each step is one tridiagonal back-substitution (zgttrs).  A
-quadratic-ramp imaginary potential sigma near the domain edges damps outgoing
-radiation.  Used as an initial-value cross-check on the modal decay rates: a
-leaky mode's core power falls as exp(-Gamma z).
+the matrix S = N (H + n0) is symmetric tridiagonal, and the n-weighted
+Crank-Nicolson step (N + i dz/2 S) E' = (N - i dz/2 S) E is unconditionally
+stable.  Each edge carries Hadley's transparent boundary condition (Opt.
+Lett. 16, 624, 1991): outside the core a leaky field is one outgoing
+exponential, so the node beyond the grid is taken as eta * (edge node), with
+the ratio eta = E_edge / E_inner read from the current column.  eta is
+clamped to an outgoing or evanescent wave (Im eta >= 0), which makes every
+step a contraction in sum n|E|^2 dx; a field that stays clear of both edges
+keeps its norm.  The boundary changes every step, so each step is one
+tridiagonal solve (LAPACK zgtsv).  Used as an initial-value cross-check on
+the modal decay rates: a leaky mode's core power falls as exp(-Gamma z).
 
 scipy is imported when the first Propagator is built, not with this module,
 so ``import leakyslab`` does not load ``scipy.linalg``.
@@ -22,6 +25,7 @@ so ``import leakyslab`` does not load ``scipy.linalg``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -39,20 +43,20 @@ _TAPER_OUTER = 3.0
 
 @dataclass(frozen=True)
 class BpmConfig:
-    """Grid, absorber and medium description for one propagation setup.
+    """Grid and medium description for one propagation setup.
 
     The transverse domain is [-X, X] with nx points; n_profile maps x to the
     refractive index (it sets both the kinetic term 1/(2 n) and the
     potential -n); reference_index_n0 is a constant phase reference only,
     removing the fast factor exp(-i n0 z) without changing |E|;
     core_halfwidth bounds the power-monitor window (the slab half width).
+    The index should be uniform near both edges, where the transparent
+    boundary assumes a single exponential.
     """
 
     transverse_halfwidth_X: float
     nx: int
     dz: float
-    absorber_width: float
-    absorber_strength: float
     n_profile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     reference_index_n0: float
     core_halfwidth: float
@@ -64,9 +68,7 @@ class BpmConfig:
             raise ValueError(f"nx must be >= 513, got {self.nx}")
         if self.transverse_halfwidth_X < 4.0 * self.core_halfwidth:
             raise ValueError("transverse_halfwidth_X must be at least 4x the core half width")
-        if not self.absorber_width < self.transverse_halfwidth_X - self.core_halfwidth:
-            raise ValueError("absorber_width must leave the core untouched")
-        for name in ("transverse_halfwidth_X", "dz", "absorber_width", "absorber_strength"):
+        for name in ("transverse_halfwidth_X", "dz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
@@ -75,14 +77,11 @@ class BpmConfig:
         cls,
         slab: SlabConfig,
         transverse_halfwidth_X: float | None = None,
-        nx: int = 4097,
+        nx: int = 2049,
         dz: float = 0.05,
-        absorber_width: float | None = None,
-        absorber_strength: float = 0.05,
     ) -> "BpmConfig":
-        """Defaults: X = 8A, nx = 4097, dz = 0.05, absorber of width X/4."""
-        X = 8.0 * slab.half_width_A if transverse_halfwidth_X is None else transverse_halfwidth_X
-        w = X / 4.0 if absorber_width is None else absorber_width
+        """Defaults: X = 4A, nx = 2049, dz = 0.05."""
+        X = 4.0 * slab.half_width_A if transverse_halfwidth_X is None else transverse_halfwidth_X
         a = slab.half_width_A
         u0 = slab.core_index_U0
 
@@ -93,12 +92,24 @@ class BpmConfig:
             transverse_halfwidth_X=X,
             nx=nx,
             dz=dz,
-            absorber_width=w,
-            absorber_strength=absorber_strength,
             n_profile=profile,
             reference_index_n0=u0,
             core_halfwidth=a,
         )
+
+
+def _ghost_ratio(edge: complex, inner: complex) -> complex:
+    """Hadley's ratio eta = E_edge / E_inner; the node beyond the edge is eta * E_edge.
+
+    An incoming wave (Im eta < 0) is replaced by |eta|; a zero or non-finite
+    ratio by 0, a Dirichlet edge.
+    """
+    if inner == 0:
+        return 0j
+    eta = complex(edge) / complex(inner)
+    if eta.imag < 0:
+        eta = complex(abs(eta))
+    return eta if cmath.isfinite(eta) else 0j
 
 
 def _window(x: np.ndarray, half: float) -> slice:
@@ -107,43 +118,32 @@ def _window(x: np.ndarray, half: float) -> slice:
 
 
 class Propagator:
-    """Crank-Nicolson stepper for one BpmConfig, its matrix factored once.
+    """Crank-Nicolson stepper for one BpmConfig.
 
     Building the first Propagator imports scipy's LAPACK wrappers.
-    ``interior`` (outside the absorber) and ``core`` (|x| <= core_halfwidth)
-    are contiguous slices of the grid.
+    ``core`` (|x| <= core_halfwidth) is a contiguous slice of the grid.
     """
 
     def __init__(self, cfg: BpmConfig):
-        from scipy.linalg.lapack import zgttrf, zgttrs
+        from scipy.linalg.lapack import zgtsv
 
         self.cfg = cfg
         X = cfg.transverse_halfwidth_X
         self.x = np.linspace(-X, X, cfg.nx)
         self.dx = self.x[1] - self.x[0]
         n0 = cfg.reference_index_n0
-        sigma = np.zeros_like(self.x)
-        if cfg.absorber_width > 0:
-            ramp = (np.abs(self.x) - (X - cfg.absorber_width)) / cfg.absorber_width
-            inside = ramp > 0
-            sigma[inside] = cfg.absorber_strength * ramp[inside] ** 2
-        self.sigma = sigma
         n = np.asarray(cfg.n_profile(self.x), dtype=float)
         self.n = n
-        # S = N (H + n0) without absorber: real symmetric tridiagonal
+        # S = N (H + n0) on Dirichlet edges: real symmetric tridiagonal
         self._s_main = 1.0 / (self.dx * self.dx) - n * n + n0 * n
         self._s_off = -0.5 / (self.dx * self.dx) * np.ones(cfg.nx - 1)
-        main = self._s_main - 1j * n * sigma
         theta = 0.5j * cfg.dz
         off = theta * self._s_off
-        dl, d, du, du2, ipiv, info = zgttrf(off, n + theta * main, off)
-        if info != 0:
-            raise ValueError(f"Crank-Nicolson matrix is singular (zgttrf info={info})")
-        self._lu = (dl, d, du, du2, ipiv)
-        self._gttrs = zgttrs
-        self._rhs_main = n - theta * main
-        self._rhs_off = -off
-        self.interior = _window(self.x, X - cfg.absorber_width)
+        self._lhs = (off, n + theta * self._s_main)
+        self._rhs = (-off, n - theta * self._s_main)
+        # i dz/2 times the ghost node's coupling -1/(2 dx^2), times eta at each edge
+        self._corner = theta * self._s_off[0]
+        self._gtsv = zgtsv
         self.core = _window(self.x, cfg.core_halfwidth)
 
     def norm(self, column: np.ndarray, where: slice = slice(None)) -> float:
@@ -153,28 +153,34 @@ class Propagator:
     def march(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
         """Yield the column after each of nsteps dz steps.
 
-        Aborts with UnstableStepError if the interior norm grows by more than
-        1% in one step; each step's interior norm is carried to the next.
-        The march continues from the yielded arrays: do not modify them.
+        With Im eta >= 0 no step can raise the norm of a finite column; a
+        whole-grid norm that grows by more than 1% in one step, or is not
+        finite, aborts with UnstableStepError.  The march continues from the
+        yielded arrays: do not modify them.
         """
         column = np.asarray(column, dtype=complex)
         if column.shape != self.x.shape:
             raise ValueError(f"column length {column.shape} does not match nx={self.cfg.nx}")
-        before = self.norm(column, self.interior)
+        off_l, main_l = self._lhs
+        off_r, main_r = self._rhs
+        before = self.norm(column)
         for _ in range(nsteps):
-            rhs = self._rhs_main * column
-            rhs[:-1] += self._rhs_off * column[1:]
-            rhs[1:] += self._rhs_off * column[:-1]
-            out, _ = self._gttrs(*self._lu, rhs, overwrite_b=1)
-            after = self.norm(out, self.interior)
-            # base >= before, so the whole-grid norm is needed only past 1.01 * before;
-            # its floor ignores fields whose interior content is negligible vs the total
-            if after > 1.01 * before:
-                base = max(before, 1e-6 * self.norm(column))
-                if base > 0 and after > 1.01 * base:
-                    raise UnstableStepError(
-                        f"interior norm grew by {(after / base - 1) * 100:.2f}% in one step"
-                    )
+            lo = self._corner * _ghost_ratio(column[0], column[1])
+            hi = self._corner * _ghost_ratio(column[-1], column[-2])
+            rhs = main_r * column
+            rhs[:-1] += off_r * column[1:]
+            rhs[1:] += off_r * column[:-1]
+            rhs[0] -= lo * column[0]
+            rhs[-1] -= hi * column[-1]
+            diag = main_l.copy()
+            diag[0] += lo
+            diag[-1] += hi
+            *_, out, info = self._gtsv(off_l, diag, off_l, rhs, overwrite_d=1, overwrite_b=1)
+            if info:
+                raise ValueError(f"Crank-Nicolson matrix is singular (zgtsv info={info})")
+            after = self.norm(out)
+            if not after <= 1.01 * before:
+                raise UnstableStepError(f"norm went from {before:.6g} to {after:.6g} in one step")
             yield out
             column, before = out, after
 
@@ -244,9 +250,11 @@ def measure_decay(
     """Propagate to z_max and fit the core-power decay rate.
 
     log P(z) is fit by least squares over [0.2*z_max, 0.8*z_max] (the early
-    window absorbs the start-up transient).  Raises NonExponentialDecayError
+    window skips the start-up transient).  Raises NonExponentialDecayError
     when the fit explains less than R^2 = 0.99 of a decaying record.
     """
+    if not math.isfinite(z_max):
+        raise ValueError(f"z_max must be finite, got {z_max}")
     prop = Propagator(cfg)
     column = np.asarray(init, dtype=complex)
     if remove_guided:

@@ -223,6 +223,9 @@ def cmd_shift(args) -> int:
 def cmd_fbw(args) -> int:
     line = FbwLine(center_E0=args.e0, width_Gamma=args.gamma)
     grid = parse_grid(args.grid)
+    # a one-point NaN grid passes parse_grid; refuse it before computing on it
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("abscissa must be finite")
     omega = lineshape(line, grid)
     coeff = fourier_coefficient(line, grid)
     curve = Curve(
@@ -268,22 +271,13 @@ def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, dict]:
     if not math.isfinite(args.z_max):
         raise ValueError(f"z_max must be finite, got {args.z_max}")
     slab = _slab_from(args)
-    cfg = BpmConfig.for_slab(
-        slab,
-        transverse_halfwidth_X=args.X,
-        nx=args.nx,
-        dz=args.dz,
-        absorber_width=args.absorber_width,
-        absorber_strength=args.absorber_strength,
-    )
+    cfg = BpmConfig.for_slab(slab, transverse_halfwidth_X=args.X, nx=args.nx, dz=args.dz)
     meta = {
         "k0a": args.k0a,
         "u0": args.u0,
         "nx": cfg.nx,
         "dz": cfg.dz,
         "X": cfg.transverse_halfwidth_X,
-        "absorber_width": cfg.absorber_width,
-        "absorber_strength": cfg.absorber_strength,
         "z_max": args.z_max,
     }
     return slab, cfg, meta
@@ -299,6 +293,8 @@ def cmd_propagate(args) -> int:
         ):
             raise ValueError("--init-field x grid does not match the propagation grid")
         column = grid_in.amplitudes[:, 0].copy()
+        if not np.all(np.isfinite(column)):
+            raise ValueError("--init-field amplitudes must be finite")
         meta["init"] = "file"
     elif args.m is not None:
         res = _refined_mode(slab, args.m)
@@ -412,11 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mode_field)
 
     def add_bpm(p):
-        p.add_argument("--X", type=float, default=None, help="transverse half width (default 8A)")
-        p.add_argument("--nx", type=int, default=4097)
+        p.add_argument("--X", type=float, default=None, help="transverse half width (default 4A)")
+        p.add_argument("--nx", type=int, default=2049)
         p.add_argument("--dz", type=float, default=0.05)
-        p.add_argument("--absorber-width", type=float, default=None, help="default X/4")
-        p.add_argument("--absorber-strength", type=float, default=0.05)
 
     p = sub.add_parser("propagate", help="finite-difference propagation of a column")
     add_common(p)

@@ -59,11 +59,6 @@ class SlabConfig:
             if math.isinf(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
-    @property
-    def well_depth(self) -> float:
-        """Equivalent well depth |1 - U0| of the index profile."""
-        return abs(1.0 - self.core_index_U0)
-
 
 @dataclass(frozen=True)
 class ComplexEigenvalue:
@@ -140,11 +135,6 @@ def _dispersion(K, cfg: SlabConfig):
     if lib is cmath and (K == 0 or Q == 0):
         return Q, None
     return Q, lib.cos(2 * Q * A) - 0.5j * (K / Q + Q / K) * lib.sin(2 * Q * A)
-
-
-def wavenumbers_to_eigenvalue(wn: Wavenumbers) -> ComplexEigenvalue:
-    """Invert eigenvalue_to_wavenumbers: eps = K**2/2 - 1."""
-    return ComplexEigenvalue.from_complex(wn.K * wn.K / 2.0 - 1.0)
 
 
 def beam_slope(eps_R: float, x_index: float) -> float:

@@ -21,7 +21,11 @@ class RootJumpError(ConvergenceError):
 
 
 class UnstableStepError(LeakySlabError):
-    """The propagator detected interior norm growth above tolerance."""
+    """A propagator step raised the norm by more than 1%, or made it non-finite.
+
+    The transparent-boundary step cannot raise the norm of a finite column,
+    so this flags a fault: a non-finite input or a broken step.
+    """
 
 
 class NonExponentialDecayError(LeakySlabError):

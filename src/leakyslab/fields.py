@@ -16,8 +16,6 @@ from .core import SlabConfig
 from .resonances import REFINED, Resonance
 
 _NORM_GRID = 4001
-# interior_node_count samples the core at this many points
-_NODE_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -130,14 +128,6 @@ def mode_profile(res: Resonance, cfg: SlabConfig) -> ModeField:
     scale = np.max(np.abs(field.evaluate(xs)))
     coeffs = tuple(z / scale for z in field.coefficients)
     return ModeField(resonance=res, slab=cfg, coefficients=coeffs)
-
-
-def interior_node_count(field: ModeField) -> int:
-    """Sign changes of Re(phi) strictly inside the core."""
-    A = field.slab.half_width_A
-    xs = np.linspace(-A, A, _NODE_SAMPLES)[1:-1]
-    re = np.real(field.evaluate(xs))
-    return int(np.sum(np.sign(re[:-1]) * np.sign(re[1:]) < 0))
 
 
 def propagate_mode(field: ModeField, x_grid, z_grid) -> FieldGrid:

@@ -62,8 +62,6 @@ def test_free_space_gaussian_spreading(slab30, cfg30):
             transverse_halfwidth_X=cfg30.transverse_halfwidth_X,
             nx=cfg30.nx,
             dz=cfg30.dz,
-            absorber_width=cfg30.absorber_width,
-            absorber_strength=0.0,
             n_profile=lambda x: np.full_like(x, slab30.core_index_U0),
             reference_index_n0=slab30.core_index_U0,
             core_halfwidth=slab30.half_width_A,
@@ -80,10 +78,11 @@ def test_free_space_gaussian_spreading(slab30, cfg30):
     assert abs(w_num / w_ref - 1) <= 1e-3
 
 
-def test_norm_conservation_without_absorber(slab30, refined_modes):
-    cfg = BpmConfig.for_slab(slab30, absorber_strength=0.0)
-    prop = Propagator(cfg)
-    col = tapered_mode_column(mode_profile(refined_modes[0], slab30), cfg)
+def test_norm_conservation_without_absorber(slab30, refined_modes, cfg30):
+    # the tapered mode stays clear of both edges over these steps, so the
+    # transparent boundary takes nothing and the step conserves the norm
+    prop = Propagator(cfg30)
+    col = tapered_mode_column(mode_profile(refined_modes[0], slab30), cfg30)
     norm = prop.norm(col)
     for _ in range(100):
         col = prop.step(col)
@@ -92,16 +91,25 @@ def test_norm_conservation_without_absorber(slab30, refined_modes):
         norm = new
 
 
-def test_norm_decreases_with_absorber(slab30, cfg30):
+def packet(prop, x0, kx, var=25.0):
+    return np.exp(-((prop.x - x0) ** 2) / (2 * var)) * np.exp(1j * kx * prop.x)
+
+
+def test_transparent_boundary_passes_outgoing_packets(cfg30):
+    # packets launched 15 units inside an edge: those heading out leave through
+    # it (a fast one almost entirely), those heading in keep their norm; the
+    # norm never grows in a step, whichever way the packet moves
     prop = Propagator(cfg30)
-    x0 = cfg30.transverse_halfwidth_X - 0.5 * cfg30.absorber_width
-    col = np.exp(-((prop.x - x0) ** 2) / 50.0) * np.exp(0.5j * prop.x)
-    norms = [prop.norm(col)]
-    for _ in range(1000):
-        col = prop.step(col)
-        norms.append(prop.norm(col))
-    assert norms[-1] < 0.5 * norms[0]
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+    edge = cfg30.transverse_halfwidth_X - 15.0
+    for x0, kx in ((edge, 0.5), (-edge, -0.5), (edge, -0.5), (-edge, 0.5), (edge, 1.0)):
+        col = packet(prop, x0, kx)
+        norms = [prop.norm(col)] + [prop.norm(out) for out in prop.march(col, 1000)]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:])), (x0, kx)
+        if x0 * kx > 0:
+            assert norms[-1] < 0.5 * norms[0], (x0, kx)
+        else:
+            assert norms[-1] > 0.999 * norms[0], (x0, kx)
+    assert norms[-1] < 1e-3 * norms[0]
 
 
 def test_guided_mode_does_not_decay(slab30, cfg30):
@@ -170,60 +178,43 @@ def test_non_exponential_flag(slab30, refined_modes, cfg30):
 
 
 @pytest.mark.parametrize("how", ["step", "march"])
-def test_instability_detector_flags_interior_growth(slab30, cfg30, how):
-    # a packet crossing from the absorber zone into the interior raises the
-    # interior norm by far more than 1% in single steps: in the first step
-    # from 5 units inside the absorber, after 30 slower steps from 8 units,
-    # which checks the norm march carries from step to step
+def test_instability_detector_flags_non_finite_column(cfg30, how):
+    # a finite column cannot gain norm, so the guard is a fault detector: a
+    # single NaN sample makes the first step's norm non-finite
     prop = Propagator(cfg30)
-    for depth in (5.0, 8.0):
-        x0 = cfg30.transverse_halfwidth_X - cfg30.absorber_width + depth
-        col = np.exp(-((prop.x - x0) ** 2) / (2 * 2.0**2)) * np.exp(-0.5j * prop.x)
-        expected = first_unstable_step(prop, col, 200)
-        done = 0
-        with pytest.raises(UnstableStepError) as info:
-            if how == "step":
-                for _ in range(200):
-                    col = prop.step(col)
-                    done += 1
-            else:
-                for done, col in enumerate(prop.march(col, 200), 1):
-                    pass
-        assert (done, str(info.value)) == expected
-
-
-def first_unstable_step(prop, col, nsteps):
-    """Oracle: the steps an unguarded banded march completes before the interior
-    norm first grows by more than 1% of max(its value, 1e-6 of the total),
-    and the error message for that step."""
-    ab, rhs_main, rhs_off = crank_nicolson_band(prop.cfg)
-    for done in range(nsteps):
-        rhs = rhs_main * col
-        rhs[:-1] += rhs_off * col[1:]
-        rhs[1:] += rhs_off * col[:-1]
-        new = solve_banded((1, 1), ab, rhs)
-        base = max(prop.norm(col, prop.interior), 1e-6 * prop.norm(col))
-        after = prop.norm(new, prop.interior)
-        if base > 0 and after > 1.01 * base:
-            return done, f"interior norm grew by {(after / base - 1) * 100:.2f}% in one step"
-        col = new
-    raise AssertionError(f"no step grew the interior norm by 1% in {nsteps} steps")
+    col = np.exp(-prop.x**2 / 200.0).astype(complex)
+    col[cfg30.nx // 2] = np.nan
+    done = 0
+    with pytest.raises(UnstableStepError, match="nan in one step"):
+        if how == "step":
+            for _ in range(5):
+                col = prop.step(col)
+                done += 1
+        else:
+            for done, col in enumerate(prop.march(col, 5), 1):
+                pass
+    assert done == 0
 
 
 def test_march_equals_successive_steps(slab30, refined_modes, cfg30):
     prop = Propagator(cfg30)
     r32 = next(r for r in refined_modes if r.mode_index_m == 32)
-    # a packet straddling the absorber edge drifts inward: its interior norm
-    # grows by under 1% per step but by over 1% within a few steps, so a
-    # growth guard that compared against a stale norm would trip
-    edge = cfg30.transverse_halfwidth_X - cfg30.absorber_width
-    packet = np.exp(-((prop.x - edge) ** 2) / (2 * 5.0**2)) * np.exp(-0.3j * prop.x)
-    for col in (tapered_mode_column(mode_profile(r32, slab30), cfg30), packet):
+    # a packet leaving through the right edge: the boundary ratio is read
+    # from the current column at every step, in march as in step
+    edge = cfg30.transverse_halfwidth_X - 15.0
+    for col in (tapered_mode_column(mode_profile(r32, slab30), cfg30), packet(prop, edge, 0.5)):
         marched = list(prop.march(col, 250))
         assert len(marched) == 250
         for out in marched:
             col = prop.step(col)
             assert np.array_equal(out, col)
+
+
+@pytest.mark.parametrize("z_max", [math.inf, math.nan])
+def test_measure_decay_rejects_non_finite_z_max(cfg30, z_max):
+    col = np.exp(-np.linspace(-3.0, 3.0, cfg30.nx) ** 2).astype(complex)
+    with pytest.raises(ValueError, match="z_max must be finite"):
+        measure_decay(cfg30, col, z_max)
 
 
 def test_step_validates_column_length(cfg30):
@@ -238,16 +229,12 @@ def test_config_validation(slab30):
         BpmConfig.for_slab(slab30, dz=0.0)
     with pytest.raises(ValueError, match="4x"):
         BpmConfig.for_slab(slab30, transverse_halfwidth_X=100.0)
-    with pytest.raises(ValueError, match="absorber_width"):
-        BpmConfig.for_slab(slab30, absorber_width=220.0)
     with pytest.raises(ValueError, match="dz"):
         BpmConfig.for_slab(slab30, dz=math.inf)
     with pytest.raises(ValueError, match="dz"):
         BpmConfig.for_slab(slab30, dz=math.nan)
-    with pytest.raises(ValueError, match="absorber_strength"):
-        BpmConfig.for_slab(slab30, absorber_strength=math.nan)
-    with pytest.raises(ValueError, match="absorber_strength"):
-        BpmConfig.for_slab(slab30, absorber_strength=-math.inf)
+    with pytest.raises(ValueError, match="transverse_halfwidth_X"):
+        BpmConfig.for_slab(slab30, transverse_halfwidth_X=math.inf)
 
 
 def test_guided_projection_removes_trapped_floor(slab30, refined_modes, cfg30):
@@ -284,43 +271,56 @@ def test_import_path_does_not_load_scipy_linalg():
     assert done.returncode == 0, done.stderr
 
 
-def crank_nicolson_band(cfg: BpmConfig):
-    """Oracle: the n-weighted Crank-Nicolson band (N + i dz/2 S) and its right-hand side.
+def crank_nicolson_band(cfg: BpmConfig, col: np.ndarray):
+    """Oracle: the n-weighted Crank-Nicolson band (N + i dz/2 S) and right-hand
+    side (N - i dz/2 S) col, built from the config and the current column.
 
-    S = N (H + n0) - i N sigma, built here from the config alone.
+    S = N (H + n0), with Hadley's transparent boundary at both edges: the
+    ghost node beyond each edge is eta * (edge node), eta = edge / inner,
+    |eta| where Im eta < 0, and 0 where eta is zero or not finite.
     """
     x = np.linspace(-cfg.transverse_halfwidth_X, cfg.transverse_halfwidth_X, cfg.nx)
     dx = x[1] - x[0]
     n = np.asarray(cfg.n_profile(x), dtype=float)
-    ramp = (np.abs(x) - (cfg.transverse_halfwidth_X - cfg.absorber_width)) / cfg.absorber_width
-    sigma = np.where(ramp > 0, cfg.absorber_strength * ramp**2, 0.0)
-    off = -0.5 / (dx * dx) * np.ones(cfg.nx - 1)
-    main = 1.0 / (dx * dx) - n * n + cfg.reference_index_n0 * n - 1j * n * sigma
+    off = -0.5 / (dx * dx)
+    main = (1.0 / (dx * dx) - n * n + cfg.reference_index_n0 * n).astype(complex)
+    for edge, inner in ((0, 1), (-1, -2)):
+        with np.errstate(all="ignore"):
+            eta = col[edge] / col[inner]
+        if eta.imag < 0:
+            eta = abs(eta)
+        main[edge] += off * (eta if np.isfinite(eta) else 0.0)
     theta = 0.5j * cfg.dz
     ab = np.zeros((3, cfg.nx), dtype=complex)
     ab[0, 1:] = theta * off
     ab[1, :] = n + theta * main
     ab[2, :-1] = theta * off
-    return ab, n - theta * main, -theta * off
+    rhs = (n - theta * main) * col
+    rhs[:-1] -= theta * off * col[1:]
+    rhs[1:] -= theta * off * col[:-1]
+    return ab, rhs
 
 
-def test_factored_step_matches_banded_solve(slab30, refined_modes):
-    cfg = BpmConfig.for_slab(slab30, nx=1025)
-    prop = Propagator(cfg)
-    ab, rhs_main, rhs_off = crank_nicolson_band(cfg)
+def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
+    prop = Propagator(cfg30)
     r32 = next(r for r in refined_modes if r.mode_index_m == 32)
-    col = ref = tapered_mode_column(mode_profile(r32, slab30), cfg)
-    for _ in range(250):
-        col = prop.step(col)
-        rhs = rhs_main * ref
-        rhs[:-1] += rhs_off * ref[1:]
-        rhs[1:] += rhs_off * ref[:-1]
-        ref = solve_banded((1, 1), ab, rhs)
-    assert np.array_equal(col, ref)
-    # the precomputed window slices sum what the boolean masks selected
+    # each step against the oracle's from the same column: a leaky mode, a
+    # packet leaving through the right edge, one moving inward from the left
+    # edge (an incoming tail, so a clamped eta) and a column whose edge
+    # ratios are 0/0 on the left and overflow to inf on the right (both
+    # taken as Dirichlet edges)
+    edge = cfg30.transverse_halfwidth_X - 15.0
+    bad_edges = np.exp(-prop.x**2 / 200.0).astype(complex)
+    bad_edges[[0, 1, -2, -1]] = 0.0, 0.0, 1e-320, 1e-10
+    for col in (tapered_mode_column(mode_profile(r32, slab30), cfg30),
+                packet(prop, edge, 0.5), packet(prop, -edge, 0.5), bad_edges):
+        for _ in range(250):
+            ref = solve_banded((1, 1), *crank_nicolson_band(cfg30, col))
+            col = prop.step(col)
+            # zgtsv and solve_banded round differently: ~1e-16 of the peak
+            assert np.max(np.abs(col - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # the precomputed core slice sums what the boolean mask selects
     dens = prop.n * np.abs(col) ** 2
-    interior = np.abs(prop.x) <= cfg.transverse_halfwidth_X - cfg.absorber_width
-    core = np.abs(prop.x) <= cfg.core_halfwidth
-    assert prop.norm(col, prop.interior) == float(np.sum(dens[interior]) * prop.dx)
+    core = np.abs(prop.x) <= cfg30.core_halfwidth
     assert prop.core_power(col) == float(np.sum(dens[core]) * prop.dx)
     assert prop.norm(col) == float(np.sum(dens) * prop.dx)

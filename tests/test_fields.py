@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from leakyslab import (
-    interior_node_count,
-    mode_profile,
-    propagate_mode,
-)
+from leakyslab import mode_profile, propagate_mode
 from leakyslab.fields import FieldGrid
 
 
@@ -84,12 +80,6 @@ def test_numerical_log_derivative_matches_outgoing(profiles):
     dphi = (field.evaluate([x0 + h])[0] - field.evaluate([x0 - h])[0]) / (2 * h)
     beta = -dphi / field.evaluate([x0])[0]
     assert beta == pytest.approx(-1j * K, abs=1e-8)
-
-
-def test_interior_node_count(profiles):
-    for m, field in profiles.items():
-        nodes = interior_node_count(field)
-        assert nodes in (m - 1, m)
 
 
 def test_mode_profile_requires_refined_root(slab30, approx_modes):
