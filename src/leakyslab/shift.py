@@ -8,7 +8,11 @@ shift relative to free propagation vanishes.
 A wave-packet synthesis (quadrature over the transmitted spectrum, peak
 tracking at a distant observation plane) provides an independent
 measurement that converges to the stationary-phase value as the spectral
-width shrinks.
+width shrinks.  Its z grid is uniform, so with z = z_b + j*dz (z_b the
+first sample of a block of _Z_BLOCK) the phase factors as
+exp(i(k x - eps z)) = exp(i(k x - eps z_b)) * exp(-i eps j dz): one block
+matrix serves every block, and one matrix product yields all nz samples
+from about (_Z_BLOCK + nz/_Z_BLOCK)*nk complex exponentials, not nz*nk.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import numpy as np
 from .core import SlabConfig, _dispersion
 from .errors import PeakAmbiguityError
 from .scattering import Curve, _amplitudes, _band_wavenumber
+
+# z samples per block of the factored wave-packet phase matrix
+_Z_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,25 @@ def _gauss_legendre_composite(lo: float, hi: float, panels: int, order: int):
     return nodes, weights
 
 
+def _packet_intensities(k, weights, x_observe: float, z: np.ndarray) -> np.ndarray:
+    """|sum_k w_k exp(i(k x_observe - eps_k z))|^2 on a uniform z grid.
+
+    weights is (nk, ncol); the result is (len(z), ncol).  Evaluated block by
+    block as exp(-i eps_k j dz) @ (w_k exp(i(k x_observe - eps_k z_b))), so
+    no len(z) x nk array is formed.
+    """
+    nz = len(z)
+    block = min(_Z_BLOCK, nz)
+    dz = (z[-1] - z[0]) / (nz - 1)
+    eps_k = k * k / 2.0 - 1.0
+    offsets = np.exp(-1j * np.outer(np.arange(block) * dz, eps_k))
+    z_b = z[::block]
+    carriers = np.exp(1j * (k[:, None] * x_observe - eps_k[:, None] * z_b[None, :]))
+    rhs = (carriers[:, :, None] * weights[:, None, :]).reshape(len(k), -1)
+    amp = (offsets @ rhs).reshape(block, len(z_b), -1).transpose(1, 0, 2)
+    return np.abs(amp.reshape(block * len(z_b), -1)[:nz]) ** 2
+
+
 def _envelope_peak(z: np.ndarray, intensity: np.ndarray) -> float:
     """Peak position by parabolic interpolation through the three top samples."""
     i = int(np.argmax(intensity))
@@ -146,11 +172,15 @@ def wavepacket_shift(
         measured = (z_peak - z_free) + 2*A/K_c
 
     Converges to longitudinal_shift(eps_center) as sigma_K -> 0.
+
+    Every one of the nz samples is synthesized, through the factored phase
+    matrix of _packet_intensities: (_Z_BLOCK + nz/_Z_BLOCK)*nk complex
+    exponentials and one matrix product, nk = panels*nodes_per_panel.
     """
     Kc = float(_band_wavenumber(eps_center))
     sig = float(packet_width_sigmaK)
-    if sig <= 0:
-        raise ValueError("packet_width_sigmaK must be positive")
+    if not (math.isfinite(sig) and sig > 0):
+        raise ValueError("packet_width_sigmaK must be positive and finite")
     if sig > Kc / 6.0:
         raise ValueError(f"packet too wide: sigma_K={sig} exceeds K_c/6={Kc / 6.0}")
     if Kc - 6.0 * sig <= 0.0 or Kc + 6.0 * sig >= math.sqrt(2.0):
@@ -158,8 +188,14 @@ def wavepacket_shift(
             "packet support [K_c - 6 sigma, K_c + 6 sigma] must stay inside "
             "the radiation band (0, sqrt(2))"
         )
+    if not math.isfinite(x_observe):
+        raise ValueError("x_observe must be finite")
     if x_observe <= cfg.half_width_A:
         raise ValueError("x_observe must lie beyond the slab")
+    if panels < 1 or nodes_per_panel < 1:
+        raise ValueError("panels and nodes_per_panel must be at least 1")
+    if nz < 3:
+        raise ValueError("nz must be at least 3")
 
     k, w = _gauss_legendre_composite(Kc - 6.0 * sig, Kc + 6.0 * sig, panels, nodes_per_panel)
     f = np.exp(-((k - Kc) ** 2) / (2.0 * sig * sig))
@@ -168,18 +204,7 @@ def wavepacket_shift(
     z0 = x_observe / Kc
     half_window = 8.0 / (Kc * sig) + 300.0
     z = np.linspace(z0 - half_window, z0 + half_window, nz)
-
-    wt_trans = w * f * t
-    wt_free = w * f
-    eps_k = k * k / 2.0 - 1.0
-    trans = np.empty(nz)
-    free = np.empty(nz)
-    chunk = 256
-    for i0 in range(0, nz, chunk):
-        zc = z[i0 : i0 + chunk]
-        phase = np.exp(1j * (k[None, :] * x_observe - eps_k[None, :] * zc[:, None]))
-        trans[i0 : i0 + chunk] = np.abs(phase @ wt_trans) ** 2
-        free[i0 : i0 + chunk] = np.abs(phase @ wt_free) ** 2
+    trans, free = _packet_intensities(k, np.column_stack([w * f * t, w * f]), x_observe, z).T
 
     z_peak = _envelope_peak(z, trans)
     z_free = _envelope_peak(z, free)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from leakyslab import shift
 from leakyslab import (
     PeakAmbiguityError,
     SlabConfig,
@@ -13,6 +14,7 @@ from leakyslab import (
     wavepacket_shift,
     width_sweep,
 )
+from leakyslab.scattering import _amplitudes
 
 
 def fd_phase_derivative(eps_R: float, cfg: SlabConfig, h: float = 1e-6) -> float:
@@ -130,18 +132,82 @@ class TestWavepacket:
         measured = wavepacket_shift(-0.5, 0.02, cfg)
         assert measured - 60.0 == pytest.approx(0.0, abs=1e-4)
 
+    @pytest.mark.filterwarnings("error")
     def test_packet_width_validation(self, slab30):
         with pytest.raises(ValueError, match="too wide"):
             wavepacket_shift(-0.5, 0.5, slab30)
         with pytest.raises(ValueError, match="positive"):
             wavepacket_shift(-0.5, 0.0, slab30)
+        with pytest.raises(ValueError, match="positive and finite"):
+            wavepacket_shift(-0.5, float("nan"), slab30)
         # support would cross the band top cutoff
         with pytest.raises(ValueError, match="radiation band"):
             wavepacket_shift(-0.02, math.sqrt(2 * 0.98) / 6.5, slab30)
+        with pytest.raises(ValueError, match="panels and nodes_per_panel"):
+            wavepacket_shift(-0.5, 0.01, slab30, panels=0)
+        with pytest.raises(ValueError, match="panels and nodes_per_panel"):
+            wavepacket_shift(-0.5, 0.01, slab30, nodes_per_panel=0)
+        for nz in (0, 2):
+            with pytest.raises(ValueError, match="nz must be at least 3"):
+                wavepacket_shift(-0.5, 0.01, slab30, nz=nz)
 
+    @pytest.mark.filterwarnings("error")
     def test_observation_plane_validation(self, slab30):
         with pytest.raises(ValueError, match="beyond the slab"):
             wavepacket_shift(-0.5, 0.01, slab30, x_observe=10.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="x_observe must be finite"):
+                wavepacket_shift(-0.5, 0.01, slab30, x_observe=bad)
+
+
+def dense_packet_intensities(k, weights, x_observe, z, rows=500):
+    """|exp(i(k x - eps_k z)) @ weights|^2 from the full phase matrix (test oracle)."""
+    eps_k = k * k / 2.0 - 1.0
+    out = np.empty((len(z), weights.shape[1]))
+    for i0 in range(0, len(z), rows):
+        zc = z[i0 : i0 + rows]
+        phase = np.exp(1j * (k[None, :] * x_observe - eps_k[None, :] * zc[:, None]))
+        out[i0 : i0 + rows] = np.abs(phase @ weights) ** 2
+    return out
+
+
+def reference_packet_width(k_c: float) -> float:
+    """K_c/20, narrowed so the +-6 sigma support stays below sqrt(2)."""
+    return min(k_c / 20, 0.99 * (math.sqrt(2) - k_c) / 6)
+
+
+class TestFactoredSynthesis:
+    @pytest.mark.parametrize(
+        "nz",
+        [4001, 40 * shift._Z_BLOCK, 40 * shift._Z_BLOCK + 1, shift._Z_BLOCK // 2 + 3],
+        ids=["default", "block-multiple", "multiple-plus-one", "below-one-block"],
+    )
+    def test_intensities_match_dense_phase_matrix(self, slab30, refined_modes, nz):
+        r28 = next(r for r in refined_modes if r.mode_index_m == 28)
+        k_c = math.sqrt(2 * (r28.eigenvalue.eps_R + 1))
+        sig = k_c / 20
+        k, w = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, 48)
+        f = np.exp(-((k - k_c) ** 2) / (2 * sig * sig))
+        t, _, _ = _amplitudes(k, slab30)
+        weights = np.column_stack([w * f * t, w * f])
+        x_observe = 3000.0
+        half_window = 8 / (k_c * sig) + 300
+        z = np.linspace(x_observe / k_c - half_window, x_observe / k_c + half_window, nz)
+
+        got = shift._packet_intensities(k, weights, x_observe, z)
+        want = dense_packet_intensities(k, weights, x_observe, z)
+        assert got.shape == want.shape == (nz, 2)
+        assert np.all(np.abs(got - want) <= 1e-10 * want.max(axis=0))
+
+    @pytest.mark.parametrize("m", [24, 32, 40])
+    def test_shift_matches_dense_phase_matrix(self, slab30, refined_modes, monkeypatch, m):
+        mode = next(r for r in refined_modes if r.mode_index_m == m)
+        eps_c = mode.eigenvalue.eps_R
+        sig = reference_packet_width(math.sqrt(2 * (eps_c + 1)))
+        factored = wavepacket_shift(eps_c, sig, slab30)
+        monkeypatch.setattr(shift, "_packet_intensities", dense_packet_intensities)
+        dense = wavepacket_shift(eps_c, sig, slab30)
+        assert factored == pytest.approx(dense, rel=1e-9, abs=0)
 
 
 class TestEnvelopePeak:
