@@ -5,12 +5,13 @@ Marches i dE/dz = (H + n0) E with the library's own eigenvalue operator
     H = -(1/(2 n(x))) d^2/dx^2 - n(x),
 
 whose eigenvalues satisfy K**2/2 = eps + 1 outside and Q**2 = 2*U0*(eps + U0)
-inside the core, with E and dE/dx continuous (see ``core``).  The constant
-reference index n0 only adds the global phase exp(-i n0 z).  With N = diag(n)
-the matrix S = N (H + n0) is symmetric tridiagonal, and the n-weighted
-Crank-Nicolson step (N + i dz/2 S) E' = (N - i dz/2 S) E is unconditionally
-stable.  Each edge carries Hadley's transparent boundary condition (Opt.
-Lett. 16, 624, 1991): outside the core a leaky field is one outgoing
+inside the core, with E and dE/dx continuous (see ``core``).  The reference
+index n0 is the largest index on the grid; it only adds the global phase
+exp(-i n0 z).  With N = diag(n) the matrix S = N (H + n0) is symmetric
+tridiagonal, and the n-weighted Crank-Nicolson step
+(N + i dz/2 S) E' = (N - i dz/2 S) E is unconditionally stable.  Each edge
+carries Hadley's transparent boundary condition (Opt. Lett. 16, 624, 1991):
+outside the core a leaky field is one outgoing
 exponential, so the node beyond the grid is taken as eta * (edge node), with
 the ratio eta = E_edge / E_inner read from the current column.  eta is
 clamped to an outgoing or evanescent wave (Im eta >= 0), which makes every
@@ -47,18 +48,15 @@ class BpmConfig:
 
     The transverse domain is [-X, X] with nx points; n_profile maps x to the
     refractive index (it sets both the kinetic term 1/(2 n) and the
-    potential -n); reference_index_n0 is a constant phase reference only,
-    removing the fast factor exp(-i n0 z) without changing |E|;
-    core_halfwidth bounds the power-monitor window (the slab half width).
-    The index should be uniform near both edges, where the transparent
-    boundary assumes a single exponential.
+    potential -n); core_halfwidth bounds the power-monitor window (the slab
+    half width).  The index should be uniform near both edges, where the
+    transparent boundary assumes a single exponential.
     """
 
     transverse_halfwidth_X: float
     nx: int
     dz: float
     n_profile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    reference_index_n0: float
     core_halfwidth: float
 
     def __post_init__(self):
@@ -93,7 +91,6 @@ class BpmConfig:
             nx=nx,
             dz=dz,
             n_profile=profile,
-            reference_index_n0=u0,
             core_halfwidth=a,
         )
 
@@ -131,9 +128,9 @@ class Propagator:
         X = cfg.transverse_halfwidth_X
         self.x = np.linspace(-X, X, cfg.nx)
         self.dx = self.x[1] - self.x[0]
-        n0 = cfg.reference_index_n0
         n = np.asarray(cfg.n_profile(self.x), dtype=float)
         self.n = n
+        self.n0 = n0 = float(np.max(n))
         # S = N (H + n0) on Dirichlet edges: real symmetric tridiagonal
         self._s_main = 1.0 / (self.dx * self.dx) - n * n + n0 * n
         self._s_off = -0.5 / (self.dx * self.dx) * np.ones(cfg.nx - 1)
@@ -195,21 +192,19 @@ class Propagator:
     def guided_basis(self) -> np.ndarray:
         """Discrete guided modes, orthonormal in the n-weighted product.
 
-        The trapped band eps in [-max n, -1) of H is solved through the
-        symmetric similarity transform N^{-1/2} S N^{-1/2}; the returned
-        columns v satisfy v_i^T N v_j = delta_ij.
+        The trapped band eps in [-n0, -1) of H, that is [0, n0 - 1) of
+        H + n0, is solved through the symmetric similarity transform
+        N^{-1/2} S N^{-1/2}; the returned columns v satisfy
+        v_i^T N v_j = delta_ij.
         """
         from scipy.linalg import eigh_tridiagonal
 
-        n0 = self.cfg.reference_index_n0
         root_n = np.sqrt(self.n)
-        lo = n0 - float(np.max(self.n))
-        hi = (n0 - 1.0) - 1e-9
         _, vecs = eigh_tridiagonal(
             self._s_main / self.n,
             self._s_off / (root_n[:-1] * root_n[1:]),
             select="v",
-            select_range=(lo, hi),
+            select_range=(0.0, (self.n0 - 1.0) - 1e-9),
         )
         return vecs / root_n[:, None]
 

@@ -2,8 +2,8 @@
 
 Outputs are CSV by default (``#``-prefixed metadata lines recording the
 exact flags, then a header row) or JSON; identical flags produce
-byte-identical files.  Complex columns are split into re_/im_ pairs.
-No plotting here: the tool emits data for external renderers.
+byte-identical files.  No plotting here: the tool emits data for external
+renderers.
 
 Exit codes: 0 success, 2 validation problem, 3 numerical failure.
 """
@@ -112,13 +112,9 @@ def _emit(args, command: str, meta: dict, table) -> int:
 
 
 def _curve_table(curve: Curve):
-    """A curve's columns by name, complex ones split into re_/im_ pairs."""
-    cols = {curve.labels[0]: curve.abscissa}
-    for name, col in zip(curve.labels[1:], curve.values.reshape(len(curve.abscissa), -1).T):
-        if np.iscomplexobj(col):
-            cols[f"re_{name}"], cols[f"im_{name}"] = col.real, col.imag
-        else:
-            cols[name] = col
+    """A curve's columns by name: the abscissa, then each value column."""
+    values = curve.values.reshape(len(curve.abscissa), -1).T
+    cols = dict(zip(curve.labels, [curve.abscissa, *values]))
     return cols, map(_cells, cols.values()), {"columns": cols}
 
 
@@ -208,14 +204,14 @@ def cmd_transmission(args) -> int:
 def cmd_shift(args) -> int:
     if args.eps is not None and args.k0a_sweep is not None:
         raise ValueError("choose either --eps or --eps-fixed with --k0a-sweep")
+    slab = _slab_from(args)
     if args.eps is not None:
-        slab = _slab_from(args)
         curve = shift_sweep(parse_grid(args.eps), slab)
         meta = {"k0a": args.k0a, "u0": args.u0, "eps": args.eps}
     else:
         if args.eps_fixed is None or args.k0a_sweep is None:
             raise ValueError("width sweep needs both --eps-fixed and --k0a-sweep")
-        curve = width_sweep(args.eps_fixed, parse_grid(args.k0a_sweep), args.u0)
+        curve = width_sweep(args.eps_fixed, parse_grid(args.k0a_sweep), slab.core_index_U0)
         meta = {"eps_fixed": args.eps_fixed, "k0a_sweep": args.k0a_sweep, "u0": args.u0}
     return _emit(args, "shift", meta, _curve_table(curve))
 
@@ -312,12 +308,6 @@ def cmd_propagate(args) -> int:
         meta["packet"] = args.packet
     else:
         raise ValueError("choose an initial condition: --m, --packet or --init-field")
-
-    if args.save_init:
-        init_grid = FieldGrid(
-            x_grid=prop.x, z_grid=np.array([0.0]), amplitudes=column[:, None]
-        )
-        _write(args.save_init, grid_to_json(init_grid, "propagate-init", meta))
 
     nsteps = int(round(args.z_max / cfg.dz))
     every = max(1, nsteps // max(1, args.snapshots - 1))
@@ -420,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-field", default=None, help="JSON field grid; first z column is used")
     p.add_argument("--z-max", type=float, default=50.0)
     p.add_argument("--save-field", default=None, help="write snapshot field grid (JSON)")
-    p.add_argument("--save-init", default=None, help="write the initial column (JSON)")
     p.add_argument("--snapshots", type=int, default=11, help="snapshot count for --save-field")
     p.set_defaults(func=cmd_propagate)
 

@@ -37,14 +37,11 @@ class SlabConfig:
 
     Attributes:
         half_width_A: k0*a, half width of the core in units of 1/k0.
-        core_index_U0: refractive index of the core; must exceed the clad.
-        clad_index: fixed to 1 (vacuum).  Kept as a field so exports are
-            explicit about the convention.
+        core_index_U0: refractive index of the core; must exceed the vacuum's 1.
     """
 
     half_width_A: float
     core_index_U0: float
-    clad_index: float = 1.0
 
     def __post_init__(self):
         if not self.half_width_A > 0:
@@ -53,8 +50,6 @@ class SlabConfig:
             raise ValueError(
                 f"core_index_U0 must be > 1 (index well), got {self.core_index_U0}"
             )
-        if self.clad_index != 1.0:
-            raise ValueError("clad_index is fixed to 1 (vacuum)")
         for name in ("half_width_A", "core_index_U0"):
             if math.isinf(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -37,8 +37,7 @@ class Curve:
     """Sampled 1-D function: strictly increasing abscissa + value columns.
 
     labels[0] names the abscissa, labels[1:] name the value columns.  values
-    has shape (n,) for a single column or (n, k) for k columns; complex
-    columns are allowed and are split into re_/im_ pairs on export.
+    has shape (n,) for a single column or (n, k) for k real columns.
     """
 
     abscissa: np.ndarray
@@ -54,6 +53,8 @@ class Curve:
             raise ValueError("abscissa must be a non-empty 1-D grid")
         if not np.all(np.isfinite(a)):
             raise ValueError("abscissa must be finite")
+        if np.iscomplexobj(v):
+            raise ValueError("values must be real; give a complex column as two real ones")
         if np.any(np.diff(a) <= 0):
             raise ValueError("abscissa must be strictly increasing")
         if v.shape[0] != a.shape[0]:
@@ -149,28 +150,30 @@ def unwrapped_phase(eps_grid, cfg: SlabConfig) -> np.ndarray:
     return _sweep(eps_grid, cfg)[2]
 
 
-def fbw_superposition(
-    eps_R: float,
-    resonances: Sequence[tuple[float, float]],
-    count: int | None = None,
-) -> float:
+def fbw_superposition(eps_R: float, resonances: Sequence[tuple[float, float]]) -> float:
     """Sum of Lorentzian lineshapes, one per resonance (E_n, Gamma_n).
 
-    Each term is (Gamma_n/2)^2 / ((E - E_n)^2 + (Gamma_n/2)^2); the list must
-    be sorted by E_n and at least one term is required.  ``count`` restricts
-    the sum to the first N entries.
+    Each term is (Gamma_n/2)^2 / ((E - E_n)^2 + (Gamma_n/2)^2), or, for
+    Gamma_n = 0, 1 at E = E_n and 0 elsewhere (as ``fbw.lineshape``).  At
+    least one term is required; centres must be finite and strictly
+    increasing, widths finite and >= 0.
     """
-    if count is None:
-        count = len(resonances)
-    if count < 1:
+    if not resonances:
         raise ValueError("at least one resonance term is required")
-    if count > len(resonances):
-        raise ValueError(f"count={count} exceeds list length {len(resonances)}")
-    centers = [en for en, _ in resonances]
-    if any(b <= a for a, b in zip(centers, centers[1:])):
-        raise ValueError("resonance list must be sorted by increasing E_n")
-    total = 0.0
-    for e_n, gamma_n in resonances[:count]:
+    total, previous = 0.0, -math.inf
+    for e_n, gamma_n in resonances:
+        if not (math.isfinite(e_n) and 0.0 <= gamma_n < math.inf):
+            raise ValueError(
+                f"need a finite E_n and a finite Gamma_n >= 0, got ({e_n}, {gamma_n})"
+            )
+        if e_n <= previous:
+            raise ValueError("resonance list must be sorted by increasing E_n")
+        previous = e_n
         hw = 0.5 * gamma_n
-        total += hw * hw / ((eps_R - e_n) ** 2 + hw * hw)
+        hw2 = hw * hw
+        # a width whose square underflows is treated as zero, not divided by
+        if hw2 == 0.0:
+            total += float(eps_R == e_n)
+        else:
+            total += hw2 / ((eps_R - e_n) ** 2 + hw2)
     return total

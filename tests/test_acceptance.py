@@ -255,7 +255,6 @@ def test_criterion_11_bpm_cross_validation(slab30, refined_modes):
         nx=cfg.nx,
         dz=cfg.dz,
         n_profile=lambda x: np.full_like(x, slab30.core_index_U0),
-        reference_index_n0=slab30.core_index_U0,
         core_halfwidth=slab30.half_width_A,
     )
     prop = Propagator(free)

@@ -208,11 +208,12 @@ def test_propagate_init_field_round_trip(tmp_path, capsys):
     base = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120",
             "--nx", "513", "--dz", "0.1", "--z-max", "1"]
     first_curve = tmp_path / "first.csv"
-    init_json = tmp_path / "init.json"
-    code = main(base + ["--m", "24", "-o", str(first_curve), "--save-init", str(init_json)])
+    field_json = tmp_path / "field.json"
+    # --init-field reads the z = 0 column of a --save-field grid
+    code = main(base + ["--m", "24", "-o", str(first_curve), "--save-field", str(field_json)])
     assert code == 0
     second_curve = tmp_path / "second.csv"
-    code = main(base + ["--init-field", str(init_json), "-o", str(second_curve)])
+    code = main(base + ["--init-field", str(field_json), "-o", str(second_curve)])
     capsys.readouterr()
     assert code == 0
     first = [l for l in first_curve.read_text().splitlines() if not l.startswith("#")]
@@ -281,8 +282,9 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
     # every other non-finite number is refused before anything is computed
     # from it or written (the filterwarnings mark makes a warning an error)
     bpm = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513"]
+    width = ["shift", "--u0", "1.5", "--eps-fixed", "-0.995", "--k0a-sweep", "1:60:3"]
     init = tmp_path / "init.json"
-    assert main([*bpm, "--packet", "0:10:0.4", "--z-max", "1", "--save-init", str(init)]) == 0
+    assert main([*bpm, "--packet", "0:10:0.4", "--z-max", "1", "--save-field", str(init)]) == 0
     capsys.readouterr()
     doc = json.loads(init.read_text())
     doc["re"][256][0] = float("nan")
@@ -293,6 +295,8 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
         ["fbw", "--e0", "0", "--gamma", "nan", "--grid", "-1:1:3"],
         ["resonances", "--k0a", "inf", "--u0", "1.5"],
         ["resonances", "--k0a", "30", "--u0", "inf"],
+        [*width, "--k0a", "nan"],
+        [*width, "--k0a", "-5"],
         [*bpm, "--packet", "0:10:0.4", "--X", "nan"],
         [*bpm, "--packet", "0:10:0.4", "--dz", "inf"],
         [*bpm, "--packet", "0:0:0", "--z-max", "1"],
@@ -362,11 +366,9 @@ def csv_body(text):
 def test_curve_writers_match_per_element_repr():
     abscissa = np.array([-1e16, -0.0, 5e-324, 1 / 3, 2.0])
     real = np.array(AWKWARD)
-    cplx = real + 1j * real[::-1]
-    curve = Curve(abscissa=abscissa, values=np.column_stack([real, cplx]), labels=("x", "a", "b"))
-    # column_stack makes the real column complex, with a zero imaginary part
-    names = ["x", "re_a", "im_a", "re_b", "im_b"]
-    columns = [abscissa, real, np.zeros(5), cplx.real, cplx.imag]
+    curve = Curve(abscissa=abscissa, values=np.column_stack([real, real[::-1]]), labels=("x", "a", "b"))
+    names = ["x", "a", "b"]
+    columns = [abscissa, real, real[::-1]]
     meta = {"k": 1.5}
     text = curve_to_csv(curve, "probe", meta)
     assert text.startswith(f"# leakyslab probe v{__version__}\n# k=1.5\n")

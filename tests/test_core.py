@@ -101,8 +101,6 @@ def test_config_validation():
         SlabConfig(half_width_A=math.nan, core_index_U0=1.5)
     with pytest.raises(ValueError, match="core_index_U0"):
         SlabConfig(half_width_A=30.0, core_index_U0=math.inf)
-    with pytest.raises(ValueError, match="clad_index"):
-        SlabConfig(half_width_A=30.0, core_index_U0=1.5, clad_index=1.2)
     with pytest.raises(ValueError, match="half_width_Gamma"):
         ComplexEigenvalue(eps_R=-0.5, half_width_Gamma=-1e-3)
     with pytest.raises(ValueError, match="lower half plane"):

@@ -194,17 +194,26 @@ def test_fbw_superposition_single_line():
 
 def test_fbw_superposition_validation():
     with pytest.raises(ValueError, match="at least one"):
-        fbw_superposition(0.0, [(-0.5, 0.1)], count=0)
+        fbw_superposition(0.0, [])
     with pytest.raises(ValueError, match="sorted"):
         fbw_superposition(0.0, [(-0.4, 0.1), (-0.5, 0.1)])
-    with pytest.raises(ValueError, match="exceeds"):
-        fbw_superposition(0.0, [(-0.5, 0.1)], count=2)
+    with pytest.raises(ValueError, match="sorted"):
+        fbw_superposition(0.0, [(-0.5, 0.1), (-0.5, 0.2)])
+    nan, inf = float("nan"), float("inf")
+    for bad in ((nan, 0.1), (inf, 0.1), (-inf, 0.1), (-0.5, nan), (-0.5, inf), (-0.5, -0.2)):
+        with pytest.raises(ValueError, match="finite"):
+            fbw_superposition(-0.5, [(-0.6, 0.1), bad])
+    # a zero width is the lineshape's delta-like limit: 1 at the centre, 0 elsewhere
+    assert fbw_superposition(-0.5, [(-0.5, 0.0)]) == 1.0
+    assert fbw_superposition(-0.5, [(-0.5, 1e-200)]) == 1.0
+    assert fbw_superposition(-0.5 + 1e-12, [(-0.5, 0.0)]) == 0.0
+    assert fbw_superposition(-0.5, [(-0.6, 0.0), (-0.5, 0.0), (-0.4, 0.0)]) == 1.0
 
 
-def test_fbw_superposition_count_truncates():
+def test_fbw_superposition_sums_every_term():
     lines = [(-0.6, 0.02), (-0.4, 0.02)]
-    assert fbw_superposition(-0.6, lines, count=1) == pytest.approx(1.0, abs=1e-6)
-    assert fbw_superposition(-0.6, lines, count=2) > 1.0
+    assert fbw_superposition(-0.6, lines[:1]) == pytest.approx(1.0, abs=1e-6)
+    assert fbw_superposition(-0.6, lines) > 1.0
 
 
 def test_curve_validation():
@@ -218,3 +227,5 @@ def test_curve_validation():
         Curve(abscissa=[float("nan")], values=[1.0], labels=("x", "y"))
     with pytest.raises(ValueError, match="finite"):
         Curve(abscissa=[0.0, float("inf")], values=[1.0, 2.0], labels=("x", "y"))
+    with pytest.raises(ValueError, match="real"):
+        Curve(abscissa=[0.0, 1.0], values=[1.0, 2.0j], labels=("x", "y"))
