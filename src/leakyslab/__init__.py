@@ -28,7 +28,14 @@ from .errors import (
     RootJumpError,
     UnstableStepError,
 )
-from .fbw import FbwLine, fourier_coefficient, lifetime, lineshape, survival_amplitude
+from .fbw import (
+    FbwLine,
+    fbw_superposition,
+    fourier_coefficient,
+    lifetime,
+    lineshape,
+    survival_amplitude,
+)
 from .fields import FieldGrid, ModeField, mode_profile, propagate_mode
 from .resonances import (
     Resonance,
@@ -43,7 +50,6 @@ from .resonances import (
 from .scattering import (
     Curve,
     ScatteringAmplitudes,
-    fbw_superposition,
     transfer_amplitudes,
     transmission_coefficient,
     transmission_sweep,

@@ -132,24 +132,6 @@ def _grid_table(grid: FieldGrid, component: str):
     return ("x", "z", f"{component}_E"), columns, body
 
 
-def curve_to_csv(curve: Curve, command: str, meta: dict) -> str:
-    names, columns, _ = _curve_table(curve)
-    return _csv(command, meta, names, columns)
-
-
-def curve_to_json(curve: Curve, command: str, meta: dict) -> str:
-    return _json(command, meta, **_curve_table(curve)[2])
-
-
-def grid_to_csv(grid: FieldGrid, component: str, command: str, meta: dict) -> str:
-    names, columns, _ = _grid_table(grid, component)
-    return _csv(command, meta, names, columns)
-
-
-def grid_to_json(grid: FieldGrid, command: str, meta: dict) -> str:
-    return _json(command, meta, **_grid_table(grid, "re")[2])
-
-
 def field_grid_from_json(path: Path) -> FieldGrid:
     doc = json.loads(path.read_text())
     amps = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
@@ -202,7 +184,7 @@ def cmd_transmission(args) -> int:
 
 
 def cmd_shift(args) -> int:
-    if args.eps is not None and args.k0a_sweep is not None:
+    if args.eps is not None and (args.eps_fixed is not None or args.k0a_sweep is not None):
         raise ValueError("choose either --eps or --eps-fixed with --k0a-sweep")
     slab = _slab_from(args)
     if args.eps is not None:
@@ -330,7 +312,7 @@ def cmd_propagate(args) -> int:
             z_grid=np.array(list(snaps)) * cfg.dz,
             amplitudes=np.column_stack(list(snaps.values())),
         )
-        _write(args.save_field, grid_to_json(grid_out, "propagate-field", meta))
+        _write(args.save_field, _json("propagate-field", meta, **_grid_table(grid_out, "re")[2]))
     return 0
 
 

@@ -30,8 +30,9 @@ class ModeField:
     slab: SlabConfig
     coefficients: tuple[complex, complex, complex, complex]
 
-    def evaluate(self, x) -> np.ndarray:
-        """phi(x) on an arbitrary set of points (units of 1/k0)."""
+    def _piecewise(self, x, order: int) -> np.ndarray:
+        """phi(x) for order 0, dphi/dx for order 1: every piece is a sum of
+        terms a*e^{ikx}, and d/dx multiplies each term by ik."""
         x = np.asarray(x, dtype=float)
         A = self.slab.half_width_A
         K = self.resonance.wavenumbers.K
@@ -41,26 +42,18 @@ class ModeField:
         left = x < -A
         right = x > A
         mid = ~(left | right)
-        out[left] = a_i * np.exp(-1j * K * x[left])
-        out[mid] = b * np.exp(1j * Q * x[mid]) + c * np.exp(-1j * Q * x[mid])
-        out[right] = d * np.exp(1j * K * x[right])
+        for mask, terms in ((left, ((a_i, -K),)), (mid, ((b, Q), (c, -Q))), (right, ((d, K),))):
+            xs = x[mask]
+            out[mask] = sum(a * (1j * k) ** order * np.exp(1j * k * xs) for a, k in terms)
         return out
+
+    def evaluate(self, x) -> np.ndarray:
+        """phi(x) on an arbitrary set of points (units of 1/k0)."""
+        return self._piecewise(x, 0)
 
     def derivative(self, x) -> np.ndarray:
         """dphi/dx, piecewise analytic."""
-        x = np.asarray(x, dtype=float)
-        A = self.slab.half_width_A
-        K = self.resonance.wavenumbers.K
-        Q = self.resonance.wavenumbers.Q
-        a_i, b, c, d = self.coefficients
-        out = np.empty(x.shape, dtype=complex)
-        left = x < -A
-        right = x > A
-        mid = ~(left | right)
-        out[left] = -1j * K * a_i * np.exp(-1j * K * x[left])
-        out[mid] = 1j * Q * (b * np.exp(1j * Q * x[mid]) - c * np.exp(-1j * Q * x[mid]))
-        out[right] = 1j * K * d * np.exp(1j * K * x[right])
-        return out
+        return self._piecewise(x, 1)
 
     def log_derivative(self, x: float) -> complex:
         """beta(x) = -phi'(x)/phi(x); tends to -iK (x > A) and +iK (x < -A)."""

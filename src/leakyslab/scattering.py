@@ -1,4 +1,4 @@
-"""Real-energy scattering off the slab: r/t, transmission phase, FBW sum.
+"""Real-energy scattering off the slab: r/t and the transmission phase.
 
 Amplitudes are closed forms in the outgoing condition f(K) of the core
 dispersion kernel: t = e^{-2iKA}/f and r = t*(i/2)(Q/K - K/Q)*sin(2QA).
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -148,32 +147,3 @@ def unwrapped_phase(eps_grid, cfg: SlabConfig) -> np.ndarray:
     the same branch; anchored at the principal value of the first point.
     """
     return _sweep(eps_grid, cfg)[2]
-
-
-def fbw_superposition(eps_R: float, resonances: Sequence[tuple[float, float]]) -> float:
-    """Sum of Lorentzian lineshapes, one per resonance (E_n, Gamma_n).
-
-    Each term is (Gamma_n/2)^2 / ((E - E_n)^2 + (Gamma_n/2)^2), or, for
-    Gamma_n = 0, 1 at E = E_n and 0 elsewhere (as ``fbw.lineshape``).  At
-    least one term is required; centres must be finite and strictly
-    increasing, widths finite and >= 0.
-    """
-    if not resonances:
-        raise ValueError("at least one resonance term is required")
-    total, previous = 0.0, -math.inf
-    for e_n, gamma_n in resonances:
-        if not (math.isfinite(e_n) and 0.0 <= gamma_n < math.inf):
-            raise ValueError(
-                f"need a finite E_n and a finite Gamma_n >= 0, got ({e_n}, {gamma_n})"
-            )
-        if e_n <= previous:
-            raise ValueError("resonance list must be sorted by increasing E_n")
-        previous = e_n
-        hw = 0.5 * gamma_n
-        hw2 = hw * hw
-        # a width whose square underflows is treated as zero, not divided by
-        if hw2 == 0.0:
-            total += float(eps_R == e_n)
-        else:
-            total += hw2 / ((eps_R - e_n) ** 2 + hw2)
-    return total

@@ -20,14 +20,7 @@ from leakyslab import (
     tapered_mode_column,
 )
 from leakyslab.bpm import BpmConfig
-from leakyslab.cli import (
-    curve_to_csv,
-    curve_to_json,
-    grid_to_csv,
-    grid_to_json,
-    main,
-    parse_grid,
-)
+from leakyslab.cli import _csv, _curve_table, _grid_table, _json, main, parse_grid
 from conftest import REFERENCE_EIGENVALUES
 
 
@@ -157,6 +150,13 @@ def test_shift_requires_exactly_one_mode(capsys):
     code, _, err = run(["shift", "--k0a", "30", "--u0", "1.5"], capsys)
     assert code == 2
     assert "eps" in err
+    # --eps-fixed is refused next to --eps, not silently ignored
+    code, out, err = run(
+        ["shift", "--k0a", "30", "--u0", "1.5", "--eps", "-0.9:-0.1:2", "--eps-fixed", "nan"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: choose either --eps or --eps-fixed with --k0a-sweep\n"
 
 
 def test_shift_eps_sweep(capsys):
@@ -310,12 +310,21 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
     # in a fresh interpreter, where numpy warnings reach stderr
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cli = [sys.executable, "-c", "from leakyslab.cli import console; console()"]
     done = subprocess.run(
-        [sys.executable, "-c", "from leakyslab.cli import console; console()",
-         "fbw", "--e0", "0", "--gamma", "1", "--grid", "nan:nan:1"],
+        [*cli, "fbw", "--e0", "0", "--gamma", "1", "--grid", "nan:nan:1"],
         env=env, capture_output=True, text=True,
     )
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: abscissa must be finite\n")
+    # a width whose square underflows is the zero-width limit, not 0/0
+    done = subprocess.run(
+        [*cli, "fbw", "--e0", "0", "--gamma", "1e-300", "--grid", "-1:1:3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    _, rows = parse_csv(done.stdout)
+    assert rows == [["-1.0", "0.0", "0.0", "0.0"], ["0.0", "1.0", "0.0", "-1.0"],
+                    ["1.0", "0.0", "0.0", "0.0"]]
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -370,7 +379,7 @@ def test_curve_writers_match_per_element_repr():
     names = ["x", "a", "b"]
     columns = [abscissa, real, real[::-1]]
     meta = {"k": 1.5}
-    text = curve_to_csv(curve, "probe", meta)
+    text = _csv("probe", meta, *_curve_table(curve)[:2])
     assert text.startswith(f"# leakyslab probe v{__version__}\n# k=1.5\n")
     rows = [",".join(repr(float(col[i])) for col in columns) for i in range(5)]
     assert csv_body(text) == [",".join(names)] + rows
@@ -379,7 +388,8 @@ def test_curve_writers_match_per_element_repr():
         "meta": meta,
         "columns": {name: [float(v) for v in col] for name, col in zip(names, columns)},
     }
-    assert curve_to_json(curve, "probe", meta) == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    text = _json("probe", meta, **_curve_table(curve)[2])
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_grid_writers_match_per_element_repr():
@@ -395,7 +405,8 @@ def test_grid_writers_match_per_element_repr():
             for i in range(3)
             for j in range(5)
         ]
-        assert csv_body(grid_to_csv(grid, component, "probe", {})) == [f"x,z,{component}_E"] + rows
+        text = _csv("probe", {}, *_grid_table(grid, component)[:2])
+        assert csv_body(text) == [f"x,z,{component}_E"] + rows
     doc = {
         "command": "probe",
         "meta": {},
@@ -404,7 +415,8 @@ def test_grid_writers_match_per_element_repr():
         "re": [[float(v) for v in row] for row in amps.real],
         "im": [[float(v) for v in row] for row in amps.imag],
     }
-    assert grid_to_json(grid, "probe", {}) == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    text = _json("probe", {}, **_grid_table(grid, "re")[2])
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def header(command, meta):

@@ -35,12 +35,30 @@ def test_lineshape_zero_width_is_delta_like():
     line = FbwLine(center_E0=1.0, width_Gamma=0.0)
     assert lineshape(line, 1.0) == 1.0
     assert lineshape(line, 1.0 + 1e-12) == 0.0
+    # (Gamma/2)^2 underflows: the same limit, not 0/0
+    line = FbwLine(center_E0=1.0, width_Gamma=1e-200)
+    assert lineshape(line, 1.0) == 1.0
+    assert lineshape(line, 1.0 + 1e-12) == 0.0
+    es = np.array([0.0, 1.0 - 1e-12, 1.0, 2.0])
+    assert lineshape(line, es).tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_fourier_coefficient_center_value():
     line = FbwLine(center_E0=0.7, width_Gamma=0.1)
     c = fourier_coefficient(line, 0.7)
     assert c == pytest.approx(-1j, abs=1e-15)
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-320])
+def test_fourier_coefficient_zero_width_limit(width):
+    line = FbwLine(center_E0=0.5, width_Gamma=width)
+    es = np.array([0.0, 0.5, 1.0])
+    c = fourier_coefficient(line, es)
+    assert c.tolist() == [0j, complex(0.0, -1.0), 0j]
+    assert not np.signbit(c.real).any()
+    assert np.array_equal(np.abs(c) ** 2, lineshape(line, es))
+    assert fourier_coefficient(line, 0.5) == -1j
+    assert abs(fourier_coefficient(line, 0.5)) ** 2 == lineshape(line, 0.5)
 
 
 def test_fourier_coefficient_matches_lineshape():
@@ -88,6 +106,10 @@ def test_survival_probability_strictly_decreasing():
 def test_survival_rejects_negative_time():
     with pytest.raises(ValueError, match="t >= 0"):
         survival_amplitude(FbwLine(0.0, 1.0), -1e-9)
+    for center in (0.0, 0.5):
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite t >= 0"):
+                survival_amplitude(FbwLine(center, 1.0), t)
 
 
 def test_lifetime_values():
