@@ -16,9 +16,13 @@ exponential, so the node beyond the grid is taken as eta * (edge node), with
 the ratio eta = E_edge / E_inner read from the current column.  eta is
 clamped to an outgoing or evanescent wave (Im eta >= 0), which makes every
 step a contraction in sum n|E|^2 dx; a field that stays clear of both edges
-keeps its norm.  The boundary changes every step, so each step is one
-tridiagonal solve (LAPACK zgtsv).  Used as an initial-value cross-check on
-the modal decay rates: a leaky mode's core power falls as exp(-Gamma z).
+keeps its norm.  The boundary only touches the two corners of the matrix,
+so the Dirichlet matrix A = N + i dz/2 S is LU-factored once (LAPACK
+zgttrf) and each step is one factored solve (zgttrs) plus a rank-2
+Sherman-Morrison-Woodbury update for the two corners, a 2 x 2 solve
+against the precomputed columns A^{-1} e_0 and A^{-1} e_{-1}.  Used as an
+initial-value cross-check on the modal decay rates: a leaky mode's core
+power falls as exp(-Gamma z).
 
 scipy is imported when the first Propagator is built, not with this module,
 so ``import leakyslab`` does not load ``scipy.linalg``.
@@ -122,13 +126,15 @@ class Propagator:
     """
 
     def __init__(self, cfg: BpmConfig):
-        from scipy.linalg.lapack import zgtsv
+        from scipy.linalg.lapack import zgttrf, zgttrs
 
         self.cfg = cfg
         X = cfg.transverse_halfwidth_X
         self.x = np.linspace(-X, X, cfg.nx)
         self.dx = self.x[1] - self.x[0]
         n = np.asarray(cfg.n_profile(self.x), dtype=float)
+        if n.shape != self.x.shape or not np.all(np.isfinite(n) & (n > 0)):
+            raise ValueError(f"n_profile must give {cfg.nx} finite samples > 0, got shape {n.shape}")
         self.n = n
         self.n0 = n0 = float(np.max(n))
         # S = N (H + n0) on Dirichlet edges: real symmetric tridiagonal
@@ -136,16 +142,30 @@ class Propagator:
         self._s_off = -0.5 / (self.dx * self.dx) * np.ones(cfg.nx - 1)
         theta = 0.5j * cfg.dz
         off = theta * self._s_off
-        self._lhs = (off, n + theta * self._s_main)
         self._rhs = (-off, n - theta * self._s_main)
         # i dz/2 times the ghost node's coupling -1/(2 dx^2), times eta at each edge
         self._corner = theta * self._s_off[0]
-        self._gtsv = zgtsv
+        *lu, info = zgttrf(off, n + theta * self._s_main, off)
+        if info:
+            raise ValueError(f"Crank-Nicolson matrix is singular (zgttrf info={info})")
+        self._lu = lu
+        self._gttrs = zgttrs
+        # G = A^{-1} [e_0, e_-1]; each column underflows to exact zeros away
+        # from its edge, so the corner update only touches its nonzero reach
+        ends = np.zeros((cfg.nx, 2), dtype=complex)
+        ends[0, 0] = ends[-1, 1] = 1.0
+        g, _ = zgttrs(*lu, ends)
+        self._lo_reach = slice(0, int(np.flatnonzero(g[:, 0])[-1]) + 1)
+        self._hi_reach = slice(int(np.flatnonzero(g[:, 1])[0]), cfg.nx)
+        self._g_lo = g[self._lo_reach, 0].copy()
+        self._g_hi = g[self._hi_reach, 1].copy()
+        self._g_corners = tuple(complex(v) for v in (g[0, 0], g[0, 1], g[-1, 0], g[-1, 1]))
         self.core = _window(self.x, cfg.core_halfwidth)
 
     def norm(self, column: np.ndarray, where: slice = slice(None)) -> float:
         """Weighted power sum n|E|^2 dx (the step's invariant), optionally over a slice."""
-        return float(np.sum(self.n[where] * np.abs(column[where]) ** 2) * self.dx)
+        c = column[where]
+        return float(np.vdot(c, self.n[where] * c).real * self.dx)
 
     def march(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
         """Yield the column after each of nsteps dz steps.
@@ -158,8 +178,8 @@ class Propagator:
         column = np.asarray(column, dtype=complex)
         if column.shape != self.x.shape:
             raise ValueError(f"column length {column.shape} does not match nx={self.cfg.nx}")
-        off_l, main_l = self._lhs
         off_r, main_r = self._rhs
+        g00, g01, g10, g11 = self._g_corners
         before = self.norm(column)
         for _ in range(nsteps):
             lo = self._corner * _ghost_ratio(column[0], column[1])
@@ -169,12 +189,16 @@ class Propagator:
             rhs[1:] += off_r * column[:-1]
             rhs[0] -= lo * column[0]
             rhs[-1] -= hi * column[-1]
-            diag = main_l.copy()
-            diag[0] += lo
-            diag[-1] += hi
-            *_, out, info = self._gtsv(off_l, diag, off_l, rhs, overwrite_d=1, overwrite_b=1)
-            if info:
-                raise ValueError(f"Crank-Nicolson matrix is singular (zgtsv info={info})")
+            out, _ = self._gttrs(*self._lu, rhs, overwrite_b=1)
+            # (A + lo e_0 e_0^T + hi e_-1 e_-1^T)^{-1} by Sherman-Morrison-Woodbury:
+            # out -= G M^{-1} diag(lo, hi) [out_0, out_-1], M = I + diag(lo, hi) G_corners
+            m00, m01, m10, m11 = 1.0 + lo * g00, lo * g01, hi * g10, 1.0 + hi * g11
+            det = m00 * m11 - m01 * m10
+            if det == 0:
+                raise ValueError("Crank-Nicolson matrix is singular (corner update)")
+            r0, r1 = lo * complex(out[0]), hi * complex(out[-1])
+            out[self._lo_reach] -= (m11 * r0 - m01 * r1) / det * self._g_lo
+            out[self._hi_reach] -= (m00 * r1 - m10 * r0) / det * self._g_hi
             after = self.norm(out)
             if not after <= 1.01 * before:
                 raise UnstableStepError(f"norm went from {before:.6g} to {after:.6g} in one step")

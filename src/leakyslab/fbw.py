@@ -43,7 +43,10 @@ def _omega(de, hw: float):
     if hw == 0.0:
         return 1.0 * (de == 0.0)
     hw2 = hw * hw
-    return hw2 / (de ** 2 + hw2)
+    try:
+        return hw2 / (de ** 2 + hw2)
+    except OverflowError:  # a Python float dE whose square overflows: the limit 0
+        return 0.0
 
 
 def lineshape(line: FbwLine, E):
@@ -54,7 +57,9 @@ def lineshape(line: FbwLine, E):
     Accepts scalars or arrays.
     """
     e = np.asarray(E, dtype=float)
-    out = _omega(e - line.center_E0, _half_width(line.width_Gamma))
+    # numpy squares an overflowing dE to inf, and omega takes its limit 0
+    with np.errstate(over="ignore"):
+        out = _omega(e - line.center_E0, _half_width(line.width_Gamma))
     return float(out) if np.isscalar(E) else out
 
 

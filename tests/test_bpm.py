@@ -234,6 +234,18 @@ def test_config_validation(slab30):
         BpmConfig.for_slab(slab30, dz=math.nan)
     with pytest.raises(ValueError, match="transverse_halfwidth_X"):
         BpmConfig.for_slab(slab30, transverse_halfwidth_X=math.inf)
+    # the index samples are checked when the Propagator factors its matrix
+    a = slab30.half_width_A
+    for profile in (
+        lambda x: np.where(np.abs(x) <= a, np.nan, 1.0),
+        lambda x: np.full_like(x, -1.0),
+        lambda x: np.where(np.abs(x) <= a, 0.0, 1.0),
+        lambda x: 1.5,
+        lambda x: np.ones(x.size - 1),
+    ):
+        cfg = BpmConfig(4.0 * a, 2049, 0.05, n_profile=profile, core_halfwidth=a)
+        with pytest.raises(ValueError, match="n_profile"):
+            Propagator(cfg)
 
 
 def test_guided_projection_removes_trapped_floor(slab30, refined_modes, cfg30):
@@ -316,10 +328,27 @@ def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
         for _ in range(250):
             ref = solve_banded((1, 1), *crank_nicolson_band(cfg30, col))
             col = prop.step(col)
-            # zgtsv and solve_banded round differently: ~1e-16 of the peak
+            # the factored solve with its corner update and solve_banded
+            # round differently: ~1e-16 of the peak
             assert np.max(np.abs(col - ref)) <= 1e-15 * np.max(np.abs(ref))
     # the precomputed core slice sums what the boolean mask selects
-    dens = prop.n * np.abs(col) ** 2
     core = np.abs(prop.x) <= cfg30.core_halfwidth
-    assert prop.core_power(col) == float(np.sum(dens[core]) * prop.dx)
-    assert prop.norm(col) == float(np.sum(dens) * prop.dx)
+    assert np.array_equal(np.flatnonzero(core), np.arange(cfg30.nx)[prop.core])
+    assert prop.core_power(col) == float(np.vdot(col[core], prop.n[core] * col[core]).real * prop.dx)
+    assert prop.norm(col) == float(np.vdot(col, prop.n * col).real * prop.dx)
+
+
+def test_coupled_corners_match_banded_solve():
+    # on a short grid with a long step A^{-1} e_0 reaches the far edge, so
+    # the corner update couples both edges (on the default grid it does not)
+    cfg = BpmConfig.for_slab(SlabConfig(1.0, 1.5), nx=513, dz=10.0)
+    ab, _ = crank_nicolson_band(cfg, np.zeros(cfg.nx, dtype=complex))
+    reach = solve_banded((1, 1), ab, np.eye(cfg.nx, 1, dtype=complex)[:, 0])
+    assert abs(reach[-1]) > 1e-8 * abs(reach[0])
+    prop = Propagator(cfg)
+    for x0, kx in ((2.5, 5.0), (-2.5, -5.0)):
+        col = packet(prop, x0, kx, var=0.05)
+        for _ in range(100):
+            ref = solve_banded((1, 1), *crank_nicolson_band(cfg, col))
+            col = prop.step(col)
+            assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(ref))

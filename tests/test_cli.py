@@ -134,6 +134,14 @@ def test_fbw_center_value(capsys):
     assert float(center[3]) == -1.0
 
 
+def test_fbw_far_grid_writes_the_zero_limit(capsys):
+    # (E - E0)^2 overflows at both ends: omega is 0 there, with no warning
+    code, out, err = run(["fbw", "--e0", "0", "--gamma", "1", "--grid=-1e200:1e200:3"], capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert [float(row[1]) for row in rows] == [0.0, 1.0, 0.0]
+
+
 def test_shift_width_sweep_goes_negative(capsys):
     code, out, _ = run(
         ["shift", "--k0a", "30", "--u0", "1.5", "--eps-fixed", "-0.995",

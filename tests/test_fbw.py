@@ -5,6 +5,7 @@ import pytest
 
 from leakyslab import (
     FbwLine,
+    fbw_superposition,
     fourier_coefficient,
     lifetime,
     lineshape,
@@ -23,6 +24,16 @@ def test_lineshape_tails_vanish():
     line = FbwLine(center_E0=0.0, width_Gamma=1.0)
     assert lineshape(line, 1e8) < 1e-15
     assert lineshape(line, -1e8) < 1e-15
+
+
+def test_lineshape_far_tail_is_zero_not_overflow():
+    # (E - E0)^2 overflows: the limit 0, without an OverflowError or a
+    # numpy overflow warning (a RuntimeWarning fails the test)
+    line = FbwLine(center_E0=0.0, width_Gamma=1.0)
+    assert lineshape(line, 1e200) == 0.0
+    assert np.array_equal(lineshape(line, np.array([-1e200, 0.0, 1e200])), [0.0, 1.0, 0.0])
+    assert fbw_superposition(1e200, [(0.0, 1.0)]) == 0.0
+    assert fbw_superposition(-1e200, [(0.0, 1.0), (1.0, 0.5)]) == 0.0
 
 
 def test_lineshape_symmetry_exact():
