@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -48,27 +48,24 @@ _TAPER_OUTER = 3.0
 
 @dataclass(frozen=True)
 class BpmConfig:
-    """Grid and medium description for one propagation setup.
+    """The slab a propagation cross-checks, and the grid it is marched on.
 
-    The transverse domain is [-X, X] with nx points; n_profile maps x to the
-    refractive index (it sets both the kinetic term 1/(2 n) and the
-    potential -n); core_halfwidth bounds the power-monitor window (the slab
-    half width).  The index should be uniform near both edges, where the
-    transparent boundary assumes a single exponential.
+    The transverse domain is [-X, X] with nx points and X >= 4A, so both
+    edges lie in the uniform cladding, as the transparent boundary needs.
+    The slab's half width A also bounds the power-monitor window.
     """
 
+    slab: SlabConfig
     transverse_halfwidth_X: float
     nx: int
     dz: float
-    n_profile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    core_halfwidth: float
 
     def __post_init__(self):
         if self.dz <= 0:
             raise ValueError(f"dz must be > 0, got {self.dz}")
         if self.nx < 513:
             raise ValueError(f"nx must be >= 513, got {self.nx}")
-        if self.transverse_halfwidth_X < 4.0 * self.core_halfwidth:
+        if self.transverse_halfwidth_X < 4.0 * self.slab.half_width_A:
             raise ValueError("transverse_halfwidth_X must be at least 4x the core half width")
         for name in ("transverse_halfwidth_X", "dz"):
             if not math.isfinite(getattr(self, name)):
@@ -84,19 +81,7 @@ class BpmConfig:
     ) -> "BpmConfig":
         """Defaults: X = 4A, nx = 2049, dz = 0.05."""
         X = 4.0 * slab.half_width_A if transverse_halfwidth_X is None else transverse_halfwidth_X
-        a = slab.half_width_A
-        u0 = slab.core_index_U0
-
-        def profile(x: np.ndarray) -> np.ndarray:
-            return np.where(np.abs(x) <= a, u0, 1.0)
-
-        return cls(
-            transverse_halfwidth_X=X,
-            nx=nx,
-            dz=dz,
-            n_profile=profile,
-            core_halfwidth=a,
-        )
+        return cls(slab, X, nx, dz)
 
 
 def _ghost_ratio(edge: complex, inner: complex) -> complex:
@@ -121,8 +106,9 @@ def _window(x: np.ndarray, half: float) -> slice:
 class Propagator:
     """Crank-Nicolson stepper for one BpmConfig.
 
+    The index is sampled at the nodes: U0 where |x| <= A, 1 elsewhere.
     Building the first Propagator imports scipy's LAPACK wrappers.
-    ``core`` (|x| <= core_halfwidth) is a contiguous slice of the grid.
+    ``core`` (|x| <= A) is a contiguous slice of the grid.
     """
 
     def __init__(self, cfg: BpmConfig):
@@ -132,10 +118,8 @@ class Propagator:
         X = cfg.transverse_halfwidth_X
         self.x = np.linspace(-X, X, cfg.nx)
         self.dx = self.x[1] - self.x[0]
-        n = np.asarray(cfg.n_profile(self.x), dtype=float)
-        if n.shape != self.x.shape or not np.all(np.isfinite(n) & (n > 0)):
-            raise ValueError(f"n_profile must give {cfg.nx} finite samples > 0, got shape {n.shape}")
-        self.n = n
+        a = cfg.slab.half_width_A
+        self.n = n = np.where(np.abs(self.x) <= a, cfg.slab.core_index_U0, 1.0)
         self.n0 = n0 = float(np.max(n))
         # S = N (H + n0) on Dirichlet edges: real symmetric tridiagonal
         self._s_main = 1.0 / (self.dx * self.dx) - n * n + n0 * n
@@ -160,7 +144,7 @@ class Propagator:
         self._g_lo = g[self._lo_reach, 0].copy()
         self._g_hi = g[self._hi_reach, 1].copy()
         self._g_corners = tuple(complex(v) for v in (g[0, 0], g[0, 1], g[-1, 0], g[-1, 1]))
-        self.core = _window(self.x, cfg.core_halfwidth)
+        self.core = _window(self.x, a)
 
     def norm(self, column: np.ndarray, where: slice = slice(None)) -> float:
         """Weighted power sum n|E|^2 dx (the step's invariant), optionally over a slice."""
@@ -210,7 +194,7 @@ class Propagator:
         return next(self.march(column, 1))
 
     def core_power(self, column: np.ndarray) -> float:
-        """Weighted power sum n|E|^2 dx over the core |x| <= core_halfwidth."""
+        """Weighted power sum n|E|^2 dx over the core |x| <= A."""
         return self.norm(column, self.core)
 
     def guided_basis(self) -> np.ndarray:
@@ -252,7 +236,7 @@ def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     amplitude normalized to 1.
     """
     x = np.linspace(-cfg.transverse_halfwidth_X, cfg.transverse_halfwidth_X, cfg.nx)
-    a = cfg.core_halfwidth
+    a = cfg.slab.half_width_A
     column = mode.evaluate(x)
     r = (np.abs(x) - _TAPER_INNER * a) / ((_TAPER_OUTER - _TAPER_INNER) * a)
     window = np.where(r <= 0, 1.0, np.where(r >= 1, 0.0, np.cos(0.5 * np.pi * np.clip(r, 0, 1)) ** 2))
@@ -260,13 +244,8 @@ def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     return column / np.max(np.abs(column))
 
 
-def measure_decay(
-    cfg: BpmConfig,
-    init: np.ndarray,
-    z_max: float,
-    remove_guided: bool = True,
-) -> float:
-    """Propagate to z_max and fit the core-power decay rate.
+def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:
+    """Propagate to z_max, guided admixture removed, and fit the core-power decay rate.
 
     log P(z) is fit by least squares over [0.2*z_max, 0.8*z_max] (the early
     window skips the start-up transient).  Raises NonExponentialDecayError
@@ -275,9 +254,7 @@ def measure_decay(
     if not math.isfinite(z_max):
         raise ValueError(f"z_max must be finite, got {z_max}")
     prop = Propagator(cfg)
-    column = np.asarray(init, dtype=complex)
-    if remove_guided:
-        column = prop.remove_guided(column)
+    column = prop.remove_guided(init)
     nsteps = int(round(z_max / cfg.dz))
     if nsteps < 10:
         raise ValueError("z_max spans fewer than 10 steps")

@@ -87,16 +87,18 @@ def fbw_superposition(eps_R: float, resonances: Sequence[tuple[float, float]]) -
     if not resonances:
         raise ValueError("at least one resonance term is required")
     total, previous = 0.0, -math.inf
-    # scalar terms: an FbwLine or a numpy array per term costs more than the sum
-    for e_n, gamma_n in resonances:
-        if not (math.isfinite(e_n) and 0.0 <= gamma_n < math.inf):
-            raise ValueError(
-                f"need a finite E_n and a finite Gamma_n >= 0, got ({e_n}, {gamma_n})"
-            )
-        if e_n <= previous:
-            raise ValueError("resonance list must be sorted by increasing E_n")
-        previous = e_n
-        total += _omega(eps_R - e_n, _half_width(gamma_n))
+    # scalar terms: an FbwLine or a numpy array per term costs more than the sum;
+    # a numpy-scalar eps_R squares an overflowing dE to inf, and omega takes its limit 0
+    with np.errstate(over="ignore"):
+        for e_n, gamma_n in resonances:
+            if not (math.isfinite(e_n) and 0.0 <= gamma_n < math.inf):
+                raise ValueError(
+                    f"need a finite E_n and a finite Gamma_n >= 0, got ({e_n}, {gamma_n})"
+                )
+            if e_n <= previous:
+                raise ValueError("resonance list must be sorted by increasing E_n")
+            previous = e_n
+            total += _omega(eps_R - e_n, _half_width(gamma_n))
     return total
 
 

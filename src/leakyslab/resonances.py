@@ -69,10 +69,6 @@ def mode_index_range(cfg: SlabConfig) -> range:
     hi = math.sqrt(2.0) * U0 * 2.0 * A / math.pi
     m_min = math.floor(lo) + 1          # smallest integer strictly above lo
     m_max = math.ceil(hi) - 1           # largest integer strictly below hi
-    if m_min < 1:
-        m_min = 1
-    if m_max < m_min:
-        return range(m_min, m_min)
     return range(m_min, m_max + 1)
 
 
@@ -221,10 +217,15 @@ def count_leaky_modes(
 
     The condition is analytic for Re(eps) > -1, so the winding number of
     f along the (counterclockwise) rectangle boundary counts the enclosed
-    leaky modes exactly.  Limits must avoid the branch point eps = -1.
+    leaky modes exactly.  Limits must be strictly increasing and avoid the
+    branch point eps = -1.
     """
     el, er = eps_R_limits
     ib, it = eps_I_limits
+    if not (el < er and ib < it):
+        raise ValueError(
+            f"limits must be strictly increasing, got {eps_R_limits} and {eps_I_limits}"
+        )
     if el <= -1.0:
         raise ValueError("left edge must stay right of the branch point eps = -1")
     corners = [

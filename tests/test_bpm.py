@@ -57,15 +57,10 @@ def paraxial_width(seed_eps: complex, cfg: SlabConfig) -> float:
 
 
 def test_free_space_gaussian_spreading(slab30, cfg30):
-    prop = Propagator(
-        BpmConfig(
-            transverse_halfwidth_X=cfg30.transverse_halfwidth_X,
-            nx=cfg30.nx,
-            dz=cfg30.dz,
-            n_profile=lambda x: np.full_like(x, slab30.core_index_U0),
-            core_halfwidth=slab30.half_width_A,
-        )
-    )
+    # a w0 = 5 beam stays inside the uniform core of the A = 30 slab over
+    # z = 5 (its tail at the interface is ~1e-8), so it spreads as in a
+    # homogeneous medium of index U0
+    prop = Propagator(cfg30)
     w0 = 5.0
     col = np.exp(-prop.x**2 / (2 * w0**2)).astype(complex)
     for _ in range(100):
@@ -132,8 +127,11 @@ def test_guided_mode_does_not_decay(slab30, cfg30):
         np.cos(q * prop.x),
         math.cos(q * a) * np.exp(-kappa * (np.abs(prop.x) - a)),
     ).astype(complex)
-    rate = measure_decay(cfg30, col, 120.0, remove_guided=False)
-    assert abs(rate) < 1e-4
+    z = 120.0
+    p0 = prop.core_power(col)
+    for col in prop.march(col, int(round(z / cfg30.dz))):
+        pass
+    assert abs(math.log(prop.core_power(col) / p0)) / z < 1e-4
 
 
 def test_leaky_rate_matches_marched_operator(slab30, refined_modes, cfg30):
@@ -234,18 +232,6 @@ def test_config_validation(slab30):
         BpmConfig.for_slab(slab30, dz=math.nan)
     with pytest.raises(ValueError, match="transverse_halfwidth_X"):
         BpmConfig.for_slab(slab30, transverse_halfwidth_X=math.inf)
-    # the index samples are checked when the Propagator factors its matrix
-    a = slab30.half_width_A
-    for profile in (
-        lambda x: np.where(np.abs(x) <= a, np.nan, 1.0),
-        lambda x: np.full_like(x, -1.0),
-        lambda x: np.where(np.abs(x) <= a, 0.0, 1.0),
-        lambda x: 1.5,
-        lambda x: np.ones(x.size - 1),
-    ):
-        cfg = BpmConfig(4.0 * a, 2049, 0.05, n_profile=profile, core_halfwidth=a)
-        with pytest.raises(ValueError, match="n_profile"):
-            Propagator(cfg)
 
 
 def test_guided_projection_removes_trapped_floor(slab30, refined_modes, cfg30):
@@ -257,10 +243,9 @@ def test_guided_projection_removes_trapped_floor(slab30, refined_modes, cfg30):
     cleaned = prop.remove_guided(col)
     # the guided modes are orthonormal in the n-weighted inner product
     basis = prop.guided_basis()
-    n = cfg30.n_profile(prop.x)
-    overlap = np.max(np.abs(basis.T @ (n * cleaned)))
+    overlap = np.max(np.abs(basis.T @ (prop.n * cleaned)))
     assert overlap < 1e-12
-    assert np.max(np.abs(basis.T @ (n * col))) > 1e-6
+    assert np.max(np.abs(basis.T @ (prop.n * col))) > 1e-6
 
 
 def test_import_path_does_not_load_scipy_linalg():
@@ -286,13 +271,14 @@ def crank_nicolson_band(cfg: BpmConfig, col: np.ndarray):
     """Oracle: the n-weighted Crank-Nicolson band (N + i dz/2 S) and right-hand
     side (N - i dz/2 S) col, built from the config and the current column.
 
-    S = N (H + n0), with Hadley's transparent boundary at both edges: the
+    The index is the slab's, sampled at the nodes: U0 where |x| <= A, 1
+    elsewhere.  S = N (H + n0), with Hadley's transparent boundary at both edges: the
     ghost node beyond each edge is eta * (edge node), eta = edge / inner,
     |eta| where Im eta < 0, and 0 where eta is zero or not finite.
     """
     x = np.linspace(-cfg.transverse_halfwidth_X, cfg.transverse_halfwidth_X, cfg.nx)
     dx = x[1] - x[0]
-    n = np.asarray(cfg.n_profile(x), dtype=float)
+    n = np.where(np.abs(x) <= cfg.slab.half_width_A, cfg.slab.core_index_U0, 1.0)
     off = -0.5 / (dx * dx)
     main = (1.0 / (dx * dx) - n * n + n.max() * n).astype(complex)
     for edge, inner in ((0, 1), (-1, -2)):
@@ -332,7 +318,7 @@ def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
             # round differently: ~1e-16 of the peak
             assert np.max(np.abs(col - ref)) <= 1e-15 * np.max(np.abs(ref))
     # the precomputed core slice sums what the boolean mask selects
-    core = np.abs(prop.x) <= cfg30.core_halfwidth
+    core = np.abs(prop.x) <= cfg30.slab.half_width_A
     assert np.array_equal(np.flatnonzero(core), np.arange(cfg30.nx)[prop.core])
     assert prop.core_power(col) == float(np.vdot(col[core], prop.n[core] * col[core]).real * prop.dx)
     assert prop.norm(col) == float(np.vdot(col, prop.n * col).real * prop.dx)

@@ -34,6 +34,8 @@ def test_lineshape_far_tail_is_zero_not_overflow():
     assert np.array_equal(lineshape(line, np.array([-1e200, 0.0, 1e200])), [0.0, 1.0, 0.0])
     assert fbw_superposition(1e200, [(0.0, 1.0)]) == 0.0
     assert fbw_superposition(-1e200, [(0.0, 1.0), (1.0, 0.5)]) == 0.0
+    # a numpy scalar squares to inf with a warning where a float raises
+    assert fbw_superposition(np.float64(1e200), [(0.0, 1.0)]) == 0.0
 
 
 def test_lineshape_symmetry_exact():

@@ -156,3 +156,12 @@ def test_resonance_type_invariants(slab30):
 def test_count_rejects_branch_point_contour(slab30):
     with pytest.raises(ValueError, match="branch point"):
         count_leaky_modes(slab30, eps_R_limits=(-1.0, -0.5))
+    # a reversed or empty box is refused, not counted with the wrong sign
+    for limits in (
+        {"eps_R_limits": (-0.001, -0.999)},
+        {"eps_I_limits": (0.05, -0.15)},
+        {"eps_R_limits": (-0.5, -0.5)},
+        {"eps_I_limits": (0.0, 0.0)},
+    ):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            count_leaky_modes(slab30, **limits)
