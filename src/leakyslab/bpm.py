@@ -106,7 +106,11 @@ def _window(x: np.ndarray, half: float) -> slice:
 class Propagator:
     """Crank-Nicolson stepper for one BpmConfig.
 
-    The index is sampled at the nodes: U0 where |x| <= A, 1 elsewhere.
+    Each node carries the mean index of its cell [x - dx/2, x + dx/2]: a
+    cell holding a fraction f of core has mean n = 1 + f (U0 - 1) and mean
+    n^2 = 1 + f (U0^2 - 1), which makes the operator second order in dx at
+    the slab edges (Hadley, J. Lightwave Technol. 20, 1210, 2002).  N is
+    diag(mean n) and the potential term of S takes the mean n^2.
     Building the first Propagator imports scipy's LAPACK wrappers.
     ``core`` (|x| <= A) is a contiguous slice of the grid.
     """
@@ -118,11 +122,15 @@ class Propagator:
         X = cfg.transverse_halfwidth_X
         self.x = np.linspace(-X, X, cfg.nx)
         self.dx = self.x[1] - self.x[0]
-        a = cfg.slab.half_width_A
-        self.n = n = np.where(np.abs(self.x) <= a, cfg.slab.core_index_U0, 1.0)
+        a, u0 = cfg.slab.half_width_A, cfg.slab.core_index_U0
+        # core length of each cell: its part left of +A minus its part left of -A
+        f = np.clip((a - self.x) / self.dx + 0.5, 0.0, 1.0) - np.clip(
+            (-a - self.x) / self.dx + 0.5, 0.0, 1.0
+        )
+        self.n = n = 1.0 + f * (u0 - 1.0)
         self.n0 = n0 = float(np.max(n))
         # S = N (H + n0) on Dirichlet edges: real symmetric tridiagonal
-        self._s_main = 1.0 / (self.dx * self.dx) - n * n + n0 * n
+        self._s_main = 1.0 / (self.dx * self.dx) - (1.0 + f * (u0 * u0 - 1.0)) + n0 * n
         self._s_off = -0.5 / (self.dx * self.dx) * np.ones(cfg.nx - 1)
         theta = 0.5j * cfg.dz
         off = theta * self._s_off

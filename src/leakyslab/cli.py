@@ -262,6 +262,11 @@ def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, dict]:
 
 
 def cmd_propagate(args) -> int:
+    given = [v for v in (args.m, args.packet, args.init_field) if v is not None]
+    if len(given) != 1:
+        raise ValueError(
+            f"choose one initial condition of --m, --packet and --init-field, got {len(given)}"
+        )
     slab, cfg, meta = _bpm_setup(args)
     prop = Propagator(cfg)
     if args.init_field is not None:
@@ -279,7 +284,7 @@ def cmd_propagate(args) -> int:
         column = tapered_mode_column(mode_profile(res, slab), cfg)
         meta["init"] = f"mode-{args.m}"
         meta["m"] = args.m
-    elif args.packet is not None:
+    else:
         x0, width, kx = (float(v) for v in args.packet.split(":"))
         if not (math.isfinite(x0) and math.isfinite(kx) and 0 < width < math.inf):
             raise ValueError(f"packet needs finite x0, kx and width > 0, got {args.packet!r}")
@@ -288,8 +293,6 @@ def cmd_propagate(args) -> int:
         )
         meta["init"] = "packet"
         meta["packet"] = args.packet
-    else:
-        raise ValueError("choose an initial condition: --m, --packet or --init-field")
 
     nsteps = int(round(args.z_max / cfg.dz))
     every = max(1, nsteps // max(1, args.snapshots - 1))

@@ -119,16 +119,19 @@ def eigenvalue_to_wavenumbers(eps: ComplexEigenvalue, cfg: SlabConfig) -> Wavenu
 def _dispersion(K, cfg: SlabConfig):
     """Interior wavenumber Q and outgoing condition f at exterior wavenumber K.
 
-    A Python complex K (a Newton iterate) is evaluated with cmath, and f is
-    None where K = 0 or Q = 0.  Any other K, scalar or array, is evaluated
-    elementwise with numpy; a real K on the radiation band gives a real Q.
+    A Python complex K (a Newton iterate) is evaluated with cmath: f is None
+    at the pole K = 0, and takes its limit 1 - i*A*K at the removable point
+    Q = 0.  Any other K, scalar or array, is evaluated elementwise with
+    numpy; a real K on the radiation band gives a real Q.
     """
     lib = cmath if isinstance(K, complex) else np
     U0 = cfg.core_index_U0
     A = cfg.half_width_A
     Q = lib.sqrt(U0 * (K * K + 2.0 * (U0 - 1.0)))
-    if lib is cmath and (K == 0 or Q == 0):
+    if lib is cmath and K == 0:
         return Q, None
+    if lib is cmath and Q == 0:
+        return Q, 1.0 - 1j * A * K
     return Q, lib.cos(2 * Q * A) - 0.5j * (K / Q + Q / K) * lib.sin(2 * Q * A)
 
 

@@ -91,14 +91,10 @@ def mode_profile(res: Resonance, cfg: SlabConfig) -> ModeField:
     Construction: set D_III = 1, obtain B, C from the right interface and
     A_I from left-interface continuity; the leftover derivative mismatch at
     x = -A is the matching residual and vanishes with the quantization
-    condition.  Raises ValueError for unrefined seeds or unconverged roots.
+    condition.  Raises ValueError for an unrefined seed or a failed matching.
     """
     if res.method != REFINED:
         raise ValueError("mode_profile requires a refined resonance")
-    if res.residual > 1e-8:
-        raise ValueError(
-            f"quantization residual {res.residual:.3e} too large; root not converged"
-        )
     A = cfg.half_width_A
     K = res.wavenumbers.K
     Q = res.wavenumbers.Q

@@ -35,7 +35,12 @@ _DERIVATIVE_STEP = 1e-6
 # Newton stops once |f| <= _NEWTON_TOL, or fails after _NEWTON_MAX_ITER steps
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
-# initial samples per rectangle edge of the argument-principle count
+# largest |f| a refined resonance may carry
+_REFINED_RESIDUAL = 1e-10
+# the counted box -0.999 < eps_R < -0.001, -0.15 < eps_I < 0.05, counterclockwise;
+# it lies right of the branch point eps = -1
+_COUNT_BOX = (-0.999 - 0.15j, -0.001 - 0.15j, -0.001 + 0.05j, -0.999 + 0.05j)
+# initial samples per edge of the argument-principle count
 _SAMPLES_PER_EDGE = 2048
 
 
@@ -52,9 +57,10 @@ class Resonance:
     def __post_init__(self):
         if self.method not in (APPROXIMATE, REFINED):
             raise ValueError(f"method must be approximate|refined, got {self.method}")
-        if self.method == REFINED and self.residual > 1e-10:
+        if self.method == REFINED and self.residual > _REFINED_RESIDUAL:
             raise ValueError(
-                f"refined resonance must have residual <= 1e-10, got {self.residual}"
+                f"refined resonance must have residual <= {_REFINED_RESIDUAL}, "
+                f"got {self.residual}"
             )
 
 
@@ -106,7 +112,7 @@ def _condition_from_K(K: complex, cfg: SlabConfig) -> complex:
     """Quantization condition evaluated from the exterior wavenumber."""
     _, f = _dispersion(K, cfg)
     if f is None:
-        raise ValueError("K = 0 or Q = 0 is a pole of the outgoing condition")
+        raise ValueError("K = 0 is a pole of the outgoing condition")
     return f
 
 
@@ -114,7 +120,8 @@ def siegert_residual(eps: ComplexEigenvalue, cfg: SlabConfig) -> complex:
     """f(eps) = cos(2QA) - i*(K^2+Q^2)/(2KQ)*sin(2QA); zero on leaky modes.
 
     On the real axis |f| >= 1, so real eigenvalues are never roots.
-    Raises ValueError at the poles K = 0 and Q = 0.
+    At Q = 0 (eps = -U0) f takes its limit 1 - i*A*K; raises ValueError at
+    the pole K = 0 (eps = -1).
     """
     wn = eigenvalue_to_wavenumbers(eps, cfg)
     return _condition_from_K(wn.K, cfg)
@@ -141,7 +148,7 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
         step = val / dval
         K = K - step
         if abs(step) < 1e-14:
-            converged = abs(_condition_from_K(K, cfg)) <= 1e-10
+            converged = abs(_condition_from_K(K, cfg)) <= _REFINED_RESIDUAL
             break
     if not converged:
         raise ConvergenceError(
@@ -208,35 +215,14 @@ def _winding_on_segment(
     )
 
 
-def count_leaky_modes(
-    cfg: SlabConfig,
-    eps_R_limits: tuple[float, float] = (-0.999, -0.001),
-    eps_I_limits: tuple[float, float] = (-0.15, 0.05),
-) -> int:
-    """Argument-principle count of outgoing-condition roots in a rectangle.
+def count_leaky_modes(cfg: SlabConfig) -> int:
+    """Argument-principle count of the leaky modes in the box
+    -0.999 < eps_R < -0.001, -0.15 < eps_I < 0.05.
 
     The condition is analytic for Re(eps) > -1, so the winding number of
-    f along the (counterclockwise) rectangle boundary counts the enclosed
-    leaky modes exactly.  Limits must be strictly increasing and avoid the
-    branch point eps = -1.
+    f along the counterclockwise boundary counts the enclosed roots exactly.
     """
-    el, er = eps_R_limits
-    ib, it = eps_I_limits
-    if not (el < er and ib < it):
-        raise ValueError(
-            f"limits must be strictly increasing, got {eps_R_limits} and {eps_I_limits}"
-        )
-    if el <= -1.0:
-        raise ValueError("left edge must stay right of the branch point eps = -1")
-    corners = [
-        complex(el, ib),
-        complex(er, ib),
-        complex(er, it),
-        complex(el, it),
-    ]
     total = 0.0
-    for i in range(4):
-        total += _winding_on_segment(
-            corners[i], corners[(i + 1) % 4], cfg, _SAMPLES_PER_EDGE
-        )
+    for z0, z1 in zip(_COUNT_BOX, _COUNT_BOX[1:] + _COUNT_BOX[:1]):
+        total += _winding_on_segment(z0, z1, cfg, _SAMPLES_PER_EDGE)
     return round(total / (2.0 * np.pi))

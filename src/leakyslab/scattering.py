@@ -89,11 +89,6 @@ def _amplitudes(K, cfg: SlabConfig):
     return t, r, phi
 
 
-def _fold_half_pi(x):
-    """Reduce a phase (array or scalar) to its principal branch mod pi."""
-    return x - np.pi * np.round(x / np.pi)
-
-
 def _band_wavenumber(eps_R) -> np.ndarray:
     """K = sqrt(2*(eps_R + 1)); raises ValueError outside the radiation band (or on NaN)."""
     e = np.asarray(eps_R, dtype=float)
@@ -102,39 +97,40 @@ def _band_wavenumber(eps_R) -> np.ndarray:
     return np.sqrt(2.0 * (e + 1.0))
 
 
+def _sweep(eps_grid, cfg: SlabConfig):
+    """t, r and the continuous phase phi over a non-empty 1-D eps grid.
+
+    phi is shifted by a multiple of pi so that its first point carries its
+    principal value.
+    """
+    e = np.asarray(eps_grid, dtype=float)
+    K = _band_wavenumber(e)
+    if e.ndim != 1 or len(e) == 0:
+        raise ValueError("eps_grid must be a non-empty 1-D array")
+    t, r, phi = _amplitudes(K, cfg)
+    return t, r, phi - np.pi * np.round(phi[0] / np.pi)
+
+
 def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
     """r, t and the principal-branch transmission phase at one eps_R.
 
     Raises ValueError outside the radiation band (-1, 0).
     """
-    t, r, phi = _amplitudes(_band_wavenumber(eps_R), cfg)
-    return ScatteringAmplitudes(
-        r=complex(r), t=complex(t), phase_phi=float(_fold_half_pi(phi))
-    )
+    t, r, phi = _sweep([eps_R], cfg)
+    return ScatteringAmplitudes(r=complex(r[0]), t=complex(t[0]), phase_phi=float(phi[0]))
 
 
 def transmission_coefficient(eps_R: float, cfg: SlabConfig) -> float:
     """T = |t|^2 in (0, 1]."""
-    t, _, _ = _amplitudes(_band_wavenumber(eps_R), cfg)
-    return float(np.abs(t) ** 2)
-
-
-def _sweep(eps_grid, cfg: SlabConfig):
-    e = np.asarray(eps_grid, dtype=float)
-    K = _band_wavenumber(e)
-    if e.ndim != 1 or len(e) == 0:
-        raise ValueError("eps_grid must be a non-empty 1-D array")
-    t, _, phi = _amplitudes(K, cfg)
-    # shift the continuous branch by a multiple of pi so that its first
-    # point is the principal value
-    return e, t, phi - np.pi * np.round(phi[0] / np.pi)
+    t, _, _ = _sweep([eps_R], cfg)
+    return float((np.abs(t) ** 2)[0])
 
 
 def transmission_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     """T(eps) and the unwrapped phase phi(eps) over an increasing grid."""
-    e, t, phi = _sweep(eps_grid, cfg)
+    t, _, phi = _sweep(eps_grid, cfg)
     return Curve(
-        abscissa=e,
+        abscissa=eps_grid,
         values=np.column_stack([np.abs(t) ** 2, phi]),
         labels=("eps_R", "T", "phi"),
     )

@@ -229,12 +229,18 @@ def test_propagate_init_field_round_trip(tmp_path, capsys):
     assert first == second
 
 
-def test_propagate_requires_initial_condition(capsys):
-    code, _, err = run(
-        ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513"], capsys
-    )
-    assert code == 2
-    assert "initial condition" in err
+def test_propagate_requires_initial_condition(tmp_path, capsys):
+    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513"]
+    field = tmp_path / "field.json"
+    assert main(base + ["--m", "24", "--z-max", "0.1", "--save-field", str(field)]) == 0
+    capsys.readouterr()
+    m, packet, init = ["--m", "24"], ["--packet", "0:10:0.4"], ["--init-field", str(field)]
+    for given in ([], m + packet, m + init, packet + init, m + packet + init):
+        out_path = tmp_path / "curve.csv"
+        code, out, err = run(base + given + ["-o", str(out_path)], capsys)
+        assert code == 2, given
+        assert "initial condition" in err
+        assert out == "" and not out_path.exists()
 
 
 def test_propagate_packet_power_decays(tmp_path, capsys):

@@ -135,6 +135,13 @@ def test_transmission_maxima_align_with_half_wave_centers(slab30):
         assert abs(grid[i] - half_wave_center(m, slab30)) <= step
 
 
+def test_single_point_transmission_equals_the_sweep(slab30):
+    # a single-point call is a one-point sweep, so T agrees to the last bit
+    grid = np.linspace(-0.999, -0.001, 4096)
+    T = transmission_sweep(grid, slab30).values[:, 0]
+    assert [transmission_coefficient(float(e), slab30) for e in grid] == T.tolist()
+
+
 def test_phase_equals_closed_form_mod_pi(slab30):
     rng = np.random.default_rng(17)
     for eps in rng.uniform(-0.999, -0.001, 300):
