@@ -246,8 +246,8 @@ def cmd_mode_field(args) -> int:
 
 def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, dict]:
     """Slab, BPM config and the flags they record, shared by propagate and decay."""
-    if not math.isfinite(args.z_max):
-        raise ValueError(f"z_max must be finite, got {args.z_max}")
+    if not (math.isfinite(args.z_max) and args.z_max >= 0):
+        raise ValueError(f"z_max must be finite and >= 0, got {args.z_max}")
     slab = _slab_from(args)
     cfg = BpmConfig.for_slab(slab, transverse_halfwidth_X=args.X, nx=args.nx, dz=args.dz)
     meta = {
@@ -267,6 +267,8 @@ def cmd_propagate(args) -> int:
         raise ValueError(
             f"choose one initial condition of --m, --packet and --init-field, got {len(given)}"
         )
+    if args.snapshots < 2:
+        raise ValueError(f"snapshots must be >= 2, got {args.snapshots}")
     slab, cfg, meta = _bpm_setup(args)
     prop = Propagator(cfg)
     if args.init_field is not None:
@@ -423,3 +425,7 @@ def main(argv=None) -> int:
 
 def console() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console()

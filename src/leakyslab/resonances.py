@@ -134,7 +134,8 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
     K = 0, unlike eps near the band edge); the derivative is a central
     difference with a small complex-plane step.  The refined eigenvalue must
     stay within 5*Gamma_seed of the seed, otherwise RootJumpError signals a
-    collision with a neighbouring mode.
+    collision with a neighbouring mode.  The result keeps Newton's own K, with
+    Q and the residual |f| taken from the dispersion kernel at that K.
     """
     K = complex(seed.wavenumbers.K)
     h = _DERIVATIVE_STEP
@@ -165,11 +166,9 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
             f"refined root moved {abs(eps.value - seed.eigenvalue.value):.3e} "
             f"from seed m={seed.mode_index_m}, beyond trust region {trust:.3e}"
         )
-    residual = abs(_condition_from_K(K, cfg))
-    wn = eigenvalue_to_wavenumbers(eps, cfg)
-    return replace(
-        seed, eigenvalue=eps, wavenumbers=wn, residual=residual, method=REFINED
-    )
+    Q, f = _dispersion(K, cfg)
+    wn = Wavenumbers(K=K, Q=Q)
+    return replace(seed, eigenvalue=eps, wavenumbers=wn, residual=abs(f), method=REFINED)
 
 
 def refine_all(seeds: list[Resonance], cfg: SlabConfig) -> list[Resonance]:

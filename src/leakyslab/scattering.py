@@ -1,25 +1,25 @@
 """Real-energy scattering off the slab: r/t and the transmission phase.
 
-Amplitudes are closed forms in the outgoing condition f(K) of the core
-dispersion kernel: t = e^{-2iKA}/f and r = t*(i/2)(Q/K - K/Q)*sin(2QA).
-Flux conservation |r|^2 + |t|^2 = 1 follows from |f|^2 = 1 +
+t, r and the phase come from the real-axis evaluation of the core
+dispersion kernel, ``_real_axis``: t = e^{-2iKA}/f and
+r = t*(i/2)(Q/K - K/Q)*sin(2QA), with f(K) the outgoing condition.  Flux
+conservation |r|^2 + |t|^2 = 1 follows from |f|^2 = 1 +
 (1/4)(Q/K - K/Q)^2 sin^2(2QA).
 
 The transmission phase phi is the quantity entering the wave-packet
-integrands: phi = arg t + 2*K*A - pi/2.  Single-point calls return its
-principal value in (-pi/2, pi/2]; sweeps return the continuous branch,
-evaluated in closed form and shifted by a multiple of pi so that the first
-grid point carries its principal value.
+integrands: phi = arg t + 2*K*A - pi/2 = -arg f - pi/2.  Single-point calls
+return its principal value in (-pi/2, pi/2]; sweeps return the continuous
+branch, evaluated in closed form and shifted by a multiple of pi so that
+the first grid point carries its principal value.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SlabConfig, _dispersion
+from .core import SlabConfig, _real_axis
 
 
 @dataclass(frozen=True)
@@ -67,28 +67,6 @@ class Curve:
             )
 
 
-def _amplitudes(K, cfg: SlabConfig):
-    """t, r and the continuous transmission phase phi at real K > 0.
-
-    t = e^{-2iKA}/f and r = t * (i/2)(Q/K - K/Q) sin(2QA), with f from the
-    dispersion kernel.  Writing conj(f) = e^{2iQA} (1 + d s^2 + i d s c),
-    with s = sin 2QA, c = cos 2QA and d = g - 1 = (Q - K)^2/(2KQ) >= 0, gives
-
-        phi = -arg f - pi/2 = 2QA - pi/2 + arctan(d s c / (1 + d s^2)),
-
-    continuous in K because the arctan denominator is at least 1.
-    """
-    A = cfg.half_width_A
-    Q, f = _dispersion(K, cfg)
-    s = np.sin(2.0 * Q * A)
-    c = np.cos(2.0 * Q * A)
-    t = np.exp(-2j * K * A) / f
-    r = t * 0.5j * (Q / K - K / Q) * s
-    d = (Q - K) ** 2 / (2.0 * K * Q)
-    phi = 2.0 * Q * A - math.pi / 2.0 + np.arctan(d * s * c / (1.0 + d * s * s))
-    return t, r, phi
-
-
 def _band_wavenumber(eps_R) -> np.ndarray:
     """K = sqrt(2*(eps_R + 1)); raises ValueError outside the radiation band (or on NaN)."""
     e = np.asarray(eps_R, dtype=float)
@@ -107,7 +85,7 @@ def _sweep(eps_grid, cfg: SlabConfig):
     K = _band_wavenumber(e)
     if e.ndim != 1 or len(e) == 0:
         raise ValueError("eps_grid must be a non-empty 1-D array")
-    t, r, phi = _amplitudes(K, cfg)
+    t, r, phi, _ = _real_axis(K, cfg.half_width_A, cfg.core_index_U0)
     return t, r, phi - np.pi * np.round(phi[0] / np.pi)
 
 

@@ -3,7 +3,8 @@
 delta_z is the axial interval between the packet peak entering the left
 face and leaving the right face, k0*delta_z = (1/K) * dphi/dK.  It contains
 the free crossing of the slab: with no index contrast dphi/dK -> 2A and the
-shift relative to free propagation vanishes.
+shift relative to free propagation vanishes.  dphi/dK and the transmitted
+amplitude t of the synthesis below come from the core dispersion kernel.
 
 A wave-packet synthesis (quadrature over the transmitted spectrum, peak
 tracking at a distant observation plane) provides an independent
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SlabConfig, _dispersion
+from .core import SlabConfig, _real_axis
 from .errors import PeakAmbiguityError
-from .scattering import Curve, _amplitudes, _band_wavenumber
+from .scattering import Curve, _band_wavenumber
 
 # z samples per block of the factored wave-packet phase matrix
 _Z_BLOCK = 64
@@ -43,31 +44,15 @@ class ShiftSample:
     z_t: float
 
 
-def _dphi_dK(K, Q, A, U0):
-    # Regular across the transparency points sin(2QA) = 0: the denominator
-    # S^2 s^2 + P^2 c^2 never vanishes.  Broadcasts over K, Q and A.
-    Qp = U0 * K / Q
-    P = 2.0 * K * Q
-    S = K * K + Q * Q
-    Pp = 2.0 * Q + 2.0 * K * Qp
-    Sp = 2.0 * K + 2.0 * Q * Qp
-    s = np.sin(2.0 * Q * A)
-    c = np.cos(2.0 * Q * A)
-    return (2.0 * A * Qp * P * S - (Pp * S - P * Sp) * c * s) / (
-        S * S * s * s + P * P * c * c
-    )
-
-
 def phase_derivative(eps_R, cfg: SlabConfig):
     """Analytic dphi/dK on the radiation band; scalar or array input.
 
-    Derived by differentiating the arctan form of the transmission phase
-    with Q'(K) = U0*K/Q; the expression is regular across the transparency
+    Taken from the real-axis evaluation of the core dispersion kernel,
+    dphi/dK = (2A Q' g + g' c s)/|f|^2; regular across the transparency
     points sin(2QA) = 0.
     """
     K = _band_wavenumber(eps_R)
-    Q, _ = _dispersion(K, cfg)
-    out = _dphi_dK(K, Q, cfg.half_width_A, cfg.core_index_U0)
+    out = _real_axis(K, cfg.half_width_A, cfg.core_index_U0)[3]
     return float(out) if np.isscalar(eps_R) else out
 
 
@@ -76,17 +61,15 @@ def longitudinal_shift(eps_R: float, cfg: SlabConfig) -> ShiftSample:
 
     z_in = -A/K, k0*delta_z = (1/K)*dphi/dK, z_t = z_in + k0*delta_z.
     """
-    K = float(_band_wavenumber(eps_R))
-    dz = phase_derivative(eps_R, cfg) / K
-    z_in = -cfg.half_width_A / K
-    return ShiftSample(eps_R=eps_R, k0_delta_z=dz, z_in=z_in, z_t=z_in + dz)
+    dz, z_in, z_t = shift_sweep([eps_R], cfg).values[0].tolist()
+    return ShiftSample(eps_R=eps_R, k0_delta_z=dz, z_in=z_in, z_t=z_t)
 
 
 def shift_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     """k0*delta_z (plus entry/exit points) over an eigenvalue grid."""
     e = np.asarray(eps_grid, dtype=float)
     K = _band_wavenumber(e)
-    dz = phase_derivative(e, cfg) / K
+    dz = _real_axis(K, cfg.half_width_A, cfg.core_index_U0)[3] / K
     z_in = -cfg.half_width_A / K
     return Curve(
         abscissa=e,
@@ -99,10 +82,9 @@ def width_sweep(eps_R: float, halfwidth_grid, core_index_U0: float) -> Curve:
     """k0*delta_z at fixed eps_R as a function of the slab half width k0*a."""
     As = np.asarray(halfwidth_grid, dtype=float)
     K = _band_wavenumber(eps_R)
-    # Q does not depend on A; the narrowest slab validates the whole grid
-    cfg = SlabConfig(half_width_A=As.min(), core_index_U0=core_index_U0)
-    Q, _ = _dispersion(K, cfg)
-    dz = _dphi_dK(K, Q, As, core_index_U0) / K
+    # the narrowest slab validates the whole grid
+    SlabConfig(half_width_A=As.min(), core_index_U0=core_index_U0)
+    dz = _real_axis(K, As, core_index_U0)[3] / K
     return Curve(abscissa=As, values=dz, labels=("k0a", "k0_delta_z"))
 
 
@@ -199,7 +181,7 @@ def wavepacket_shift(
 
     k, w = _gauss_legendre_composite(Kc - 6.0 * sig, Kc + 6.0 * sig, panels, nodes_per_panel)
     f = np.exp(-((k - Kc) ** 2) / (2.0 * sig * sig))
-    t, _, _ = _amplitudes(k, cfg)
+    t = _real_axis(k, cfg.half_width_A, cfg.core_index_U0)[0]
 
     z0 = x_observe / Kc
     half_window = 8.0 / (Kc * sig) + 300.0

@@ -70,6 +70,18 @@ def test_resonances_table_matches_reference(capsys):
         assert row[4] == "approximate"
 
 
+def test_module_entry_point_writes_the_table(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["resonances", "--k0a", "30", "--u0", "1.5"]
+    done = subprocess.run(
+        [sys.executable, "-m", "leakyslab.cli", *argv], env=env, capture_output=True, text=True
+    )
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and len(parse_csv(out)[1]) == 17
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+
+
 def test_resonances_refined_residuals(capsys):
     code, out, _ = run(["resonances", "--k0a", "30", "--u0", "1.5", "--refine"], capsys)
     assert code == 0
@@ -241,6 +253,21 @@ def test_propagate_requires_initial_condition(tmp_path, capsys):
         assert code == 2, given
         assert "initial condition" in err
         assert out == "" and not out_path.exists()
+
+
+def test_propagate_out_of_range_flags_are_refused(tmp_path, capsys):
+    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513",
+            "--packet", "0:10:0.4"]
+    out_path, field = tmp_path / "curve.csv", tmp_path / "field.json"
+    for flags, name in (
+        (["--z-max", "1", "--save-field", str(field), "--snapshots", "1"], "snapshots"),
+        (["--z-max", "1", "--save-field", str(field), "--snapshots", "0"], "snapshots"),
+        (["--z-max", "-1"], "z_max"),
+    ):
+        code, out, err = run(base + flags + ["-o", str(out_path)], capsys)
+        assert code == 2, flags
+        assert err.startswith("error: ") and name in err, err
+        assert out == "" and not out_path.exists() and not field.exists()
 
 
 def test_propagate_packet_power_decays(tmp_path, capsys):

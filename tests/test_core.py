@@ -105,3 +105,12 @@ def test_config_validation():
         ComplexEigenvalue(eps_R=-0.5, half_width_Gamma=-1e-3)
     with pytest.raises(ValueError, match="lower half plane"):
         ComplexEigenvalue.from_complex(-0.5 + 0.01j)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eps_R must be finite"):
+            ComplexEigenvalue(eps_R=bad)
+        with pytest.raises(ValueError, match="half_width_Gamma must be finite"):
+            ComplexEigenvalue(eps_R=-0.5, half_width_Gamma=bad)
+    with pytest.raises(ValueError, match="beam_slope needs numbers"):
+        beam_slope(math.nan, 1.5)
+    with pytest.raises(ValueError, match="beam_slope needs numbers"):
+        beam_slope(-0.5, math.nan)

@@ -6,6 +6,7 @@ import pytest
 from leakyslab import (
     ComplexEigenvalue,
     ConvergenceError,
+    LeakySlabError,
     Resonance,
     RootJumpError,
     SlabConfig,
@@ -17,6 +18,7 @@ from leakyslab import (
     refine_resonance,
     siegert_residual,
 )
+from leakyslab.core import _dispersion
 from conftest import REFERENCE_EIGENVALUES
 
 
@@ -100,6 +102,27 @@ def test_refinement_m24(slab30, approx_modes):
     assert abs(refined.eigenvalue.value - seed.eigenvalue.value) <= 5 * seed.eigenvalue.width_Gamma
     assert -0.999 < refined.eigenvalue.eps_R < -0.95
     assert refined.eigenvalue.half_width_Gamma < 0.02
+
+
+def test_residual_is_the_condition_at_the_stored_wavenumber(slab30):
+    # the reference slab and 60 envelope slabs: each refined resonance stores
+    # Newton's own K, and Q and the residual |f| at exactly that K
+    rng = np.random.default_rng(12345)
+    slabs = [slab30] + [
+        SlabConfig(math.exp(rng.uniform(math.log(5.0), math.log(60.0))), rng.uniform(1.05, 2.0))
+        for _ in range(60)
+    ]
+    checked = 0
+    for cfg in slabs:
+        for seed in approximate_resonances(cfg):
+            try:
+                res = refine_resonance(seed, cfg)
+            except LeakySlabError:
+                continue
+            Q, f = _dispersion(res.wavenumbers.K, cfg)
+            assert (res.wavenumbers.Q, res.residual) == (Q, abs(f)), (cfg, seed.mode_index_m)
+            checked += 1
+    assert checked >= 500
 
 
 def test_all_refined_roots_distinct_and_separated(refined_modes, approx_modes):

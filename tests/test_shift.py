@@ -14,7 +14,7 @@ from leakyslab import (
     wavepacket_shift,
     width_sweep,
 )
-from leakyslab.scattering import _amplitudes
+from leakyslab.core import _real_axis
 
 
 def fd_phase_derivative(eps_R: float, cfg: SlabConfig, h: float = 1e-6) -> float:
@@ -188,7 +188,7 @@ class TestFactoredSynthesis:
         sig = k_c / 20
         k, w = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, 48)
         f = np.exp(-((k - k_c) ** 2) / (2 * sig * sig))
-        t, _, _ = _amplitudes(k, slab30)
+        t = _real_axis(k, slab30.half_width_A, slab30.core_index_U0)[0]
         weights = np.column_stack([w * f * t, w * f])
         x_observe = 3000.0
         half_window = 8 / (k_c * sig) + 300
