@@ -63,6 +63,8 @@ class BpmConfig:
     def __post_init__(self):
         if self.dz <= 0:
             raise ValueError(f"dz must be > 0, got {self.dz}")
+        if not isinstance(self.nx, (int, np.integer)):
+            raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.nx < 513:
             raise ValueError(f"nx must be >= 513, got {self.nx}")
         if self.transverse_halfwidth_X < 4.0 * self.slab.half_width_A:
@@ -256,13 +258,16 @@ def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:
     """Propagate to z_max, guided admixture removed, and fit the core-power decay rate.
 
     log P(z) is fit by least squares over [0.2*z_max, 0.8*z_max] (the early
-    window skips the start-up transient).  Raises NonExponentialDecayError
-    when the fit explains less than R^2 = 0.99 of a decaying record.
+    window skips the start-up transient).  Raises ValueError when init has no
+    power outside the guided modes, and NonExponentialDecayError when the fit
+    explains less than R^2 = 0.99 of a decaying record.
     """
     if not math.isfinite(z_max):
         raise ValueError(f"z_max must be finite, got {z_max}")
     prop = Propagator(cfg)
     column = prop.remove_guided(init)
+    if prop.norm(column) == 0:
+        raise ValueError("init has no power outside the guided modes")
     nsteps = int(round(z_max / cfg.dz))
     if nsteps < 10:
         raise ValueError("z_max spans fewer than 10 steps")

@@ -297,12 +297,12 @@ def cmd_propagate(args) -> int:
         meta["packet"] = args.packet
 
     nsteps = int(round(args.z_max / cfg.dz))
-    every = max(1, nsteps // max(1, args.snapshots - 1))
+    keep = set(np.round(np.linspace(0, nsteps, args.snapshots)).astype(int).tolist())
     powers = [prop.core_power(column)]
     snaps = {0: column}
     for i, column in enumerate(prop.march(column, nsteps), 1):
         powers.append(prop.core_power(column))
-        if args.save_field and (i % every == 0 or i == nsteps):
+        if args.save_field and i in keep:
             snaps[i] = column
 
     curve = Curve(

@@ -20,8 +20,9 @@ Dispersion kernel: Q and the outgoing condition
 f(K) = cos(2QA) - i*g*sin(2QA), g = (K**2 + Q**2)/(2*K*Q), the denominator
 of the transmission amplitude t = e^{-2iKA}/f; its zeros with K in the
 fourth quadrant are the leaky modes.  ``_dispersion`` gives Q and f at any
-K; ``_real_axis`` gives t, r, the phase phi = -arg f - pi/2 and dphi/dK on
-the radiation band.  Every module takes these quantities from here.
+K but the pole K = 0, where it raises ValueError; ``_real_axis`` gives t, r,
+the phase phi = -arg f - pi/2 and dphi/dK on the radiation band.  Every
+module takes these quantities from here.
 """
 
 from __future__ import annotations
@@ -101,14 +102,6 @@ class Wavenumbers:
     Q: complex
 
 
-def fourth_quadrant_sqrt(z: complex) -> complex:
-    """Square root of z on the branch with Re >= 0 and, if Re == 0, Im <= 0."""
-    w = cmath.sqrt(z)
-    if w.real < 0 or (w.real == 0 and w.imag > 0):
-        w = -w
-    return w
-
-
 def eigenvalue_to_wavenumbers(eps: ComplexEigenvalue, cfg: SlabConfig) -> Wavenumbers:
     """Convert eps to the wavenumber pair (K, Q).
 
@@ -116,7 +109,9 @@ def eigenvalue_to_wavenumbers(eps: ComplexEigenvalue, cfg: SlabConfig) -> Wavenu
     outgoing; Q is the principal square root of U0*(K**2 + 2*(U0-1)).
     The round trip eps = K**2/2 - 1 holds to machine precision.
     """
-    K = fourth_quadrant_sqrt(2.0 * (eps.value + 1.0))
+    K = cmath.sqrt(2.0 * (eps.value + 1.0))
+    if K.real == 0 and K.imag > 0:
+        K = -K
     return Wavenumbers(K=K, Q=_interior_wavenumber(K, cfg.core_index_U0, cmath))
 
 
@@ -127,16 +122,16 @@ def _interior_wavenumber(K, U0, lib=np):
 def _dispersion(K, cfg: SlabConfig):
     """Interior wavenumber Q and outgoing condition f at exterior wavenumber K.
 
-    A Python complex K (a Newton iterate) is evaluated with cmath: f is None
-    at the pole K = 0, and takes its limit 1 - i*A*K at the removable point
-    Q = 0.  Any other K, scalar or array, is evaluated elementwise with
-    numpy; a real K on the radiation band gives a real Q.
+    A Python complex K (a seed, a Newton iterate) is evaluated with cmath:
+    the pole K = 0 raises ValueError, and f takes its limit 1 - i*A*K at the
+    removable point Q = 0.  Any other K, scalar or array, is evaluated
+    elementwise with numpy; a real K on the radiation band gives a real Q.
     """
     lib = cmath if isinstance(K, complex) else np
     A = cfg.half_width_A
     Q = _interior_wavenumber(K, cfg.core_index_U0, lib)
     if lib is cmath and K == 0:
-        return Q, None
+        raise ValueError("K = 0 is a pole of the outgoing condition")
     if lib is cmath and Q == 0:
         return Q, 1.0 - 1j * A * K
     return Q, lib.cos(2 * Q * A) - 0.5j * (K / Q + Q / K) * lib.sin(2 * Q * A)

@@ -8,13 +8,14 @@ amplitude, equivalently the purely outgoing matching determinant):
 
 whose zeros with K in the fourth quadrant are the leaky modes.  A winding
 number counter over a rectangle in the eps plane provides an independent
-root count.  Both evaluate f through the dispersion kernel of ``core``.
+root count.  Both evaluate f through the dispersion kernel of ``core``, and
+each seed or refined Resonance takes Q and |f| from one kernel call at its K.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,25 +96,14 @@ def approximate_resonances(cfg: SlabConfig) -> list[Resonance]:
     out = []
     for m in mode_index_range(cfg):
         eps = _approximate_eigenvalue(m, cfg)
-        wn = eigenvalue_to_wavenumbers(eps, cfg)
-        out.append(
-            Resonance(
-                mode_index_m=m,
-                eigenvalue=eps,
-                wavenumbers=wn,
-                residual=abs(_condition_from_K(wn.K, cfg)),
-                method=APPROXIMATE,
-            )
-        )
+        out.append(_resonance(m, eps, eigenvalue_to_wavenumbers(eps, cfg).K, cfg, APPROXIMATE))
     return out
 
 
-def _condition_from_K(K: complex, cfg: SlabConfig) -> complex:
-    """Quantization condition evaluated from the exterior wavenumber."""
-    _, f = _dispersion(K, cfg)
-    if f is None:
-        raise ValueError("K = 0 is a pole of the outgoing condition")
-    return f
+def _resonance(m: int, eps: ComplexEigenvalue, K: complex, cfg: SlabConfig, method: str):
+    """The Resonance at K, with Q and the residual |f| from one kernel call."""
+    Q, f = _dispersion(K, cfg)
+    return Resonance(m, eps, Wavenumbers(K=K, Q=Q), abs(f), method)
 
 
 def siegert_residual(eps: ComplexEigenvalue, cfg: SlabConfig) -> complex:
@@ -123,8 +113,7 @@ def siegert_residual(eps: ComplexEigenvalue, cfg: SlabConfig) -> complex:
     At Q = 0 (eps = -U0) f takes its limit 1 - i*A*K; raises ValueError at
     the pole K = 0 (eps = -1).
     """
-    wn = eigenvalue_to_wavenumbers(eps, cfg)
-    return _condition_from_K(wn.K, cfg)
+    return _dispersion(eigenvalue_to_wavenumbers(eps, cfg).K, cfg)[1]
 
 
 def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
@@ -134,24 +123,25 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
     K = 0, unlike eps near the band edge); the derivative is a central
     difference with a small complex-plane step.  The refined eigenvalue must
     stay within 5*Gamma_seed of the seed, otherwise RootJumpError signals a
-    collision with a neighbouring mode.  The result keeps Newton's own K, with
-    Q and the residual |f| taken from the dispersion kernel at that K.
+    collision with a neighbouring mode; a step below 1e-14 that leaves
+    |f| > _REFINED_RESIDUAL is a stall.  The result keeps Newton's own K.
     """
     K = complex(seed.wavenumbers.K)
     h = _DERIVATIVE_STEP
-    converged = False
     for _ in range(_NEWTON_MAX_ITER):
-        val = _condition_from_K(K, cfg)
+        val = _dispersion(K, cfg)[1]
         if abs(val) <= _NEWTON_TOL:
-            converged = True
             break
-        dval = (_condition_from_K(K + h, cfg) - _condition_from_K(K - h, cfg)) / (2 * h)
-        step = val / dval
+        step = val / ((_dispersion(K + h, cfg)[1] - _dispersion(K - h, cfg)[1]) / (2 * h))
         K = K - step
         if abs(step) < 1e-14:
-            converged = abs(_condition_from_K(K, cfg)) <= _REFINED_RESIDUAL
+            val = _dispersion(K, cfg)[1]
+            if abs(val) > _REFINED_RESIDUAL:
+                raise ConvergenceError(
+                    f"Newton stalled at |f|={abs(val):.3e} for seed m={seed.mode_index_m}"
+                )
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"no convergence after {_NEWTON_MAX_ITER} iterations for seed m={seed.mode_index_m}"
         )
@@ -166,9 +156,7 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
             f"refined root moved {abs(eps.value - seed.eigenvalue.value):.3e} "
             f"from seed m={seed.mode_index_m}, beyond trust region {trust:.3e}"
         )
-    Q, f = _dispersion(K, cfg)
-    wn = Wavenumbers(K=K, Q=Q)
-    return replace(seed, eigenvalue=eps, wavenumbers=wn, residual=abs(f), method=REFINED)
+    return _resonance(seed.mode_index_m, eps, K, cfg, REFINED)
 
 
 def refine_all(seeds: list[Resonance], cfg: SlabConfig) -> list[Resonance]:

@@ -29,6 +29,8 @@ from .scattering import Curve, _band_wavenumber
 
 # z samples per block of the factored wave-packet phase matrix
 _Z_BLOCK = 64
+# transverse position of the plane where wavepacket_shift observes the packets
+_X_OBSERVE = 3000.0
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ def shift_sweep(eps_grid, cfg: SlabConfig) -> Curve:
 def width_sweep(eps_R: float, halfwidth_grid, core_index_U0: float) -> Curve:
     """k0*delta_z at fixed eps_R as a function of the slab half width k0*a."""
     As = np.asarray(halfwidth_grid, dtype=float)
+    if As.ndim != 1 or len(As) == 0:
+        raise ValueError("halfwidth_grid must be a non-empty 1-D array")
     K = _band_wavenumber(eps_R)
     # the narrowest slab validates the whole grid
     SlabConfig(half_width_A=As.min(), core_index_U0=core_index_U0)
@@ -138,7 +142,6 @@ def wavepacket_shift(
     eps_center: float,
     packet_width_sigmaK: float,
     cfg: SlabConfig,
-    x_observe: float = 3000.0,
     panels: int = 50,
     nodes_per_panel: int = 48,
     nz: int = 4001,
@@ -146,10 +149,10 @@ def wavepacket_shift(
     """Measure k0*delta_z from a synthesized transmitted Gaussian packet.
 
     A Gaussian spectrum f(K) centered on K_c = sqrt(2*(eps_center+1)) is
-    propagated through t(K); the transmitted intensity is scanned in z at a
-    fixed plane x_observe beyond the slab and its peak is compared against
-    the free-space packet's peak (same quadrature and peak finder, so the
-    common systematics cancel):
+    propagated through t(K); the transmitted intensity is scanned in z at the
+    fixed plane x = _X_OBSERVE beyond the slab and its peak is compared
+    against the free-space packet's peak (same quadrature and peak finder,
+    so the common systematics cancel):
 
         measured = (z_peak - z_free) + 2*A/K_c
 
@@ -170,10 +173,8 @@ def wavepacket_shift(
             "packet support [K_c - 6 sigma, K_c + 6 sigma] must stay inside "
             "the radiation band (0, sqrt(2))"
         )
-    if not math.isfinite(x_observe):
-        raise ValueError("x_observe must be finite")
-    if x_observe <= cfg.half_width_A:
-        raise ValueError("x_observe must lie beyond the slab")
+    if _X_OBSERVE <= cfg.half_width_A:
+        raise ValueError(f"the observation plane x = {_X_OBSERVE} must lie beyond the slab")
     if panels < 1 or nodes_per_panel < 1:
         raise ValueError("panels and nodes_per_panel must be at least 1")
     if nz < 3:
@@ -183,10 +184,10 @@ def wavepacket_shift(
     f = np.exp(-((k - Kc) ** 2) / (2.0 * sig * sig))
     t = _real_axis(k, cfg.half_width_A, cfg.core_index_U0)[0]
 
-    z0 = x_observe / Kc
+    z0 = _X_OBSERVE / Kc
     half_window = 8.0 / (Kc * sig) + 300.0
     z = np.linspace(z0 - half_window, z0 + half_window, nz)
-    trans, free = _packet_intensities(k, np.column_stack([w * f * t, w * f]), x_observe, z).T
+    trans, free = _packet_intensities(k, np.column_stack([w * f * t, w * f]), _X_OBSERVE, z).T
 
     z_peak = _envelope_peak(z, trans)
     z_free = _envelope_peak(z, free)

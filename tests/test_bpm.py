@@ -254,6 +254,12 @@ def test_measure_decay_rejects_non_finite_z_max(cfg30, z_max):
         measure_decay(cfg30, col, z_max)
 
 
+def test_measure_decay_rejects_a_column_without_power():
+    cfg = BpmConfig.for_slab(SlabConfig(30.0, 1.5), nx=513)
+    with pytest.raises(ValueError, match="init"):
+        measure_decay(cfg, np.zeros(513, complex), 5.0)
+
+
 def test_step_validates_column_length(cfg30):
     with pytest.raises(ValueError, match="column length"):
         Propagator(cfg30).step(np.zeros(17, dtype=complex))
@@ -272,6 +278,10 @@ def test_config_validation(slab30):
         BpmConfig.for_slab(slab30, dz=math.nan)
     with pytest.raises(ValueError, match="transverse_halfwidth_X"):
         BpmConfig.for_slab(slab30, transverse_halfwidth_X=math.inf)
+    for nx in (1025.5, 1025.0, "1025"):
+        with pytest.raises(ValueError, match="nx"):
+            BpmConfig(slab30, 120.0, nx, 0.05)
+    assert BpmConfig(slab30, 120.0, np.int64(1025), 0.05).nx == 1025
 
 
 def test_guided_projection_removes_trapped_floor(slab30, refined_modes, cfg30):

@@ -20,7 +20,15 @@ from leakyslab import (
     tapered_mode_column,
 )
 from leakyslab.bpm import BpmConfig
-from leakyslab.cli import _csv, _curve_table, _grid_table, _json, main, parse_grid
+from leakyslab.cli import (
+    _csv,
+    _curve_table,
+    _grid_table,
+    _json,
+    field_grid_from_json,
+    main,
+    parse_grid,
+)
 from conftest import REFERENCE_EIGENVALUES
 
 
@@ -268,6 +276,28 @@ def test_propagate_out_of_range_flags_are_refused(tmp_path, capsys):
         assert code == 2, flags
         assert err.startswith("error: ") and name in err, err
         assert out == "" and not out_path.exists() and not field.exists()
+
+
+def test_propagate_writes_the_requested_snapshot_count(tmp_path, capsys):
+    # --z-max 5 is 100 steps of dz = 0.05; the snapshots are the distinct
+    # steps round(linspace(0, 100, N)), so exactly N whenever 100 >= N - 1
+    field = tmp_path / "field.json"
+
+    def snapshot_steps(z_max, n):
+        code = main(["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513",
+                     "--z-max", z_max, "--packet", "0:5:0", "--snapshots", str(n),
+                     "-o", str(tmp_path / "curve.csv"), "--save-field", str(field)])
+        capsys.readouterr()
+        assert code == 0
+        grid = field_grid_from_json(field)
+        assert grid.amplitudes.shape == (513, len(grid.z_grid))
+        return np.round(grid.z_grid / 0.05).astype(int).tolist()
+
+    assert snapshot_steps("5", 4) == [0, 33, 67, 100]
+    assert snapshot_steps("5", 11) == list(range(0, 101, 10))
+    assert snapshot_steps("5", 101) == list(range(101))
+    # a march of fewer than N - 1 steps keeps each of its steps once
+    assert snapshot_steps("0.1", 4) == [0, 1, 2]
 
 
 def test_propagate_packet_power_decays(tmp_path, capsys):

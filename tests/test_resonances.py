@@ -18,6 +18,7 @@ from leakyslab import (
     refine_resonance,
     siegert_residual,
 )
+from leakyslab import resonances
 from leakyslab.core import _dispersion
 from conftest import REFERENCE_EIGENVALUES
 
@@ -80,6 +81,9 @@ def test_residual_small_but_nonzero_at_seeds(approx_modes, slab30):
 def test_residual_pole_detection(slab30):
     with pytest.raises(ValueError, match="pole"):
         siegert_residual(ComplexEigenvalue(-1.0), slab30)
+    # the kernel itself refuses the pole
+    with pytest.raises(ValueError, match="pole"):
+        _dispersion(0j, slab30)
 
 
 def test_residual_is_finite_at_the_interior_band_edge(slab30):
@@ -104,9 +108,19 @@ def test_refinement_m24(slab30, approx_modes):
     assert refined.eigenvalue.half_width_Gamma < 0.02
 
 
+def test_newton_stall_is_reported(slab30, approx_modes, monkeypatch):
+    # no |f| is small enough to stop on, so the steps shrink below 1e-14 while
+    # |f| stays above the tightened residual bound
+    monkeypatch.setattr(resonances, "_NEWTON_TOL", 0.0)
+    monkeypatch.setattr(resonances, "_REFINED_RESIDUAL", 1e-30)
+    with pytest.raises(ConvergenceError, match="Newton stalled"):
+        refine_resonance(approx_modes[0], slab30)
+
+
 def test_residual_is_the_condition_at_the_stored_wavenumber(slab30):
-    # the reference slab and 60 envelope slabs: each refined resonance stores
-    # Newton's own K, and Q and the residual |f| at exactly that K
+    # the reference slab and 60 envelope slabs: a seed stores the K of its
+    # eigenvalue, a refined resonance Newton's own K, and each stores Q and
+    # the residual |f| at exactly that K
     rng = np.random.default_rng(12345)
     slabs = [slab30] + [
         SlabConfig(math.exp(rng.uniform(math.log(5.0), math.log(60.0))), rng.uniform(1.05, 2.0))
@@ -115,6 +129,9 @@ def test_residual_is_the_condition_at_the_stored_wavenumber(slab30):
     checked = 0
     for cfg in slabs:
         for seed in approximate_resonances(cfg):
+            Q, f = _dispersion(seed.wavenumbers.K, cfg)
+            assert seed.wavenumbers == eigenvalue_to_wavenumbers(seed.eigenvalue, cfg)
+            assert seed.residual == abs(f), (cfg, seed.mode_index_m)
             try:
                 res = refine_resonance(seed, cfg)
             except LeakySlabError:

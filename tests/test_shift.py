@@ -107,6 +107,8 @@ def test_domain_validation(slab30):
         phase_derivative(-1.2, slab30)
     with pytest.raises(ValueError, match="radiation band"):
         longitudinal_shift(0.1, slab30)
+    with pytest.raises(ValueError, match="halfwidth_grid"):
+        width_sweep(-0.5, [], 1.5)
 
 
 class TestWavepacket:
@@ -153,11 +155,13 @@ class TestWavepacket:
 
     @pytest.mark.filterwarnings("error")
     def test_observation_plane_validation(self, slab30):
-        with pytest.raises(ValueError, match="beyond the slab"):
-            wavepacket_shift(-0.5, 0.01, slab30, x_observe=10.0)
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match="x_observe must be finite"):
-                wavepacket_shift(-0.5, 0.01, slab30, x_observe=bad)
+        # the packets are observed at the fixed plane x = 3000, which must
+        # lie beyond the slab
+        for A in (3000.0, 1e6):
+            with pytest.raises(ValueError, match="beyond the slab"):
+                wavepacket_shift(-0.5, 0.01, SlabConfig(A, 1.5))
+        with pytest.raises(TypeError, match="x_observe"):
+            wavepacket_shift(-0.5, 0.01, slab30, x_observe=3000.0)
 
 
 def dense_packet_intensities(k, weights, x_observe, z, rows=500):
