@@ -22,7 +22,8 @@ zgttrf) and each step is one factored solve (zgttrs) plus a rank-2
 Sherman-Morrison-Woodbury update for the two corners, a 2 x 2 solve
 against the precomputed columns A^{-1} e_0 and A^{-1} e_{-1}.  Used as an
 initial-value cross-check on the modal decay rates: a leaky mode's core
-power falls as exp(-Gamma z).
+power falls as exp(-Gamma z), and measure_decay fits that rate to a column
+marched as given.
 
 scipy is imported when the first Propagator is built, not with this module,
 so ``import leakyslab`` does not load ``scipy.linalg``.
@@ -166,12 +167,16 @@ class Propagator:
 
         With Im eta >= 0 no step can raise the norm of a finite column; a
         whole-grid norm that grows by more than 1% in one step, or is not
-        finite, aborts with UnstableStepError.  The march continues from the
-        yielded arrays: do not modify them.
+        finite, aborts with UnstableStepError.  The column's length is checked
+        when march is called.  The march continues from the yielded arrays: do
+        not modify them.
         """
         column = np.asarray(column, dtype=complex)
         if column.shape != self.x.shape:
             raise ValueError(f"column length {column.shape} does not match nx={self.cfg.nx}")
+        return self._steps(column, nsteps)
+
+    def _steps(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
         off_r, main_r = self._rhs
         g00, g01, g10, g11 = self._g_corners
         before = self.norm(column)
@@ -207,37 +212,6 @@ class Propagator:
         """Weighted power sum n|E|^2 dx over the core |x| <= A."""
         return self.norm(column, self.core)
 
-    def guided_basis(self) -> np.ndarray:
-        """Discrete guided modes, orthonormal in the n-weighted product.
-
-        The trapped band eps in [-n0, -1) of H, that is [0, n0 - 1) of
-        H + n0, is solved through the symmetric similarity transform
-        N^{-1/2} S N^{-1/2}; the returned columns v satisfy
-        v_i^T N v_j = delta_ij.
-        """
-        from scipy.linalg import eigh_tridiagonal
-
-        root_n = np.sqrt(self.n)
-        _, vecs = eigh_tridiagonal(
-            self._s_main / self.n,
-            self._s_off / (root_n[:-1] * root_n[1:]),
-            select="v",
-            select_range=(0.0, (self.n0 - 1.0) - 1e-9),
-        )
-        return vecs / root_n[:, None]
-
-    def remove_guided(self, column: np.ndarray) -> np.ndarray:
-        """Project the non-decaying guided admixture out of a column.
-
-        Leaky initial conditions always carry a small trapped component that
-        never attenuates; left in place it floors the core power and spoils
-        long decay fits.  The projection uses the n-weighted inner product
-        in which the guided modes are orthonormal.
-        """
-        column = np.asarray(column, dtype=complex)
-        basis = self.guided_basis()
-        return column - basis @ (basis.T @ (self.n * column))
-
 
 def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     """Sample a leaky-mode profile, windowed to suppress the unbounded tail.
@@ -255,25 +229,26 @@ def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
 
 
 def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:
-    """Propagate to z_max, guided admixture removed, and fit the core-power decay rate.
+    """March init as given to z_max and fit the decay rate of its core power.
 
     log P(z) is fit by least squares over [0.2*z_max, 0.8*z_max] (the early
-    window skips the start-up transient).  Raises ValueError when init has no
-    power outside the guided modes, and NonExponentialDecayError when the fit
-    explains less than R^2 = 0.99 of a decaying record.
+    window skips the start-up transient).  Raises ValueError for a z_max that
+    is not finite or spans fewer than 10 steps, a column of the wrong length
+    or one with no power, and NonExponentialDecayError when the fit explains
+    less than R^2 = 0.99 of a decaying record.
     """
     if not math.isfinite(z_max):
         raise ValueError(f"z_max must be finite, got {z_max}")
-    prop = Propagator(cfg)
-    column = prop.remove_guided(init)
-    if prop.norm(column) == 0:
-        raise ValueError("init has no power outside the guided modes")
     nsteps = int(round(z_max / cfg.dz))
     if nsteps < 10:
         raise ValueError("z_max spans fewer than 10 steps")
+    prop = Propagator(cfg)
+    columns = prop.march(init, nsteps)
+    if prop.norm(init) == 0:
+        raise ValueError("init has no power")
     power = np.empty(nsteps + 1)
-    power[0] = prop.core_power(column)
-    for i, column in enumerate(prop.march(column, nsteps), 1):
+    power[0] = prop.core_power(init)
+    for i, column in enumerate(columns, 1):
         power[i] = prop.core_power(column)
     z = np.arange(nsteps + 1) * cfg.dz
     window = (z >= 0.2 * z_max) & (z <= 0.8 * z_max)

@@ -252,6 +252,9 @@ def test_measure_decay_rejects_non_finite_z_max(cfg30, z_max):
     col = np.exp(-np.linspace(-3.0, 3.0, cfg30.nx) ** 2).astype(complex)
     with pytest.raises(ValueError, match="z_max must be finite"):
         measure_decay(cfg30, col, z_max)
+    # a finite z_max still needs 10 steps of dz = 0.05
+    with pytest.raises(ValueError, match="fewer than 10 steps"):
+        measure_decay(cfg30, col, 0.2)
 
 
 def test_measure_decay_rejects_a_column_without_power():
@@ -263,6 +266,8 @@ def test_measure_decay_rejects_a_column_without_power():
 def test_step_validates_column_length(cfg30):
     with pytest.raises(ValueError, match="column length"):
         Propagator(cfg30).step(np.zeros(17, dtype=complex))
+    with pytest.raises(ValueError, match="column length"):
+        measure_decay(cfg30, np.ones(17), 5.0)
 
 
 def test_config_validation(slab30):
@@ -282,20 +287,6 @@ def test_config_validation(slab30):
         with pytest.raises(ValueError, match="nx"):
             BpmConfig(slab30, 120.0, nx, 0.05)
     assert BpmConfig(slab30, 120.0, np.int64(1025), 0.05).nx == 1025
-
-
-def test_guided_projection_removes_trapped_floor(slab30, refined_modes, cfg30):
-    # without the projection the trapped admixture puts a floor under the
-    # core power; the projected run keeps decaying
-    r24 = next(r for r in refined_modes if r.mode_index_m == 24)
-    col = tapered_mode_column(mode_profile(r24, slab30), cfg30)
-    prop = Propagator(cfg30)
-    cleaned = prop.remove_guided(col)
-    # the guided modes are orthonormal in the n-weighted inner product
-    basis = prop.guided_basis()
-    overlap = np.max(np.abs(basis.T @ (prop.n * cleaned)))
-    assert overlap < 1e-12
-    assert np.max(np.abs(basis.T @ (prop.n * col))) > 1e-6
 
 
 def test_import_path_does_not_load_scipy_linalg():

@@ -247,6 +247,14 @@ def test_propagate_init_field_round_trip(tmp_path, capsys):
     first = [l for l in first_curve.read_text().splitlines() if not l.startswith("#")]
     second = [l for l in second_curve.read_text().splitlines() if not l.startswith("#")]
     assert first == second
+    # a field sampled on another x grid is refused, not interpolated
+    wider = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "150",
+             "--nx", "513", "--dz", "0.1", "--z-max", "1"]
+    code, out, err = run(wider + ["--init-field", str(field_json), "-o", str(tmp_path / "third.csv")],
+                         capsys)
+    assert code == 2 and out == ""
+    assert "does not match the propagation grid" in err
+    assert not (tmp_path / "third.csv").exists()
 
 
 def test_propagate_requires_initial_condition(tmp_path, capsys):

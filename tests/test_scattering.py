@@ -190,6 +190,8 @@ def test_domain_validation(slab30):
             transmission_coefficient(bad, slab30)
         with pytest.raises(ValueError, match="radiation band"):
             width_sweep(bad, np.linspace(1.0, 60.0, 5), 1.5)
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        transmission_sweep([], slab30)
 
 
 def test_fbw_superposition_single_line():
