@@ -5,7 +5,7 @@ exact flags, then a header row) or JSON; identical flags produce
 byte-identical files.  No plotting here: the tool emits data for external
 renderers.
 
-Exit codes: 0 success, 2 validation problem, 3 numerical failure.
+Exit codes: 0 success, 2 validation problem or unusable file, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ def parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _floats(values) -> list:
     """Values as (nested) lists of Python floats, the form repr and json write."""
     return np.asarray(values, dtype=float).tolist()
@@ -87,7 +81,7 @@ def _csv(command: str, meta: dict, names, columns) -> str:
     """'#' lines naming the command and the sorted flags, a header row, then
     one row per index of the columns of already-formatted cells."""
     lines = [f"# leakyslab {command} v{__version__}"]
-    lines.extend(f"# {key}={_fmt(meta[key])}" for key in sorted(meta))
+    lines.extend(f"# {key}={meta[key]}" for key in sorted(meta))
     lines.append(",".join(names))
     lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
@@ -133,7 +127,10 @@ def _grid_table(grid: FieldGrid, component: str):
 
 
 def field_grid_from_json(path: Path) -> FieldGrid:
+    """The FieldGrid of a --save-field JSON document; ValueError for any other document."""
     doc = json.loads(path.read_text())
+    if not (isinstance(doc, dict) and {"x", "z", "re", "im"} <= doc.keys()):
+        raise ValueError(f"{path} is not a field grid: need an object with x, z, re and im")
     amps = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
     return FieldGrid(
         x_grid=np.asarray(doc["x"], dtype=float),
@@ -172,7 +169,7 @@ def cmd_resonances(args) -> int:
         for r in modes
     ]
     body = {"modes": [dict(zip(names, row)) for row in rows]}
-    _emit(args, "resonances", meta, (names, [map(_fmt, col) for col in zip(*rows)], body))
+    _emit(args, "resonances", meta, (names, [map(str, col) for col in zip(*rows)], body))
     return 2 if not modes else 0
 
 
@@ -329,7 +326,7 @@ def cmd_decay(args) -> int:
     meta["m"] = args.m
     cols = {"m": [args.m], "measured_rate": [rate],
             "width_Gamma_refined": [res.eigenvalue.width_Gamma]}
-    columns = [map(_fmt, col) for col in cols.values()]
+    columns = [map(str, col) for col in cols.values()]
     return _emit(args, "decay", meta, (cols, columns, {"columns": cols}))
 
 
@@ -415,7 +412,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except LeakySlabError as exc:

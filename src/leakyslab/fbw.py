@@ -4,8 +4,10 @@ the forward-time decay law.
 Units: hbar = 1, so times are reciprocal energies.  In the waveguide
 reading the same numbers describe axial evolution, t -> k0*z.
 
-A width whose (Gamma/2)^2 underflows counts as zero, the guided limit: there
-the lineshape is 1 and the Fourier coefficient -i at E0, both 0 elsewhere.
+The lineshape is omega = |C|^2, where C = (Gamma/2) / (E - E0 + i*Gamma/2) is
+the Fourier coefficient of the decay law.  A width whose (Gamma/2)^2
+underflows counts as zero, the guided limit: there C is -i at E0 and 0
+elsewhere, so omega is 1 at E0 and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -38,29 +40,26 @@ def _half_width(gamma: float) -> float:
     return hw if hw * hw > 0.0 else 0.0
 
 
-def _omega(de, hw: float):
-    """The lineshape at dE = E - E0, a float or an array; for hw = 0, 1 at dE = 0, else 0."""
+def _coefficient(de, hw: float):
+    """C at dE = E - E0, a float or an array; for hw = 0, -i at dE = 0, else 0.
+
+    Complex division scales by the larger of |dE| and hw, so a far tail
+    gives C -> 0 rather than an overflow.
+    """
     if hw == 0.0:
-        return 1.0 * (de == 0.0)
-    hw2 = hw * hw
-    try:
-        return hw2 / (de ** 2 + hw2)
-    except OverflowError:  # a Python float dE whose square overflows: the limit 0
-        return 0.0
+        return np.where(de == 0.0, complex(0.0, -1.0), 0j)
+    return hw / (de + 1j * hw)
 
 
 def lineshape(line: FbwLine, E):
-    """omega(E) = (Gamma/2)^2 / ((E-E0)^2 + (Gamma/2)^2), in (0, 1].
+    """omega(E) = |C(E)|^2 = (Gamma/2)^2 / ((E-E0)^2 + (Gamma/2)^2), in [0, 1].
 
-    Equals 1 exactly at E = E0.  The zero-width limit is delta-like: 0 away
-    from the center and 1 at it (a non-decaying state).
-    Accepts scalars or arrays.
+    Equals 1 exactly at E = E0 and 0.5 exactly at E0 +- Gamma/2.  The
+    zero-width limit is delta-like: 0 away from the center and 1 at it (a
+    non-decaying state).  Accepts scalars or arrays.
     """
-    e = np.asarray(E, dtype=float)
-    # numpy squares an overflowing dE to inf, and omega takes its limit 0
-    with np.errstate(over="ignore"):
-        out = _omega(e - line.center_E0, _half_width(line.width_Gamma))
-    return float(out) if np.isscalar(E) else out
+    c = fourier_coefficient(line, E)
+    return c.real * c.real + c.imag * c.imag
 
 
 def fourier_coefficient(line: FbwLine, E):
@@ -68,12 +67,7 @@ def fourier_coefficient(line: FbwLine, E):
 
     The zero-width limit is -i at E = E0 and 0 elsewhere.
     """
-    de = np.asarray(E, dtype=float) - line.center_E0
-    hw = _half_width(line.width_Gamma)
-    if hw == 0.0:
-        out = np.where(de == 0.0, complex(0.0, -1.0), 0j)
-    else:
-        out = hw / (de + 1j * hw)
+    out = _coefficient(np.asarray(E, dtype=float) - line.center_E0, _half_width(line.width_Gamma))
     return complex(out) if np.isscalar(E) else out
 
 
@@ -87,19 +81,18 @@ def fbw_superposition(eps_R: float, resonances: Sequence[tuple[float, float]]) -
     if not resonances:
         raise ValueError("at least one resonance term is required")
     total, previous = 0.0, -math.inf
-    # scalar terms: an FbwLine or a numpy array per term costs more than the sum;
-    # a numpy-scalar eps_R squares an overflowing dE to inf, and omega takes its limit 0
-    with np.errstate(over="ignore"):
-        for e_n, gamma_n in resonances:
-            if not (math.isfinite(e_n) and 0.0 <= gamma_n < math.inf):
-                raise ValueError(
-                    f"need a finite E_n and a finite Gamma_n >= 0, got ({e_n}, {gamma_n})"
-                )
-            if e_n <= previous:
-                raise ValueError("resonance list must be sorted by increasing E_n")
-            previous = e_n
-            total += _omega(eps_R - e_n, _half_width(gamma_n))
-    return total
+    # scalar terms: an FbwLine or a numpy array per term costs more than the sum
+    for e_n, gamma_n in resonances:
+        if not (math.isfinite(e_n) and 0.0 <= gamma_n < math.inf):
+            raise ValueError(
+                f"need a finite E_n and a finite Gamma_n >= 0, got ({e_n}, {gamma_n})"
+            )
+        if e_n <= previous:
+            raise ValueError("resonance list must be sorted by increasing E_n")
+        previous = e_n
+        c = _coefficient(eps_R - e_n, _half_width(gamma_n))
+        total += c.real * c.real + c.imag * c.imag
+    return float(total)
 
 
 def survival_amplitude(line: FbwLine, t: float) -> complex:

@@ -255,6 +255,16 @@ def test_propagate_init_field_round_trip(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "does not match the propagation grid" in err
     assert not (tmp_path / "third.csv").exists()
+    # a missing file and a JSON document that is not a field grid are
+    # validation problems, not tracebacks
+    no_re = tmp_path / "no_re.json"
+    no_re.write_text(json.dumps({"x": [0.0], "z": [0.0], "im": [[0.0]]}))
+    for init in (tmp_path / "no" / "such.json", no_re):
+        code, out, err = run(base + ["--init-field", str(init), "-o", str(tmp_path / "fourth.csv")],
+                             capsys)
+        assert code == 2 and out == "", init
+        assert err.startswith("error: "), err
+        assert not (tmp_path / "fourth.csv").exists()
 
 
 def test_propagate_requires_initial_condition(tmp_path, capsys):
@@ -339,12 +349,21 @@ def test_outdir_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "sub" / "c.csv").exists()
 
 
-def test_validation_exit_code(capsys):
+def test_validation_exit_code(tmp_path, capsys):
     code, _, err = run(
         ["transmission", "--k0a", "30", "--u0", "1.5", "--eps", "nope"], capsys
     )
     assert code == 2
     assert "error" in err
+    # an output path that cannot be written is refused the same way
+    code, out, err = run(
+        ["transmission", "--k0a", "30", "--u0", "1.5", "--eps", "-0.9:-0.1:3",
+         "-o", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: "), err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("error")

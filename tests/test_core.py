@@ -88,6 +88,10 @@ def test_beam_slope_values(eps_R, index, expected):
 def test_beam_slope_rejects_evanescent():
     with pytest.raises(ValueError, match="no real ray angle"):
         beam_slope(-1.6, 1.5)
+    # no ray angle without a positive local index, and no division by zero
+    for eps_R, index in ((0.0, 0.0), (0.0, -1.5), (-0.5, -1.5)):
+        with pytest.raises(ValueError, match="local index > 0"):
+            beam_slope(eps_R, index)
 
 
 def test_config_validation():

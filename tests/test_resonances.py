@@ -117,6 +117,13 @@ def test_newton_stall_is_reported(slab30, approx_modes, monkeypatch):
         refine_resonance(approx_modes[0], slab30)
 
 
+def test_newton_iteration_cap_is_reported(slab30, approx_modes, monkeypatch):
+    # one step from the seed does not bring |f| down to the tolerance
+    monkeypatch.setattr(resonances, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="no convergence after 1 iterations"):
+        refine_resonance(approx_modes[0], slab30)
+
+
 def test_residual_is_the_condition_at_the_stored_wavenumber(slab30):
     # the reference slab and 60 envelope slabs: a seed stores the K of its
     # eigenvalue, a refined resonance Newton's own K, and each stores Q and
@@ -169,6 +176,16 @@ def test_count_refines_the_edges_where_the_phase_turns_fast(slab30):
         assert abs(refined - flat_sum(box[i], box[j], 65536)) <= 1e-9
         assert refined == pytest.approx(dense, abs=1e-4)
         assert flat_sum(box[i], box[j], 16) == pytest.approx(coarse, abs=1e-4)
+
+
+def test_count_through_a_root_is_reported(slab30, refined_modes):
+    # a segment through a root has a phase jump that no sampling resolves,
+    # so the refinement gives up instead of recursing without end
+    root = refined_modes[0]
+    assert root.mode_index_m == 24
+    eps = root.eigenvalue.value
+    with pytest.raises(ConvergenceError, match="winding-number refinement stalled"):
+        resonances._winding_on_segment(eps - 0.01, eps + 0.01, slab30, 16)
 
 
 def test_refinement_rejects_guided_band_seed(slab30):

@@ -7,6 +7,7 @@ from leakyslab import (
     Curve,
     SlabConfig,
     fbw_superposition,
+    shift_sweep,
     transfer_amplitudes,
     transmission_coefficient,
     transmission_sweep,
@@ -192,6 +193,8 @@ def test_domain_validation(slab30):
             width_sweep(bad, np.linspace(1.0, 60.0, 5), 1.5)
     with pytest.raises(ValueError, match="non-empty 1-D"):
         transmission_sweep([], slab30)
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        shift_sweep([], slab30)
 
 
 def test_fbw_superposition_single_line():
@@ -217,6 +220,7 @@ def test_fbw_superposition_validation():
     assert fbw_superposition(-0.5, [(-0.5, 1e-200)]) == 1.0
     assert fbw_superposition(-0.5 + 1e-12, [(-0.5, 0.0)]) == 0.0
     assert fbw_superposition(-0.5, [(-0.6, 0.0), (-0.5, 0.0), (-0.4, 0.0)]) == 1.0
+    assert type(fbw_superposition(-0.5, [(-0.6, 0.0), (-0.5, 0.0)])) is float
 
 
 def test_fbw_superposition_sums_every_term():
