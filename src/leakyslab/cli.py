@@ -246,7 +246,9 @@ def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, dict]:
     if not (math.isfinite(args.z_max) and args.z_max >= 0):
         raise ValueError(f"z_max must be finite and >= 0, got {args.z_max}")
     slab = _slab_from(args)
-    cfg = BpmConfig.for_slab(slab, transverse_halfwidth_X=args.X, nx=args.nx, dz=args.dz)
+    # an unset --nx or --dz takes BpmConfig.for_slab's default
+    grid = {name: getattr(args, name) for name in ("nx", "dz") if getattr(args, name) is not None}
+    cfg = BpmConfig.for_slab(slab, transverse_halfwidth_X=args.X, **grid)
     meta = {
         "k0a": args.k0a,
         "u0": args.u0,
@@ -383,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_bpm(p):
         p.add_argument("--X", type=float, default=None, help="transverse half width (default 4A)")
-        p.add_argument("--nx", type=int, default=2049)
-        p.add_argument("--dz", type=float, default=0.05)
+        p.add_argument("--nx", type=int, default=None)
+        p.add_argument("--dz", type=float, default=None)
 
     p = sub.add_parser("propagate", help="finite-difference propagation of a column")
     add_common(p)

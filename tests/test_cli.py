@@ -302,7 +302,7 @@ def test_propagate_writes_the_requested_snapshot_count(tmp_path, capsys):
     field = tmp_path / "field.json"
 
     def snapshot_steps(z_max, n):
-        code = main(["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513",
+        code = main(["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513", "--dz", "0.05",
                      "--z-max", z_max, "--packet", "0:5:0", "--snapshots", str(n),
                      "-o", str(tmp_path / "curve.csv"), "--save-field", str(field)])
         capsys.readouterr()
