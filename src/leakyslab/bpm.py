@@ -28,7 +28,7 @@ Sherman-Morrison-Woodbury update for the two corners, a 2 x 2 solve
 against the precomputed columns A^{-1} e_0 and A^{-1} e_{-1}.  Used as an
 initial-value cross-check on the modal decay rates: a leaky mode's core
 power falls as exp(-Gamma z), and measure_decay fits that rate to a column
-marched as given.
+marched as given, up to the last sample its fit window reads.
 
 scipy is imported when the first Propagator is built, not with this module,
 so ``import leakyslab`` does not load ``scipy.linalg``.
@@ -247,29 +247,35 @@ def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
 
 
 def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:
-    """March init as given to z_max and fit the decay rate of its core power.
+    """March init as given and fit the decay rate of its core power.
 
     log P(z) is fit by least squares over [0.2*z_max, 0.8*z_max] (the early
-    window skips the start-up transient).  Raises ValueError for a z_max that
-    is not finite or spans fewer than 10 steps, a column of the wrong length
-    or one with no power, and NonExponentialDecayError when the fit explains
-    less than R^2 = 0.99 of a decaying record.
+    window skips the start-up transient) on the grid z = j*dz, j up to
+    round(z_max/dz).  The march ends at the last sample of that window, the
+    last one the fit reads: 440 of 550 steps at z_max = 110, dz = 0.2.
+    Raises ValueError for a z_max that is not finite or spans fewer than 10
+    steps, a column of the wrong length or one with no power, and
+    NonExponentialDecayError when the fit explains less than R^2 = 0.99 of
+    a decaying record.
     """
     if not math.isfinite(z_max):
         raise ValueError(f"z_max must be finite, got {z_max}")
     nsteps = int(round(z_max / cfg.dz))
     if nsteps < 10:
         raise ValueError("z_max spans fewer than 10 steps")
+    z = np.arange(nsteps + 1) * cfg.dz
+    window = (z >= 0.2 * z_max) & (z <= 0.8 * z_max)
+    # the fit reads nothing past its last sample, so the march ends there
+    last = int(np.flatnonzero(window)[-1])
+    z, window = z[: last + 1], window[: last + 1]
     prop = Propagator(cfg)
-    columns = prop.march(init, nsteps)
+    columns = prop.march(init, last)
     if prop.norm(init) == 0:
         raise ValueError("init has no power")
-    power = np.empty(nsteps + 1)
+    power = np.empty(last + 1)
     power[0] = prop.core_power(init)
     for i, column in enumerate(columns, 1):
         power[i] = prop.core_power(column)
-    z = np.arange(nsteps + 1) * cfg.dz
-    window = (z >= 0.2 * z_max) & (z <= 0.8 * z_max)
     logp = np.log(power[window])
     slope, intercept = np.polyfit(z[window], logp, 1)
     rate = -slope

@@ -153,6 +153,47 @@ def test_decay_rate_ordering(slab30, refined_modes, cfg30):
     assert rates[24] < rates[32] < rates[40]
 
 
+def full_march_fit(cfg: BpmConfig, init: np.ndarray, z_max: float) -> tuple[float, int]:
+    """Oracle: the rate fitted to init marched all round(z_max/dz) steps,
+    and the index of the last sample the fit window holds."""
+    prop = Propagator(cfg)
+    nsteps = int(round(z_max / cfg.dz))
+    power = np.array([prop.core_power(init)] + [prop.core_power(c) for c in prop.march(init, nsteps)])
+    z = np.arange(nsteps + 1) * cfg.dz
+    window = (z >= 0.2 * z_max) & (z <= 0.8 * z_max)
+    slope, _ = np.polyfit(z[window], np.log(power[window]), 1)
+    return -slope, int(np.flatnonzero(window)[-1])
+
+
+@pytest.mark.parametrize(
+    "m, z_max", [(24, 110.0), (32, 110.0), (40, 110.0), (32, 110.1)],
+    ids=["m24", "m32", "m40", "m32-window-edge-between-steps"],
+)
+def test_measure_decay_stops_at_the_last_fitted_sample(
+    slab30, refined_modes, cfg30, monkeypatch, m, z_max
+):
+    # the steps past the fit window feed nothing the fit reads: the rate is
+    # the full march's, exactly, and exactly the steps up to the window's
+    # last sample are taken (440 of 550 at z_max = 110; 0.8 * 110.1 = 88.08
+    # falls between steps 440 and 441)
+    res = next(r for r in refined_modes if r.mode_index_m == m)
+    col = tapered_mode_column(mode_profile(res, slab30), cfg30)
+    want, last = full_march_fit(cfg30, col, z_max)
+    assert last == 440
+
+    taken = []
+    march = Propagator.march
+
+    def counted(self, column, nsteps):
+        for out in march(self, column, nsteps):
+            taken.append(None)
+            yield out
+
+    monkeypatch.setattr(Propagator, "march", counted)
+    assert measure_decay(cfg30, col, z_max) == want
+    assert len(taken) == last
+
+
 def exact_guided_eigenvalues(slab: SlabConfig) -> np.ndarray:
     """Oracle: the guided eps = -1 - kappa^2/2, the zeros of the outgoing
     condition at K = +i kappa, cos 2QA - (Q/kappa - kappa/Q) sin(2QA)/2 = 0

@@ -7,8 +7,10 @@ from leakyslab import shift
 from leakyslab import (
     PeakAmbiguityError,
     SlabConfig,
+    approximate_resonances,
     longitudinal_shift,
     phase_derivative,
+    refine_all,
     shift_sweep,
     unwrapped_phase,
     wavepacket_shift,
@@ -152,6 +154,10 @@ class TestWavepacket:
         for nz in (0, 2):
             with pytest.raises(ValueError, match="nz must be at least 3"):
                 wavepacket_shift(-0.5, 0.01, slab30, nz=nz)
+        # sizes follow BpmConfig's rule for nx: an integer, not an integral float
+        for name, value in (("panels", 2.5), ("nodes_per_panel", 8.0), ("nz", 4001.0)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                wavepacket_shift(-0.5, 0.01, slab30, **{name: value})
 
     @pytest.mark.filterwarnings("error")
     def test_observation_plane_validation(self, slab30):
@@ -175,9 +181,46 @@ def dense_packet_intensities(k, weights, x_observe, z, rows=500):
     return out
 
 
-def reference_packet_width(k_c: float) -> float:
-    """K_c/20, narrowed so the +-6 sigma support stays below sqrt(2)."""
-    return min(k_c / 20, 0.99 * (math.sqrt(2) - k_c) / 6)
+def reference_packet_width(k_c: float, divisor: float = 20) -> float:
+    """K_c/divisor, narrowed so the +-6 sigma support stays below sqrt(2)."""
+    return min(k_c / divisor, 0.99 * (math.sqrt(2) - k_c) / 6)
+
+
+def shift_or_refusal(*args, **kwargs):
+    """wavepacket_shift's value, or the message of its PeakAmbiguityError."""
+    try:
+        return wavepacket_shift(*args, **kwargs)
+    except PeakAmbiguityError as exc:
+        return str(exc)
+
+
+# The default quadrature against 50 panels of 48 nodes: the reference slab
+# at the benchmark's packet width and at half of it, a thin weak and a thick
+# strong slab at the packet width, where the sweep of K_c/20, K_c/40 and
+# K_c/160 over four slabs found the largest differences.  Every mode of
+# each slab; the bound was fixed before the first run.
+QUADRATURE_SLABS = [((30.0, 1.5), (20, 40)), ((5.0, 1.05), (20,)), ((60.0, 2.0), (20,))]
+QUADRATURE_REL_BOUND = 1e-7
+
+
+@pytest.mark.parametrize("k0a_u0, divisors", QUADRATURE_SLABS, ids=["k0a30", "thin-weak", "thick-strong"])
+def test_default_quadrature_matches_48_nodes_per_panel(k0a_u0, divisors):
+    slab = SlabConfig(*k0a_u0)
+    compared = 0
+    for mode in refine_all(approximate_resonances(slab), slab):
+        eps_c = mode.eigenvalue.eps_R
+        k_c = math.sqrt(2 * (eps_c + 1))
+        for divisor in divisors:
+            sig = reference_packet_width(k_c, divisor)
+            got = shift_or_refusal(eps_c, sig, slab)
+            want = shift_or_refusal(eps_c, sig, slab, panels=50, nodes_per_panel=48)
+            if isinstance(want, str) or isinstance(got, str):
+                # a multimodal envelope is refused by both quadratures alike
+                assert got == want, (mode.mode_index_m, divisor)
+                continue
+            assert abs(got - want) <= QUADRATURE_REL_BOUND * abs(want), (mode.mode_index_m, divisor)
+            compared += 1
+    assert compared >= 3
 
 
 class TestFactoredSynthesis:
