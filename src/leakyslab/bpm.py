@@ -56,51 +56,42 @@ _TAPER_OUTER = 3.0
 class BpmConfig:
     """The slab a propagation cross-checks, and the grid it is marched on.
 
-    The transverse domain is [-X, X] with nx points and X >= 4A, so both
-    edges lie in the uniform cladding, as the transparent boundary needs.
-    The slab's half width A also bounds the power-monitor window.
+    The transverse domain is [-X, X], X = 4A, with nx points, so both edges
+    lie in the uniform cladding, as the transparent boundary needs.  The
+    slab's half width A also bounds the power-monitor window.
     """
 
     slab: SlabConfig
-    transverse_halfwidth_X: float
     nx: int
     dz: float
 
     def __post_init__(self):
-        if self.dz <= 0:
-            raise ValueError(f"dz must be > 0, got {self.dz}")
+        if not (0 < self.dz < math.inf):
+            raise ValueError(f"dz must be finite and > 0, got {self.dz}")
         if not isinstance(self.nx, (int, np.integer)):
             raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.nx < 513:
             raise ValueError(f"nx must be >= 513, got {self.nx}")
-        if self.transverse_halfwidth_X < 4.0 * self.slab.half_width_A:
-            raise ValueError("transverse_halfwidth_X must be at least 4x the core half width")
-        for name in ("transverse_halfwidth_X", "dz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
+    @property
+    def transverse_halfwidth_X(self) -> float:
+        """The domain half width X = 4A."""
+        return 4.0 * self.slab.half_width_A
 
     @classmethod
-    def for_slab(
-        cls,
-        slab: SlabConfig,
-        transverse_halfwidth_X: float | None = None,
-        nx: int = 4097,
-        dz: float = 0.2,
-    ) -> "BpmConfig":
-        """Defaults: X = 4A, nx = 4097, dz = 0.2.
+    def for_slab(cls, slab: SlabConfig, nx: int = 4097, dz: float = 0.2) -> "BpmConfig":
+        """Defaults: nx = 4097, dz = 0.2.
 
         With the step referenced to the cladding index, a long step costs
         little accuracy, so the work goes into dx.  On the k0a = 30, U0 = 1.5
         slab the decay rates of m = 24/32/40 at z_max = 110 lie 0.40/0.36/
-        1.06 % below the refined widths (2.17/0.57/0.67 % on nx = 2049,
-        dz = 0.05 with n0 = U0).  The step's share, theta^2 |mu|^2, grows
-        with Re K, so the top of the band lost: m = 37-40 went from
-        0.58-0.67 % to 0.66-1.06 %.  In the uniform core a w0 = 5 Gaussian
-        marched 100 steps is off its width law by 5.2e-4 (was 2.4e-6), half
-        of the 1e-3 that acceptance criterion 11 allows.
+        1.06 % below the refined widths.  The step's share, theta^2 |mu|^2,
+        grows with Re K, so the top of the band pays most for the long step.
+        In the uniform core a w0 = 5 Gaussian marched 100 steps is off its
+        width law by 5.2e-4, half of the 1e-3 that acceptance criterion 11
+        allows.
         """
-        X = 4.0 * slab.half_width_A if transverse_halfwidth_X is None else transverse_halfwidth_X
-        return cls(slab, X, nx, dz)
+        return cls(slab, nx, dz)
 
 
 def _ghost_ratio(edge: complex, inner: complex) -> complex:
@@ -222,10 +213,6 @@ class Propagator:
             yield out
             column, before = out, after
 
-    def step(self, column: np.ndarray) -> np.ndarray:
-        """One dz step of march."""
-        return next(self.march(column, 1))
-
     def core_power(self, column: np.ndarray) -> float:
         """Weighted power sum n|E|^2 dx over the core |x| <= A."""
         return self.norm(column, self.core)
@@ -253,14 +240,15 @@ def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:
     window skips the start-up transient) on the grid z = j*dz, j up to
     round(z_max/dz).  The march ends at the last sample of that window, the
     last one the fit reads: 440 of 550 steps at z_max = 110, dz = 0.2.
-    Raises ValueError for a z_max that is not finite or spans fewer than 10
-    steps, a column of the wrong length or one with no power, and
-    NonExponentialDecayError when the fit explains less than R^2 = 0.99 of
-    a decaying record.
+    Raises ValueError for a z_max that is not finite in steps of dz or
+    spans fewer than 10 steps, a column of the wrong length or one with no
+    power, and NonExponentialDecayError when the fit explains less than
+    R^2 = 0.99 of a decaying record.
     """
-    if not math.isfinite(z_max):
-        raise ValueError(f"z_max must be finite, got {z_max}")
-    nsteps = int(round(z_max / cfg.dz))
+    steps = z_max / cfg.dz
+    if not math.isfinite(steps):
+        raise ValueError(f"z_max must be finite in steps of dz, got z_max={z_max}, dz={cfg.dz}")
+    nsteps = int(round(steps))
     if nsteps < 10:
         raise ValueError("z_max spans fewer than 10 steps")
     z = np.arange(nsteps + 1) * cfg.dz

@@ -243,12 +243,14 @@ def cmd_mode_field(args) -> int:
 
 def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, dict]:
     """Slab, BPM config and the flags they record, shared by propagate and decay."""
-    if not (math.isfinite(args.z_max) and args.z_max >= 0):
-        raise ValueError(f"z_max must be finite and >= 0, got {args.z_max}")
     slab = _slab_from(args)
     # an unset --nx or --dz takes BpmConfig.for_slab's default
     grid = {name: getattr(args, name) for name in ("nx", "dz") if getattr(args, name) is not None}
-    cfg = BpmConfig.for_slab(slab, transverse_halfwidth_X=args.X, **grid)
+    cfg = BpmConfig.for_slab(slab, **grid)
+    if not (math.isfinite(args.z_max / cfg.dz) and args.z_max >= 0):
+        raise ValueError(
+            f"z_max must be finite in steps of dz and >= 0, got z_max={args.z_max}, dz={cfg.dz}"
+        )
     meta = {
         "k0a": args.k0a,
         "u0": args.u0,
@@ -276,6 +278,8 @@ def cmd_propagate(args) -> int:
             grid_in.x_grid, prop.x, rtol=0, atol=1e-12
         ):
             raise ValueError("--init-field x grid does not match the propagation grid")
+        if not grid_in.z_grid.size:
+            raise ValueError("--init-field has no z column")
         column = grid_in.amplitudes[:, 0].copy()
         if not np.all(np.isfinite(column)):
             raise ValueError("--init-field amplitudes must be finite")
@@ -286,7 +290,10 @@ def cmd_propagate(args) -> int:
         meta["init"] = f"mode-{args.m}"
         meta["m"] = args.m
     else:
-        x0, width, kx = (float(v) for v in args.packet.split(":"))
+        try:
+            x0, width, kx = map(float, args.packet.split(":"))
+        except ValueError:
+            raise ValueError(f"packet must be x0:width:kx, got {args.packet!r}") from None
         if not (math.isfinite(x0) and math.isfinite(kx) and 0 < width < math.inf):
             raise ValueError(f"packet needs finite x0, kx and width > 0, got {args.packet!r}")
         column = np.exp(-((prop.x - x0) ** 2) / (2 * width**2)) * np.exp(
@@ -384,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mode_field)
 
     def add_bpm(p):
-        p.add_argument("--X", type=float, default=None, help="transverse half width (default 4A)")
         p.add_argument("--nx", type=int, default=None)
         p.add_argument("--dz", type=float, default=None)
 

@@ -51,13 +51,9 @@ class ModeField:
         """phi(x) on an arbitrary set of points (units of 1/k0)."""
         return self._piecewise(x, 0)
 
-    def derivative(self, x) -> np.ndarray:
-        """dphi/dx, piecewise analytic."""
-        return self._piecewise(x, 1)
-
     def log_derivative(self, x: float) -> complex:
         """beta(x) = -phi'(x)/phi(x); tends to -iK (x > A) and +iK (x < -A)."""
-        return complex(-self.derivative([x])[0] / self.evaluate([x])[0])
+        return complex(-self._piecewise([x], 1)[0] / self.evaluate([x])[0])
 
 
 @dataclass(frozen=True)

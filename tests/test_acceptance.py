@@ -256,8 +256,7 @@ def test_criterion_11_bpm_cross_validation(slab30, refined_modes):
     col = np.exp(-prop.x**2 / (2 * w0**2)).astype(complex)
     norm = prop.norm(col)
     drift = 0.0
-    for _ in range(100):
-        col = prop.step(col)
+    for col in prop.march(col, 100):
         new = prop.norm(col)
         drift = max(drift, abs(new - norm) / norm)
         norm = new

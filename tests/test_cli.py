@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,7 @@ from leakyslab.cli import (
     _curve_table,
     _grid_table,
     _json,
+    build_parser,
     field_grid_from_json,
     main,
     parse_grid,
@@ -233,7 +236,7 @@ def test_mode_field_json_round_trips(tmp_path, capsys):
 
 
 def test_propagate_init_field_round_trip(tmp_path, capsys):
-    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120",
+    base = ["propagate", "--k0a", "30", "--u0", "1.5",
             "--nx", "513", "--dz", "0.1", "--z-max", "1"]
     first_curve = tmp_path / "first.csv"
     field_json = tmp_path / "field.json"
@@ -247,19 +250,24 @@ def test_propagate_init_field_round_trip(tmp_path, capsys):
     first = [l for l in first_curve.read_text().splitlines() if not l.startswith("#")]
     second = [l for l in second_curve.read_text().splitlines() if not l.startswith("#")]
     assert first == second
-    # a field sampled on another x grid is refused, not interpolated
-    wider = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "150",
+    # a field sampled on another x grid (that of a wider slab, [-4A, 4A] at
+    # the same nx) is refused, not interpolated
+    wider = ["propagate", "--k0a", "37.5", "--u0", "1.5",
              "--nx", "513", "--dz", "0.1", "--z-max", "1"]
     code, out, err = run(wider + ["--init-field", str(field_json), "-o", str(tmp_path / "third.csv")],
                          capsys)
     assert code == 2 and out == ""
     assert "does not match the propagation grid" in err
     assert not (tmp_path / "third.csv").exists()
-    # a missing file and a JSON document that is not a field grid are
-    # validation problems, not tracebacks
+    # a missing file, a JSON document that is not a field grid and a field
+    # grid on the propagation grid with no z column are validation
+    # problems, not tracebacks
     no_re = tmp_path / "no_re.json"
     no_re.write_text(json.dumps({"x": [0.0], "z": [0.0], "im": [[0.0]]}))
-    for init in (tmp_path / "no" / "such.json", no_re):
+    no_z = tmp_path / "no_z.json"
+    x = json.loads(field_json.read_text())["x"]
+    no_z.write_text(json.dumps({"x": x, "z": [], "re": [[]] * len(x), "im": [[]] * len(x)}))
+    for init in (tmp_path / "no" / "such.json", no_re, no_z):
         code, out, err = run(base + ["--init-field", str(init), "-o", str(tmp_path / "fourth.csv")],
                              capsys)
         assert code == 2 and out == "", init
@@ -268,7 +276,7 @@ def test_propagate_init_field_round_trip(tmp_path, capsys):
 
 
 def test_propagate_requires_initial_condition(tmp_path, capsys):
-    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513"]
+    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
     field = tmp_path / "field.json"
     assert main(base + ["--m", "24", "--z-max", "0.1", "--save-field", str(field)]) == 0
     capsys.readouterr()
@@ -282,13 +290,15 @@ def test_propagate_requires_initial_condition(tmp_path, capsys):
 
 
 def test_propagate_out_of_range_flags_are_refused(tmp_path, capsys):
-    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513",
-            "--packet", "0:10:0.4"]
+    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
+    packet = ["--packet", "0:10:0.4"]
     out_path, field = tmp_path / "curve.csv", tmp_path / "field.json"
     for flags, name in (
-        (["--z-max", "1", "--save-field", str(field), "--snapshots", "1"], "snapshots"),
-        (["--z-max", "1", "--save-field", str(field), "--snapshots", "0"], "snapshots"),
-        (["--z-max", "-1"], "z_max"),
+        ([*packet, "--z-max", "1", "--save-field", str(field), "--snapshots", "1"], "snapshots"),
+        ([*packet, "--z-max", "1", "--save-field", str(field), "--snapshots", "0"], "snapshots"),
+        ([*packet, "--z-max", "-1"], "z_max"),
+        (["--packet", "0:10", "--z-max", "1"], "x0:width:kx"),
+        (["--packet", "0:10:0.4:1", "--z-max", "1"], "x0:width:kx"),
     ):
         code, out, err = run(base + flags + ["-o", str(out_path)], capsys)
         assert code == 2, flags
@@ -321,7 +331,7 @@ def test_propagate_writes_the_requested_snapshot_count(tmp_path, capsys):
 def test_propagate_packet_power_decays(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code = main(
-        ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513",
+        ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513",
          "--dz", "0.1", "--z-max", "30", "--packet", "0:10:0.4", "-o", str(out_path)]
     )
     capsys.readouterr()
@@ -379,7 +389,8 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
     assert "nan" not in stdout
     # every other non-finite number is refused before anything is computed
     # from it or written (the filterwarnings mark makes a warning an error)
-    bpm = ["propagate", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513"]
+    bpm = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
+    decay = ["decay", "--k0a", "30", "--u0", "1.5", "--m", "24"]
     width = ["shift", "--u0", "1.5", "--eps-fixed", "-0.995", "--k0a-sweep", "1:60:3"]
     init = tmp_path / "init.json"
     assert main([*bpm, "--packet", "0:10:0.4", "--z-max", "1", "--save-field", str(init)]) == 0
@@ -395,8 +406,12 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
         ["resonances", "--k0a", "30", "--u0", "inf"],
         [*width, "--k0a", "nan"],
         [*width, "--k0a", "-5"],
-        [*bpm, "--packet", "0:10:0.4", "--X", "nan"],
         [*bpm, "--packet", "0:10:0.4", "--dz", "inf"],
+        # finite flags whose z_max/dz overflows to inf
+        [*bpm, "--packet", "0:10:0.4", "--z-max", "1e308"],
+        [*bpm, "--packet", "0:10:0.4", "--z-max", "110", "--dz", "1e-320"],
+        [*decay, "--z-max", "1e308"],
+        [*decay, "--z-max", "110", "--dz", "1e-320"],
         [*bpm, "--packet", "0:0:0", "--z-max", "1"],
         [*bpm, "--init-field", str(init), "--z-max", "1"],
     ):
@@ -558,15 +573,20 @@ def test_resonances_writers_match_per_element_repr(capsys, refine):
 
 def test_decay_writers_match_per_element_repr(capsys):
     slab = SlabConfig(30.0, 1.5)
-    cfg = BpmConfig.for_slab(slab, transverse_halfwidth_X=120.0, nx=513, dz=0.1)
+    cfg = BpmConfig.for_slab(slab, nx=513, dz=0.1)
     seed = next(r for r in approximate_resonances(slab) if r.mode_index_m == 36)
     res = refine_resonance(seed, slab)
     rate = measure_decay(cfg, tapered_mode_column(mode_profile(res, slab), cfg), 30.0)
-    argv = ["decay", "--k0a", "30", "--u0", "1.5", "--X", "120", "--nx", "513",
+    argv = ["decay", "--k0a", "30", "--u0", "1.5", "--nx", "513",
             "--dz", "0.1", "--m", "36", "--z-max", "30"]
-    # the header records every BPM flag
+    # the header records every BPM flag, and the domain half width X = 4A
     meta = {"k0a": 30.0, "u0": 1.5, "m": 36, "z_max": 30.0, "nx": 513, "dz": 0.1,
             "X": 120.0}
+    # which no flag sets
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--X", "120"])
+    capsys.readouterr()
+    assert info.value.code == 2
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out.splitlines() == header("decay", meta) + [
@@ -582,3 +602,16 @@ def test_decay_writers_match_per_element_repr(capsys):
                     "width_Gamma_refined": [res.eigenvalue.width_Gamma]},
     }
     assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_readme_command_lines_parse():
+    # every command line the README shows parses, so a flag that is gone
+    # cannot stay documented
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S)
+    lines = [l for b in blocks for l in b.splitlines() if l.startswith("leakyslab ")]
+    assert len(lines) >= 8, lines
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
