@@ -267,16 +267,23 @@ def test_non_exponential_flag(slab30, refined_modes, cfg30):
     assert info.value.r_squared < 0.99
 
 
-def test_instability_detector_flags_non_finite_column(cfg30):
+@pytest.mark.parametrize("how", ["step", "march"])
+def test_instability_detector_flags_non_finite_column(cfg30, how):
     # a finite column cannot gain norm, so the guard is a fault detector: a
-    # single NaN sample makes the first step's norm non-finite
+    # single NaN sample makes the first step's norm non-finite, whether the
+    # column goes through single-step marches or one five-step march
     prop = Propagator(cfg30)
     col = np.exp(-prop.x**2 / 200.0).astype(complex)
     col[cfg30.nx // 2] = np.nan
     done = 0
     with pytest.raises(UnstableStepError, match="nan in one step"):
-        for done, col in enumerate(prop.march(col, 5), 1):
-            pass
+        if how == "step":
+            for _ in range(5):
+                (col,) = prop.march(col, 1)
+                done += 1
+        else:
+            for done, col in enumerate(prop.march(col, 5), 1):
+                pass
     assert done == 0
 
 
