@@ -51,6 +51,10 @@ from .fields import ModeField
 _TAPER_INNER = 2.0
 _TAPER_OUTER = 3.0
 
+# the most dz steps one march to z_max may take; the longest march in the
+# tests and the README, z_max = 110 at dz = 0.025, takes 4400
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class BpmConfig:
@@ -218,6 +222,24 @@ class Propagator:
         return self.norm(column, self.core)
 
 
+def step_count(z_max: float, dz: float) -> int:
+    """round(z_max/dz), the steps of a march to z_max.
+
+    ValueError unless z_max >= 0 and z_max/dz is finite and rounds to at
+    most MAX_STEPS, so that nothing is allocated or marched for a z_max
+    no run could reach.
+    """
+    steps = z_max / dz
+    if not (math.isfinite(steps) and steps >= 0):
+        raise ValueError(
+            f"z_max must be finite in steps of dz and >= 0, got z_max={z_max}, dz={dz}"
+        )
+    nsteps = int(round(steps))
+    if nsteps > MAX_STEPS:
+        raise ValueError(f"z_max/dz rounds to {nsteps} steps, more than MAX_STEPS = {MAX_STEPS}")
+    return nsteps
+
+
 def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     """Sample a leaky-mode profile, windowed to suppress the unbounded tail.
 
@@ -240,15 +262,12 @@ def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:
     window skips the start-up transient) on the grid z = j*dz, j up to
     round(z_max/dz).  The march ends at the last sample of that window, the
     last one the fit reads: 440 of 550 steps at z_max = 110, dz = 0.2.
-    Raises ValueError for a z_max that is not finite in steps of dz or
-    spans fewer than 10 steps, a column of the wrong length or one with no
+    Raises ValueError for a z_max that step_count refuses or that spans
+    fewer than 10 steps, a column of the wrong length or one with no
     power, and NonExponentialDecayError when the fit explains less than
     R^2 = 0.99 of a decaying record.
     """
-    steps = z_max / cfg.dz
-    if not math.isfinite(steps):
-        raise ValueError(f"z_max must be finite in steps of dz, got z_max={z_max}, dz={cfg.dz}")
-    nsteps = int(round(steps))
+    nsteps = step_count(z_max, cfg.dz)
     if nsteps < 10:
         raise ValueError("z_max spans fewer than 10 steps")
     z = np.arange(nsteps + 1) * cfg.dz

@@ -5,7 +5,7 @@ exact flags, then a header row) or JSON; identical flags produce
 byte-identical files.  No plotting here: the tool emits data for external
 renderers.
 
-Exit codes: 0 success, 2 validation problem or unusable file, 3 numerical failure.
+Exit codes: 0 success, 2 validation problem or unwritable output, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bpm import BpmConfig, Propagator, measure_decay, tapered_mode_column
+from .bpm import BpmConfig, Propagator, measure_decay, step_count, tapered_mode_column
 from .core import SlabConfig
 from .errors import LeakySlabError
 from .fbw import FbwLine, fourier_coefficient, lineshape
@@ -124,19 +124,6 @@ def _grid_table(grid: FieldGrid, component: str):
     body = {"x": grid.x_grid, "z": grid.z_grid,
             "re": grid.amplitudes.real, "im": grid.amplitudes.imag}
     return ("x", "z", f"{component}_E"), columns, body
-
-
-def field_grid_from_json(path: Path) -> FieldGrid:
-    """The FieldGrid of a --save-field JSON document; ValueError for any other document."""
-    doc = json.loads(path.read_text())
-    if not (isinstance(doc, dict) and {"x", "z", "re", "im"} <= doc.keys()):
-        raise ValueError(f"{path} is not a field grid: need an object with x, z, re and im")
-    amps = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    return FieldGrid(
-        x_grid=np.asarray(doc["x"], dtype=float),
-        z_grid=np.asarray(doc["z"], dtype=float),
-        amplitudes=amps,
-    )
 
 
 def _component(amplitudes: np.ndarray, which: str) -> np.ndarray:
@@ -241,16 +228,14 @@ def cmd_mode_field(args) -> int:
     return _emit(args, "mode-field", meta, _grid_table(grid, args.component))
 
 
-def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, dict]:
-    """Slab, BPM config and the flags they record, shared by propagate and decay."""
+def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, int, dict]:
+    """Slab, BPM config, the steps to --z-max and the flags they record,
+    shared by propagate and decay."""
     slab = _slab_from(args)
     # an unset --nx or --dz takes BpmConfig.for_slab's default
     grid = {name: getattr(args, name) for name in ("nx", "dz") if getattr(args, name) is not None}
     cfg = BpmConfig.for_slab(slab, **grid)
-    if not (math.isfinite(args.z_max / cfg.dz) and args.z_max >= 0):
-        raise ValueError(
-            f"z_max must be finite in steps of dz and >= 0, got z_max={args.z_max}, dz={cfg.dz}"
-        )
+    nsteps = step_count(args.z_max, cfg.dz)
     meta = {
         "k0a": args.k0a,
         "u0": args.u0,
@@ -259,32 +244,18 @@ def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, dict]:
         "X": cfg.transverse_halfwidth_X,
         "z_max": args.z_max,
     }
-    return slab, cfg, meta
+    return slab, cfg, nsteps, meta
 
 
 def cmd_propagate(args) -> int:
-    given = [v for v in (args.m, args.packet, args.init_field) if v is not None]
+    given = [v for v in (args.m, args.packet) if v is not None]
     if len(given) != 1:
-        raise ValueError(
-            f"choose one initial condition of --m, --packet and --init-field, got {len(given)}"
-        )
+        raise ValueError(f"choose one initial condition of --m and --packet, got {len(given)}")
     if args.snapshots < 2:
         raise ValueError(f"snapshots must be >= 2, got {args.snapshots}")
-    slab, cfg, meta = _bpm_setup(args)
+    slab, cfg, nsteps, meta = _bpm_setup(args)
     prop = Propagator(cfg)
-    if args.init_field is not None:
-        grid_in = field_grid_from_json(Path(args.init_field))
-        if len(grid_in.x_grid) != cfg.nx or not np.allclose(
-            grid_in.x_grid, prop.x, rtol=0, atol=1e-12
-        ):
-            raise ValueError("--init-field x grid does not match the propagation grid")
-        if not grid_in.z_grid.size:
-            raise ValueError("--init-field has no z column")
-        column = grid_in.amplitudes[:, 0].copy()
-        if not np.all(np.isfinite(column)):
-            raise ValueError("--init-field amplitudes must be finite")
-        meta["init"] = "file"
-    elif args.m is not None:
+    if args.m is not None:
         res = _refined_mode(slab, args.m)
         column = tapered_mode_column(mode_profile(res, slab), cfg)
         meta["init"] = f"mode-{args.m}"
@@ -302,13 +273,16 @@ def cmd_propagate(args) -> int:
         meta["init"] = "packet"
         meta["packet"] = args.packet
 
-    nsteps = int(round(args.z_max / cfg.dz))
-    keep = set(np.round(np.linspace(0, nsteps, args.snapshots)).astype(int).tolist())
+    keep = set()
+    if args.save_field:
+        # more than nsteps + 1 points would select every step once anyway
+        plan = np.linspace(0, nsteps, min(args.snapshots, nsteps + 1))
+        keep = set(np.round(plan).astype(int).tolist())
     powers = [prop.core_power(column)]
     snaps = {0: column}
     for i, column in enumerate(prop.march(column, nsteps), 1):
         powers.append(prop.core_power(column))
-        if args.save_field and i in keep:
+        if i in keep:
             snaps[i] = column
 
     curve = Curve(
@@ -328,7 +302,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    slab, cfg, meta = _bpm_setup(args)
+    slab, cfg, _, meta = _bpm_setup(args)
     res = _refined_mode(slab, args.m)
     column = tapered_mode_column(mode_profile(res, slab), cfg)
     rate = measure_decay(cfg, column, args.z_max)
@@ -399,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_bpm(p)
     p.add_argument("--m", type=int, default=None, help="tapered leaky-mode initial condition")
     p.add_argument("--packet", default=None, help="Gaussian packet x0:width:kx")
-    p.add_argument("--init-field", default=None, help="JSON field grid; first z column is used")
     p.add_argument("--z-max", type=float, default=50.0)
     p.add_argument("--save-field", default=None, help="write snapshot field grid (JSON)")
     p.add_argument("--snapshots", type=int, default=11, help="snapshot count for --save-field")

@@ -293,10 +293,12 @@ def test_criterion_12_wavepacket_oracle(slab30, refined_modes):
     """Wave-packet-measured shift vs stationary phase at sigma_K = K_c/20.
 
     At K_c/20 the packet's spectral support spans roughly five resonance
-    spacings, so the measured arrival reflects a multi-resonance average:
-    23% above the single-eigenvalue stationary-phase shift.  Halving
-    sigma_K does reduce the discrepancy (to 5.0%), and by K_c/160 it is
-    ~2%; the 5% target is unreachable at the stated width.
+    spacings, so the transmitted envelope has many humps and its peak, the
+    measured arrival, follows no average of them: 101.12, 23% above the
+    single-eigenvalue stationary-phase shift 82.22, while the envelope's
+    intensity-weighted centroid, 60.40, lies 27% below it.  Halving sigma_K
+    does reduce the peak's discrepancy (to 5.0%), and by K_c/160 it is ~2%;
+    the 5% target is unreachable at the stated width.
     """
     r28 = next(r for r in refined_modes if r.mode_index_m == 28)
     eps_c = r28.eigenvalue.eps_R

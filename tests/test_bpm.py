@@ -19,7 +19,7 @@ from leakyslab import (
     mode_profile,
     tapered_mode_column,
 )
-from leakyslab.bpm import BpmConfig, Propagator
+from leakyslab.bpm import MAX_STEPS, BpmConfig, Propagator, step_count
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +311,18 @@ def test_measure_decay_rejects_non_finite_z_max(cfg30, z_max):
     # a finite z_max still needs 10 steps of dz
     with pytest.raises(ValueError, match="fewer than 10 steps"):
         measure_decay(cfg30, col, 0.2)
+
+
+def test_measure_decay_refuses_a_march_past_the_step_ceiling(cfg30, monkeypatch):
+    assert step_count(MAX_STEPS * cfg30.dz, cfg30.dz) == MAX_STEPS
+
+    def march(self, column, nsteps):
+        raise AssertionError(f"a march of {nsteps} steps was started")
+
+    monkeypatch.setattr(Propagator, "march", march)
+    col = np.exp(-np.linspace(-3.0, 3.0, cfg30.nx) ** 2).astype(complex)
+    with pytest.raises(ValueError, match="more than MAX_STEPS"):
+        measure_decay(cfg30, col, (MAX_STEPS + 1) * cfg30.dz)
 
 
 def test_measure_decay_rejects_a_column_without_power():

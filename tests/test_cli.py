@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +23,13 @@ from leakyslab import (
     refine_resonance,
     tapered_mode_column,
 )
-from leakyslab.bpm import BpmConfig
+from leakyslab.bpm import MAX_STEPS, BpmConfig, Propagator
 from leakyslab.cli import (
     _csv,
     _curve_table,
     _grid_table,
     _json,
     build_parser,
-    field_grid_from_json,
     main,
     parse_grid,
 )
@@ -235,58 +236,22 @@ def test_mode_field_json_round_trips(tmp_path, capsys):
     assert len(doc["re"]) == 9 and len(doc["re"][0]) == 3
 
 
-def test_propagate_init_field_round_trip(tmp_path, capsys):
-    base = ["propagate", "--k0a", "30", "--u0", "1.5",
-            "--nx", "513", "--dz", "0.1", "--z-max", "1"]
-    first_curve = tmp_path / "first.csv"
-    field_json = tmp_path / "field.json"
-    # --init-field reads the z = 0 column of a --save-field grid
-    code = main(base + ["--m", "24", "-o", str(first_curve), "--save-field", str(field_json)])
-    assert code == 0
-    second_curve = tmp_path / "second.csv"
-    code = main(base + ["--init-field", str(field_json), "-o", str(second_curve)])
-    capsys.readouterr()
-    assert code == 0
-    first = [l for l in first_curve.read_text().splitlines() if not l.startswith("#")]
-    second = [l for l in second_curve.read_text().splitlines() if not l.startswith("#")]
-    assert first == second
-    # a field sampled on another x grid (that of a wider slab, [-4A, 4A] at
-    # the same nx) is refused, not interpolated
-    wider = ["propagate", "--k0a", "37.5", "--u0", "1.5",
-             "--nx", "513", "--dz", "0.1", "--z-max", "1"]
-    code, out, err = run(wider + ["--init-field", str(field_json), "-o", str(tmp_path / "third.csv")],
-                         capsys)
-    assert code == 2 and out == ""
-    assert "does not match the propagation grid" in err
-    assert not (tmp_path / "third.csv").exists()
-    # a missing file, a JSON document that is not a field grid and a field
-    # grid on the propagation grid with no z column are validation
-    # problems, not tracebacks
-    no_re = tmp_path / "no_re.json"
-    no_re.write_text(json.dumps({"x": [0.0], "z": [0.0], "im": [[0.0]]}))
-    no_z = tmp_path / "no_z.json"
-    x = json.loads(field_json.read_text())["x"]
-    no_z.write_text(json.dumps({"x": x, "z": [], "re": [[]] * len(x), "im": [[]] * len(x)}))
-    for init in (tmp_path / "no" / "such.json", no_re, no_z):
-        code, out, err = run(base + ["--init-field", str(init), "-o", str(tmp_path / "fourth.csv")],
-                             capsys)
-        assert code == 2 and out == "", init
-        assert err.startswith("error: "), err
-        assert not (tmp_path / "fourth.csv").exists()
-
-
 def test_propagate_requires_initial_condition(tmp_path, capsys):
     base = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
-    field = tmp_path / "field.json"
-    assert main(base + ["--m", "24", "--z-max", "0.1", "--save-field", str(field)]) == 0
-    capsys.readouterr()
-    m, packet, init = ["--m", "24"], ["--packet", "0:10:0.4"], ["--init-field", str(field)]
-    for given in ([], m + packet, m + init, packet + init, m + packet + init):
-        out_path = tmp_path / "curve.csv"
+    out_path = tmp_path / "curve.csv"
+    for given in ([], ["--m", "24", "--packet", "0:10:0.4"]):
         code, out, err = run(base + given + ["-o", str(out_path)], capsys)
         assert code == 2, given
         assert "initial condition" in err
         assert out == "" and not out_path.exists()
+    # no subcommand reads a file: a field saved by one run cannot seed the next
+    field = tmp_path / "field.json"
+    assert main(base + ["--m", "24", "--z-max", "0.1", "--save-field", str(field)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(base + ["--init-field", str(field), "--z-max", "0.1", "-o", str(out_path)])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == "" and not out_path.exists()
 
 
 def test_propagate_out_of_range_flags_are_refused(tmp_path, capsys):
@@ -317,15 +282,51 @@ def test_propagate_writes_the_requested_snapshot_count(tmp_path, capsys):
                      "-o", str(tmp_path / "curve.csv"), "--save-field", str(field)])
         capsys.readouterr()
         assert code == 0
-        grid = field_grid_from_json(field)
-        assert grid.amplitudes.shape == (513, len(grid.z_grid))
-        return np.round(grid.z_grid / 0.05).astype(int).tolist()
+        doc = json.loads(field.read_text())
+        assert np.shape(doc["re"]) == np.shape(doc["im"]) == (513, len(doc["z"]))
+        return np.round(np.array(doc["z"]) / 0.05).astype(int).tolist()
 
     assert snapshot_steps("5", 4) == [0, 33, 67, 100]
     assert snapshot_steps("5", 11) == list(range(0, 101, 10))
     assert snapshot_steps("5", 101) == list(range(101))
     # a march of fewer than N - 1 steps keeps each of its steps once
     assert snapshot_steps("0.1", 4) == [0, 1, 2]
+
+
+def test_snapshots_allocate_nothing_without_save_field(tmp_path, capsys):
+    # the snapshot plan is built only for --save-field, from at most
+    # nsteps + 1 points, so a huge --snapshots costs nothing
+    argv = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513", "--dz", "0.1",
+            "--z-max", "1", "--packet", "0:10:0.4", "--snapshots", "1000000",
+            "-o", str(tmp_path / "curve.csv")]
+    assert main(argv) == 0  # warm-up, so that scipy's import is not counted
+    for extra in ([], ["--save-field", str(tmp_path / "field.json")]):
+        tracemalloc.start()
+        try:
+            assert main(argv + extra) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, (extra, peak)
+    capsys.readouterr()
+    assert len(json.loads((tmp_path / "field.json").read_text())["z"]) == 11
+
+
+def test_a_march_past_the_step_ceiling_is_refused(tmp_path, capsys, monkeypatch):
+    # refused before the z grid is allocated or the first step is taken
+    def march(self, column, nsteps):
+        raise AssertionError(f"a march of {nsteps} steps was started")
+
+    monkeypatch.setattr(Propagator, "march", march)
+    z_max = str((MAX_STEPS + 1) * 0.2)
+    out_path = tmp_path / "out.csv"
+    for argv in (["decay", "--m", "24"], ["propagate", "--packet", "0:10:0.4"]):
+        argv = [*argv, "--k0a", "30", "--u0", "1.5", "--nx", "513", "--dz", "0.2",
+                "--z-max", z_max, "-o", str(out_path)]
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "more than MAX_STEPS" in err, err
+        assert out == "" and not out_path.exists()
 
 
 def test_propagate_packet_power_decays(tmp_path, capsys):
@@ -392,12 +393,6 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
     bpm = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
     decay = ["decay", "--k0a", "30", "--u0", "1.5", "--m", "24"]
     width = ["shift", "--u0", "1.5", "--eps-fixed", "-0.995", "--k0a-sweep", "1:60:3"]
-    init = tmp_path / "init.json"
-    assert main([*bpm, "--packet", "0:10:0.4", "--z-max", "1", "--save-field", str(init)]) == 0
-    capsys.readouterr()
-    doc = json.loads(init.read_text())
-    doc["re"][256][0] = float("nan")
-    init.write_text(json.dumps(doc))
     for argv in (
         ["fbw", "--e0", "0", "--gamma", "1", "--grid", "nan:nan:1"],
         ["fbw", "--e0", "0", "--gamma", "1", "--grid", "-1:inf:3"],
@@ -413,7 +408,6 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
         [*decay, "--z-max", "1e308"],
         [*decay, "--z-max", "110", "--dz", "1e-320"],
         [*bpm, "--packet", "0:0:0", "--z-max", "1"],
-        [*bpm, "--init-field", str(init), "--z-max", "1"],
     ):
         code, stdout, err = run([*argv, "-o", str(out)], capsys)
         assert code == 2, argv
@@ -615,3 +609,11 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+    # and every --flag the prose names in backticks is an option of some subcommand
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for p in [parser, *sub.choices.values()] for o in p._option_string_actions}
+    prose = re.sub(r"^```.*?^```", "", readme.read_text(), flags=re.M | re.S)
+    flags = {f for span in re.findall(r"`([^`]+)`", prose)
+             for f in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", span)}
+    assert len(flags) >= 8, flags
+    assert flags <= options, sorted(flags - options)
