@@ -1,9 +1,9 @@
 """Command-line front end: every computation as a reproducible, file-emitting subcommand.
 
-Outputs are CSV by default (``#``-prefixed metadata lines recording the
-exact flags, then a header row) or JSON; identical flags produce
-byte-identical files.  No plotting here: the tool emits data for external
-renderers.
+Every table, and the field snapshots of ``propagate --save-field``, is
+written as CSV: ``#``-prefixed metadata lines recording the exact flags,
+then a header row.  Identical flags produce byte-identical files.  No
+plotting here: the tool emits data for external renderers.
 
 Exit codes: 0 success, 2 validation problem or unwritable output, 3 numerical failure.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import re
@@ -32,6 +31,10 @@ from .scattering import Curve, transmission_sweep
 from .shift import shift_sweep, width_sweep
 
 OUTDIR_ENV = "LEAKYSLAB_OUTDIR"
+# most points in one grid, mode-field rectangle or BPM column (at most 4096,
+# 321,201 and 8193 in the README, the benchmark and the tests); a larger
+# count is refused before anything of its size is allocated
+MAX_POINTS = 10**6
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -44,24 +47,20 @@ def parse_grid(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise ValueError(f"bad grid specification {spec!r}: {exc}") from None
-    if math.isinf(start) or math.isinf(stop):
+    if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid endpoints must be finite, got {spec!r}")
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
-    # a NaN endpoint fails here; a one-point NaN grid fails where it is used
+    if count > MAX_POINTS:
+        raise ValueError(f"grid count {count} is more than MAX_POINTS = {MAX_POINTS}")
     if count > 1 and not stop > start:
         raise ValueError(f"grid stop must exceed start, got {spec!r}")
     return np.linspace(start, stop, count)
 
 
-def _floats(values) -> list:
-    """Values as (nested) lists of Python floats, the form repr and json write."""
-    return np.asarray(values, dtype=float).tolist()
-
-
 def _cells(values):
     """One repr per value in C order, cast to float first; lazy until iterated."""
-    yield from map(repr, _floats(np.ravel(values)))
+    yield from map(repr, np.asarray(values, dtype=float).ravel().tolist())
 
 
 def _write(path: str | None, text: str) -> None:
@@ -87,43 +86,28 @@ def _csv(command: str, meta: dict, names, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json(command: str, meta: dict, **body) -> str:
-    """One JSON document with sorted keys; arrays in body become lists of floats."""
-    doc = {"command": command, "meta": meta, **body}
-    return json.dumps(doc, indent=1, sort_keys=True, default=_floats) + "\n"
-
-
 def _emit(args, command: str, meta: dict, table) -> int:
-    """Write table = (names, columns, body) to -o (or stdout) as --format asks:
-    CSV of the formatted cell columns, or JSON of body.  Returns exit code 0."""
-    names, columns, body = table
-    if args.format == "json":
-        text = _json(command, meta, **body)
-    else:
-        text = _csv(command, meta, names, columns)
-    _write(args.output, text)
+    """Write table = (names, columns) as CSV to -o (or stdout).  Returns exit code 0."""
+    _write(args.output, _csv(command, meta, *table))
     return 0
 
 
 def _curve_table(curve: Curve):
-    """A curve's columns by name: the abscissa, then each value column."""
+    """A curve's column names and cells: the abscissa, then each value column."""
     values = curve.values.reshape(len(curve.abscissa), -1).T
-    cols = dict(zip(curve.labels, [curve.abscissa, *values]))
-    return cols, map(_cells, cols.values()), {"columns": cols}
+    return curve.labels, map(_cells, [curve.abscissa, *values])
 
 
-def _grid_table(grid: FieldGrid, component: str):
-    """CSV: one (x, z, component) row per grid point, z varying fastest, each
-    label formatted once.  JSON: the grids and the real and imaginary parts."""
+def _grid_table(grid: FieldGrid, *components: str):
+    """One (x, z, *components) row per grid point, z varying fastest, each
+    label formatted once."""
     xs, zs = list(_cells(grid.x_grid)), list(_cells(grid.z_grid))
     columns = (
         itertools.chain.from_iterable(itertools.repeat(x, len(zs)) for x in xs),
         itertools.chain.from_iterable(itertools.repeat(zs, len(xs))),
-        _cells(_component(grid.amplitudes, component)),
+        *(_cells(_component(grid.amplitudes, c)) for c in components),
     )
-    body = {"x": grid.x_grid, "z": grid.z_grid,
-            "re": grid.amplitudes.real, "im": grid.amplitudes.imag}
-    return ("x", "z", f"{component}_E"), columns, body
+    return ("x", "z", *(f"{c}_E" for c in components)), columns
 
 
 def _component(amplitudes: np.ndarray, which: str) -> np.ndarray:
@@ -155,8 +139,7 @@ def cmd_resonances(args) -> int:
         (r.mode_index_m, r.eigenvalue.eps_R, r.eigenvalue.half_width_Gamma, r.residual, r.method)
         for r in modes
     ]
-    body = {"modes": [dict(zip(names, row)) for row in rows]}
-    _emit(args, "resonances", meta, (names, [map(str, col) for col in zip(*rows)], body))
+    _emit(args, "resonances", meta, (names, [map(str, col) for col in zip(*rows)]))
     return 2 if not modes else 0
 
 
@@ -185,9 +168,6 @@ def cmd_shift(args) -> int:
 def cmd_fbw(args) -> int:
     line = FbwLine(center_E0=args.e0, width_Gamma=args.gamma)
     grid = parse_grid(args.grid)
-    # a one-point NaN grid passes parse_grid; refuse it before computing on it
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("abscissa must be finite")
     omega = lineshape(line, grid)
     coeff = fourier_coefficient(line, grid)
     curve = Curve(
@@ -216,6 +196,8 @@ def cmd_mode_field(args) -> int:
     x_default, z_default = default_render_grids(slab)
     x = parse_grid(args.x) if args.x else x_default
     z = parse_grid(args.z) if args.z else z_default
+    if len(x) * len(z) > MAX_POINTS:
+        raise ValueError(f"{len(x)} x {len(z)} field points is more than MAX_POINTS = {MAX_POINTS}")
     grid = propagate_mode(field, x, z)
     meta = {
         "k0a": args.k0a,
@@ -235,6 +217,8 @@ def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, int, dict]:
     # an unset --nx or --dz takes BpmConfig.for_slab's default
     grid = {name: getattr(args, name) for name in ("nx", "dz") if getattr(args, name) is not None}
     cfg = BpmConfig.for_slab(slab, **grid)
+    if cfg.nx > MAX_POINTS:
+        raise ValueError(f"nx {cfg.nx} is more than MAX_POINTS = {MAX_POINTS}")
     nsteps = step_count(args.z_max, cfg.dz)
     meta = {
         "k0a": args.k0a,
@@ -297,7 +281,7 @@ def cmd_propagate(args) -> int:
             z_grid=np.array(list(snaps)) * cfg.dz,
             amplitudes=np.column_stack(list(snaps.values())),
         )
-        _write(args.save_field, _json("propagate-field", meta, **_grid_table(grid_out, "re")[2]))
+        _write(args.save_field, _csv("propagate-field", meta, *_grid_table(grid_out, "re", "im")))
     return 0
 
 
@@ -307,10 +291,9 @@ def cmd_decay(args) -> int:
     column = tapered_mode_column(mode_profile(res, slab), cfg)
     rate = measure_decay(cfg, column, args.z_max)
     meta["m"] = args.m
-    cols = {"m": [args.m], "measured_rate": [rate],
-            "width_Gamma_refined": [res.eigenvalue.width_Gamma]}
-    columns = [map(str, col) for col in cols.values()]
-    return _emit(args, "decay", meta, (cols, columns, {"columns": cols}))
+    names = ("m", "measured_rate", "width_Gamma_refined")
+    row = (args.m, rate, res.eigenvalue.width_Gamma)
+    return _emit(args, "decay", meta, (names, [[str(v)] for v in row]))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k0a", type=float, required=True, help="slab half width k0*a")
             p.add_argument("--u0", type=float, required=True, help="core refractive index")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("resonances", help="leaky-mode eigenvalue table")
     add_common(p)
@@ -374,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="tapered leaky-mode initial condition")
     p.add_argument("--packet", default=None, help="Gaussian packet x0:width:kx")
     p.add_argument("--z-max", type=float, default=50.0)
-    p.add_argument("--save-field", default=None, help="write snapshot field grid (JSON)")
+    p.add_argument("--save-field", default=None, help="write snapshot field (CSV x,z,re_E,im_E)")
     p.add_argument("--snapshots", type=int, default=11, help="snapshot count for --save-field")
     p.set_defaults(func=cmd_propagate)
 

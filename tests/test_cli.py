@@ -1,5 +1,4 @@
 import argparse
-import json
 import os
 import re
 import shlex
@@ -25,10 +24,10 @@ from leakyslab import (
 )
 from leakyslab.bpm import MAX_STEPS, BpmConfig, Propagator
 from leakyslab.cli import (
+    MAX_POINTS,
     _csv,
     _curve_table,
     _grid_table,
-    _json,
     build_parser,
     main,
     parse_grid,
@@ -60,12 +59,17 @@ def test_parse_grid():
         parse_grid("0:1:0")
     with pytest.raises(ValueError, match="stop must exceed"):
         parse_grid("1:0:5")
-    with pytest.raises(ValueError, match="stop must exceed"):
+    with pytest.raises(ValueError, match="finite"):
         parse_grid("nan:nan:3")
     with pytest.raises(ValueError, match="finite"):
         parse_grid("-1:inf:3")
     with pytest.raises(ValueError, match="finite"):
         parse_grid("-inf:0:1")
+    with pytest.raises(ValueError, match="finite"):
+        parse_grid("nan:nan:1")
+    assert len(parse_grid(f"0:1:{MAX_POINTS}")) == MAX_POINTS
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        parse_grid(f"0:1:{MAX_POINTS + 1}")
 
 
 def test_resonances_table_matches_reference(capsys):
@@ -113,11 +117,6 @@ def test_resonances_empty_range_warns(capsys):
     assert out.splitlines() == header("resonances", meta) + [
         "m,eps_R,half_width_Gamma,residual,method"
     ]
-    code, out, err = run(["resonances", "--k0a", "0.1", "--u0", "1.5", "--format", "json"], capsys)
-    assert code == 2
-    assert "empty" in err
-    doc = {"command": "resonances", "meta": meta, "modes": []}
-    assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
@@ -223,19 +222,6 @@ def test_mode_field_rejects_inadmissible_index(capsys):
     assert "not admissible" in err
 
 
-def test_mode_field_json_round_trips(tmp_path, capsys):
-    out_path = tmp_path / "field.json"
-    code = main(
-        ["mode-field", "--k0a", "30", "--u0", "1.5", "--m", "24",
-         "--x", "-60:60:9", "--z", "0:10:3", "--format", "json", "-o", str(out_path)]
-    )
-    capsys.readouterr()
-    assert code == 0
-    doc = json.loads(out_path.read_text())
-    assert len(doc["x"]) == 9 and len(doc["z"]) == 3
-    assert len(doc["re"]) == 9 and len(doc["re"][0]) == 3
-
-
 def test_propagate_requires_initial_condition(tmp_path, capsys):
     base = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
     out_path = tmp_path / "curve.csv"
@@ -245,7 +231,7 @@ def test_propagate_requires_initial_condition(tmp_path, capsys):
         assert "initial condition" in err
         assert out == "" and not out_path.exists()
     # no subcommand reads a file: a field saved by one run cannot seed the next
-    field = tmp_path / "field.json"
+    field = tmp_path / "field.csv"
     assert main(base + ["--m", "24", "--z-max", "0.1", "--save-field", str(field)]) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit) as info:
@@ -257,7 +243,7 @@ def test_propagate_requires_initial_condition(tmp_path, capsys):
 def test_propagate_out_of_range_flags_are_refused(tmp_path, capsys):
     base = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
     packet = ["--packet", "0:10:0.4"]
-    out_path, field = tmp_path / "curve.csv", tmp_path / "field.json"
+    out_path, field = tmp_path / "curve.csv", tmp_path / "field.csv"
     for flags, name in (
         ([*packet, "--z-max", "1", "--save-field", str(field), "--snapshots", "1"], "snapshots"),
         ([*packet, "--z-max", "1", "--save-field", str(field), "--snapshots", "0"], "snapshots"),
@@ -271,10 +257,22 @@ def test_propagate_out_of_range_flags_are_refused(tmp_path, capsys):
         assert out == "" and not out_path.exists() and not field.exists()
 
 
+def saved_field_grids(path):
+    """The x and z grids of a --save-field CSV, checked to hold one (x, z,
+    re_E, im_E) row per grid point, z varying fastest."""
+    header, rows = parse_csv(path.read_text())
+    assert header == ["x", "z", "re_E", "im_E"]
+    x_col, z_col, _, _ = np.array(rows, dtype=float).T
+    x, z = np.unique(x_col), np.unique(z_col)
+    assert x_col.tolist() == np.repeat(x, len(z)).tolist()
+    assert z_col.tolist() == np.tile(z, len(x)).tolist()
+    return x, z
+
+
 def test_propagate_writes_the_requested_snapshot_count(tmp_path, capsys):
     # --z-max 5 is 100 steps of dz = 0.05; the snapshots are the distinct
     # steps round(linspace(0, 100, N)), so exactly N whenever 100 >= N - 1
-    field = tmp_path / "field.json"
+    field = tmp_path / "field.csv"
 
     def snapshot_steps(z_max, n):
         code = main(["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513", "--dz", "0.05",
@@ -282,9 +280,9 @@ def test_propagate_writes_the_requested_snapshot_count(tmp_path, capsys):
                      "-o", str(tmp_path / "curve.csv"), "--save-field", str(field)])
         capsys.readouterr()
         assert code == 0
-        doc = json.loads(field.read_text())
-        assert np.shape(doc["re"]) == np.shape(doc["im"]) == (513, len(doc["z"]))
-        return np.round(np.array(doc["z"]) / 0.05).astype(int).tolist()
+        x, z = saved_field_grids(field)
+        assert len(x) == 513
+        return np.round(z / 0.05).astype(int).tolist()
 
     assert snapshot_steps("5", 4) == [0, 33, 67, 100]
     assert snapshot_steps("5", 11) == list(range(0, 101, 10))
@@ -300,7 +298,7 @@ def test_snapshots_allocate_nothing_without_save_field(tmp_path, capsys):
             "--z-max", "1", "--packet", "0:10:0.4", "--snapshots", "1000000",
             "-o", str(tmp_path / "curve.csv")]
     assert main(argv) == 0  # warm-up, so that scipy's import is not counted
-    for extra in ([], ["--save-field", str(tmp_path / "field.json")]):
+    for extra in ([], ["--save-field", str(tmp_path / "field.csv")]):
         tracemalloc.start()
         try:
             assert main(argv + extra) == 0
@@ -309,7 +307,7 @@ def test_snapshots_allocate_nothing_without_save_field(tmp_path, capsys):
             tracemalloc.stop()
         assert peak < 5_000_000, (extra, peak)
     capsys.readouterr()
-    assert len(json.loads((tmp_path / "field.json").read_text())["z"]) == 11
+    assert len(saved_field_grids(tmp_path / "field.csv")[1]) == 11
 
 
 def test_a_march_past_the_step_ceiling_is_refused(tmp_path, capsys, monkeypatch):
@@ -327,6 +325,35 @@ def test_a_march_past_the_step_ceiling_is_refused(tmp_path, capsys, monkeypatch)
         assert code == 2, argv
         assert err.startswith("error: ") and "more than MAX_STEPS" in err, err
         assert out == "" and not out_path.exists()
+
+
+def test_oversized_counts_are_refused(tmp_path, capsys):
+    # the first count over MAX_POINTS is refused before anything of its size
+    # is allocated: the peak stays below one float array of MAX_POINTS
+    slab = ["--k0a", "30", "--u0", "1.5"]
+    over = str(MAX_POINTS + 1)
+    out_path = tmp_path / "out.csv"
+    for argv in (
+        ["transmission", *slab, "--eps", f"-0.9:-0.1:{over}"],
+        ["fbw", "--e0", "0", "--gamma", "1", "--grid", f"0:1:{over}"],
+        # 101 x 9901 = MAX_POINTS + 1 cells
+        ["mode-field", *slab, "--m", "24", "--x", "-60:60:101", "--z", "0:10:9901"],
+        ["decay", *slab, "--m", "24", "--z-max", "2", "--nx", over],
+        ["propagate", *slab, "--packet", "0:10:0.4", "--z-max", "1", "--nx", over],
+    ):
+        argv = [*argv, "-o", str(out_path)]
+        main(argv)  # warm-up, so that imports and caches are not counted
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code, out, err = run(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, argv
+        assert err.startswith("error: ") and "more than MAX_POINTS = 1000000" in err, err
+        assert out == "" and not out_path.exists()
+        assert peak < 8 * MAX_POINTS, (argv, peak)
 
 
 def test_propagate_packet_power_decays(tmp_path, capsys):
@@ -385,7 +412,7 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    assert "radiation band" in err
+    assert "error: grid endpoints must be finite, got 'nan:nan:1'" in err
     assert not out.exists()
     assert "nan" not in stdout
     # every other non-finite number is refused before anything is computed
@@ -422,7 +449,9 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
         [*cli, "fbw", "--e0", "0", "--gamma", "1", "--grid", "nan:nan:1"],
         env=env, capture_output=True, text=True,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: abscissa must be finite\n")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: grid endpoints must be finite, got 'nan:nan:1'\n"
+    )
     # a width whose square underflows is the zero-width limit, not 0/0
     done = subprocess.run(
         [*cli, "fbw", "--e0", "0", "--gamma", "1e-300", "--grid", "-1:1:3"],
@@ -446,28 +475,6 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert not out.exists() and stdout == ""
 
 
-def test_resonances_json_format(capsys):
-    code, out, _ = run(
-        ["resonances", "--k0a", "30", "--u0", "1.5", "--format", "json"], capsys
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert len(doc["modes"]) == 17
-    assert doc["modes"][0]["m"] == 24
-
-
-def test_json_curve_format(capsys):
-    code, out, _ = run(
-        ["transmission", "--k0a", "30", "--u0", "1.5", "--eps", "-0.5:-0.4:3",
-         "--format", "json"],
-        capsys,
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert set(doc["columns"]) == {"eps_R", "T", "phi"}
-    assert doc["meta"]["k0a"] == 30.0
-
-
 # Values whose shortest repr is easy to get wrong: signed zero, the smallest
 # subnormal, a float past the exact-integer range, a repeating binary
 # fraction and NaN.
@@ -486,17 +493,10 @@ def test_curve_writers_match_per_element_repr():
     names = ["x", "a", "b"]
     columns = [abscissa, real, real[::-1]]
     meta = {"k": 1.5}
-    text = _csv("probe", meta, *_curve_table(curve)[:2])
+    text = _csv("probe", meta, *_curve_table(curve))
     assert text.startswith(f"# leakyslab probe v{__version__}\n# k=1.5\n")
     rows = [",".join(repr(float(col[i])) for col in columns) for i in range(5)]
     assert csv_body(text) == [",".join(names)] + rows
-    doc = {
-        "command": "probe",
-        "meta": meta,
-        "columns": {name: [float(v) for v in col] for name, col in zip(names, columns)},
-    }
-    text = _json("probe", meta, **_curve_table(curve)[2])
-    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_grid_writers_match_per_element_repr():
@@ -506,24 +506,16 @@ def test_grid_writers_match_per_element_repr():
     real = np.array(AWKWARD * 3).reshape(3, 5)
     amps = real + 1j * real[::-1, ::-1]
     grid = FieldGrid(x_grid=x, z_grid=z, amplitudes=amps)
-    for component, comp in (("re", amps.real), ("im", amps.imag), ("abs2", np.abs(amps) ** 2)):
+    values = {"re": amps.real, "im": amps.imag, "abs2": np.abs(amps) ** 2}
+    # one component, as mode-field writes, and re and im, as --save-field writes
+    for components in (("re",), ("im",), ("abs2",), ("re", "im")):
         rows = [
-            f"{float(x[i])!r},{float(z[j])!r},{float(comp[i, j])!r}"
+            ",".join(repr(float(v)) for v in (x[i], z[j], *(values[c][i, j] for c in components)))
             for i in range(3)
             for j in range(5)
         ]
-        text = _csv("probe", {}, *_grid_table(grid, component)[:2])
-        assert csv_body(text) == [f"x,z,{component}_E"] + rows
-    doc = {
-        "command": "probe",
-        "meta": {},
-        "x": [float(v) for v in x],
-        "z": [float(v) for v in z],
-        "re": [[float(v) for v in row] for row in amps.real],
-        "im": [[float(v) for v in row] for row in amps.imag],
-    }
-    text = _json("probe", {}, **_grid_table(grid, "re")[2])
-    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        text = _csv("probe", {}, *_grid_table(grid, *components))
+        assert csv_body(text) == [",".join(["x", "z", *(f"{c}_E" for c in components)])] + rows
 
 
 def header(command, meta):
@@ -548,24 +540,9 @@ def test_resonances_writers_match_per_element_repr(capsys, refine):
     assert out.splitlines() == header("resonances", meta) + [
         "m,eps_R,half_width_Gamma,residual,method"
     ] + rows
-    code, out, _ = run(argv + ["--format", "json"], capsys)
-    assert code == 0
-    doc = {
-        "command": "resonances",
-        "meta": meta,
-        "modes": [
-            {"m": r.mode_index_m, "eps_R": r.eigenvalue.eps_R,
-             "half_width_Gamma": r.eigenvalue.half_width_Gamma,
-             "residual": r.residual, "method": r.method}
-            for r in modes
-        ],
-    }
-    assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    assert all(type(mode["m"]) is int and type(mode["method"]) is str
-               for mode in json.loads(out)["modes"])
 
 
-def test_decay_writers_match_per_element_repr(capsys):
+def test_decay_writers_match_per_element_repr(tmp_path, capsys):
     slab = SlabConfig(30.0, 1.5)
     cfg = BpmConfig.for_slab(slab, nx=513, dz=0.1)
     seed = next(r for r in approximate_resonances(slab) if r.mode_index_m == 36)
@@ -576,39 +553,41 @@ def test_decay_writers_match_per_element_repr(capsys):
     # the header records every BPM flag, and the domain half width X = 4A
     meta = {"k0a": 30.0, "u0": 1.5, "m": 36, "z_max": 30.0, "nx": 513, "dz": 0.1,
             "X": 120.0}
-    # which no flag sets
-    with pytest.raises(SystemExit) as info:
-        main([*argv, "--X", "120"])
-    capsys.readouterr()
-    assert info.value.code == 2
+    # which no flag sets; and CSV is the only format, so --format is gone too
+    out_path = tmp_path / "decay.out"
+    for flag in (["--X", "120"], ["--format", "json"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, *flag, "-o", str(out_path)])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == "" and not out_path.exists()
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out.splitlines() == header("decay", meta) + [
         "m,measured_rate,width_Gamma_refined",
         f"36,{rate!r},{res.eigenvalue.width_Gamma!r}",
     ]
-    code, out, _ = run(argv + ["--format", "json"], capsys)
-    assert code == 0
-    doc = {
-        "command": "decay",
-        "meta": meta,
-        "columns": {"m": [36], "measured_rate": [rate],
-                    "width_Gamma_refined": [res.eigenvalue.width_Gamma]},
-    }
-    assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def test_readme_command_lines_parse():
-    # every command line the README shows parses, so a flag that is gone
-    # cannot stay documented
+def test_readme_command_lines_parse(tmp_path, capsys, monkeypatch):
+    # every command line the README shows parses and runs, so a flag that is
+    # gone cannot stay documented and an example cannot fail
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S)
     lines = [l for b in blocks for l in b.splitlines() if l.startswith("leakyslab ")]
     assert len(lines) >= 8, lines
     parser = build_parser()
+    monkeypatch.setenv("LEAKYSLAB_OUTDIR", str(tmp_path))
     for line in lines:
-        args = parser.parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        args = parser.parse_args(argv)
         assert callable(args.func), line
+        code, out, _ = run(argv, capsys)
+        assert code == 0, line
+        # each file written, or stdout, starts with the command's header
+        written = [args.output, getattr(args, "save_field", None)]
+        texts = [(tmp_path / p).read_text() for p in written if p]
+        for text in texts or [out]:
+            assert text.startswith(f"# leakyslab {args.command}"), line
     # and every --flag the prose names in backticks is an option of some subcommand
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     options = {o for p in [parser, *sub.choices.values()] for o in p._option_string_actions}
