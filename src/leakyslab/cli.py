@@ -5,6 +5,10 @@ written as CSV: ``#``-prefixed metadata lines recording the exact flags,
 then a header row.  Identical flags produce byte-identical files.  No
 plotting here: the tool emits data for external renderers.
 
+``propagate`` and ``decay`` launch the tapered leaky mode ``--m`` on
+``BpmConfig.for_slab``'s grid; the header records its ``nx``, ``dz`` and
+``X``, which no flag sets.
+
 Exit codes: 0 success, 2 validation problem or unwritable output, 3 numerical failure.
 """
 
@@ -26,15 +30,19 @@ from .core import SlabConfig
 from .errors import LeakySlabError
 from .fbw import FbwLine, fourier_coefficient, lineshape
 from .fields import FieldGrid, default_render_grids, mode_profile, propagate_mode
-from .resonances import approximate_resonances, refine_all, refine_resonance
+from .resonances import approximate_resonances, mode_index_range, refine_all, refine_resonance
 from .scattering import Curve, transmission_sweep
 from .shift import shift_sweep, width_sweep
 
 OUTDIR_ENV = "LEAKYSLAB_OUTDIR"
-# most points in one grid, mode-field rectangle or BPM column (at most 4096,
-# 321,201 and 8193 in the README, the benchmark and the tests); a larger
-# count is refused before anything of its size is allocated
+# most points in one grid or mode-field rectangle, and most mode indices of
+# one slab (at most 4096 and 321,201 points in the README and the benchmark,
+# and 17 modes on the reference slab); a larger count is refused before
+# anything of its size is allocated
 MAX_POINTS = 10**6
+# snapshots propagate --save-field keeps: the distinct steps
+# round(linspace(0, nsteps, SNAPSHOTS)), or every step of a shorter march
+SNAPSHOTS = 11
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -63,8 +71,9 @@ def _cells(values):
     yield from map(repr, np.asarray(values, dtype=float).ravel().tolist())
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write text to stdout, or to path (relative paths under $LEAKYSLAB_OUTDIR)."""
+def _write(path: str | None, text: str) -> Path | None:
+    """Write text to stdout, or to path (relative paths under $LEAKYSLAB_OUTDIR).
+    Returns the file written, or None for stdout."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -74,6 +83,7 @@ def _write(path: str | None, text: str) -> None:
         p = Path(outdir) / p
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text(text)
+    return p
 
 
 def _csv(command: str, meta: dict, names, columns) -> str:
@@ -124,9 +134,19 @@ def _slab_from(args) -> SlabConfig:
     return SlabConfig(half_width_A=args.k0a, core_index_U0=args.u0)
 
 
+def _seeds(slab: SlabConfig):
+    """approximate_resonances(slab), refused before any seed is built when
+    the slab has more than MAX_POINTS mode indices."""
+    indices = mode_index_range(slab)
+    count = indices.stop - indices.start  # len() overflows past sys.maxsize
+    if count > MAX_POINTS:
+        raise ValueError(f"{count} mode indices is more than MAX_POINTS = {MAX_POINTS}")
+    return approximate_resonances(slab)
+
+
 def cmd_resonances(args) -> int:
     slab = _slab_from(args)
-    modes = approximate_resonances(slab)
+    modes = _seeds(slab)
     meta = {"k0a": args.k0a, "u0": args.u0, "refine": args.refine}
     if not modes:
         sys.stderr.write(
@@ -180,12 +200,10 @@ def cmd_fbw(args) -> int:
 
 
 def _refined_mode(slab: SlabConfig, m: int):
-    modes = {r.mode_index_m: r for r in approximate_resonances(slab)}
+    modes = {r.mode_index_m: r for r in _seeds(slab)}
     if m not in modes:
-        raise ValueError(
-            f"mode index m={m} is not admissible for this slab "
-            f"(allowed: {sorted(modes) or 'none'})"
-        )
+        allowed = f"[{min(modes)}, {max(modes)}]" if modes else "none"
+        raise ValueError(f"mode index m={m} is not admissible for this slab (allowed: {allowed})")
     return refine_resonance(modes[m], slab)
 
 
@@ -210,58 +228,33 @@ def cmd_mode_field(args) -> int:
     return _emit(args, "mode-field", meta, _grid_table(grid, args.component))
 
 
-def _bpm_setup(args) -> tuple[SlabConfig, BpmConfig, int, dict]:
-    """Slab, BPM config, the steps to --z-max and the flags they record,
-    shared by propagate and decay."""
+def _bpm_setup(args):
+    """BpmConfig.for_slab's config, the steps to --z-max, the refined --m
+    mode, its tapered launch column and the flags they record, shared by
+    propagate and decay."""
     slab = _slab_from(args)
-    # an unset --nx or --dz takes BpmConfig.for_slab's default
-    grid = {name: getattr(args, name) for name in ("nx", "dz") if getattr(args, name) is not None}
-    cfg = BpmConfig.for_slab(slab, **grid)
-    if cfg.nx > MAX_POINTS:
-        raise ValueError(f"nx {cfg.nx} is more than MAX_POINTS = {MAX_POINTS}")
+    cfg = BpmConfig.for_slab(slab)
     nsteps = step_count(args.z_max, cfg.dz)
+    res = _refined_mode(slab, args.m)
+    column = tapered_mode_column(mode_profile(res, slab), cfg)
     meta = {
         "k0a": args.k0a,
         "u0": args.u0,
+        "m": args.m,
         "nx": cfg.nx,
         "dz": cfg.dz,
         "X": cfg.transverse_halfwidth_X,
         "z_max": args.z_max,
     }
-    return slab, cfg, nsteps, meta
+    return cfg, nsteps, res, column, meta
 
 
 def cmd_propagate(args) -> int:
-    given = [v for v in (args.m, args.packet) if v is not None]
-    if len(given) != 1:
-        raise ValueError(f"choose one initial condition of --m and --packet, got {len(given)}")
-    if args.snapshots < 2:
-        raise ValueError(f"snapshots must be >= 2, got {args.snapshots}")
-    slab, cfg, nsteps, meta = _bpm_setup(args)
+    cfg, nsteps, _, column, meta = _bpm_setup(args)
     prop = Propagator(cfg)
-    if args.m is not None:
-        res = _refined_mode(slab, args.m)
-        column = tapered_mode_column(mode_profile(res, slab), cfg)
-        meta["init"] = f"mode-{args.m}"
-        meta["m"] = args.m
-    else:
-        try:
-            x0, width, kx = map(float, args.packet.split(":"))
-        except ValueError:
-            raise ValueError(f"packet must be x0:width:kx, got {args.packet!r}") from None
-        if not (math.isfinite(x0) and math.isfinite(kx) and 0 < width < math.inf):
-            raise ValueError(f"packet needs finite x0, kx and width > 0, got {args.packet!r}")
-        column = np.exp(-((prop.x - x0) ** 2) / (2 * width**2)) * np.exp(
-            1j * kx * prop.x
-        )
-        meta["init"] = "packet"
-        meta["packet"] = args.packet
-
-    keep = set()
-    if args.save_field:
-        # more than nsteps + 1 points would select every step once anyway
-        plan = np.linspace(0, nsteps, min(args.snapshots, nsteps + 1))
-        keep = set(np.round(plan).astype(int).tolist())
+    # more than nsteps + 1 points would select every step once anyway
+    plan = np.linspace(0, nsteps, min(SNAPSHOTS, nsteps + 1))
+    keep = set(np.round(plan).astype(int).tolist()) if args.save_field else set()
     powers = [prop.core_power(column)]
     snaps = {0: column}
     for i, column in enumerate(prop.march(column, nsteps), 1):
@@ -269,28 +262,33 @@ def cmd_propagate(args) -> int:
         if i in keep:
             snaps[i] = column
 
-    curve = Curve(
-        abscissa=np.arange(nsteps + 1) * cfg.dz,
-        values=np.asarray(powers),
-        labels=("z", "core_power"),
-    )
-    _emit(args, "propagate", meta, _curve_table(curve))
+    # the field is written first, and removed if the curve then cannot be,
+    # so that a run that exits 2 leaves no file behind
+    field_path = None
     if args.save_field:
         grid_out = FieldGrid(
             x_grid=prop.x,
             z_grid=np.array(list(snaps)) * cfg.dz,
             amplitudes=np.column_stack(list(snaps.values())),
         )
-        _write(args.save_field, _csv("propagate-field", meta, *_grid_table(grid_out, "re", "im")))
-    return 0
+        field_text = _csv("propagate-field", meta, *_grid_table(grid_out, "re", "im"))
+        field_path = _write(args.save_field, field_text)
+    curve = Curve(
+        abscissa=np.arange(nsteps + 1) * cfg.dz,
+        values=np.asarray(powers),
+        labels=("z", "core_power"),
+    )
+    try:
+        return _emit(args, "propagate", meta, _curve_table(curve))
+    except OSError:
+        if field_path is not None:
+            field_path.unlink()
+        raise
 
 
 def cmd_decay(args) -> int:
-    slab, cfg, _, meta = _bpm_setup(args)
-    res = _refined_mode(slab, args.m)
-    column = tapered_mode_column(mode_profile(res, slab), cfg)
+    cfg, _, res, column, meta = _bpm_setup(args)
     rate = measure_decay(cfg, column, args.z_max)
-    meta["m"] = args.m
     names = ("m", "measured_rate", "width_Gamma_refined")
     row = (args.m, rate, res.eigenvalue.width_Gamma)
     return _emit(args, "decay", meta, (names, [[str(v)] for v in row]))
@@ -346,23 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", choices=("re", "im", "abs2"), default="re")
     p.set_defaults(func=cmd_mode_field)
 
-    def add_bpm(p):
-        p.add_argument("--nx", type=int, default=None)
-        p.add_argument("--dz", type=float, default=None)
-
-    p = sub.add_parser("propagate", help="finite-difference propagation of a column")
+    p = sub.add_parser("propagate", help="finite-difference propagation of a tapered leaky mode")
     add_common(p)
-    add_bpm(p)
-    p.add_argument("--m", type=int, default=None, help="tapered leaky-mode initial condition")
-    p.add_argument("--packet", default=None, help="Gaussian packet x0:width:kx")
+    p.add_argument("--m", type=int, required=True, help="mode index of the launched leaky mode")
     p.add_argument("--z-max", type=float, default=50.0)
-    p.add_argument("--save-field", default=None, help="write snapshot field (CSV x,z,re_E,im_E)")
-    p.add_argument("--snapshots", type=int, default=11, help="snapshot count for --save-field")
+    p.add_argument(
+        "--save-field", default=None, help=f"write {SNAPSHOTS} snapshots (CSV x,z,re_E,im_E)"
+    )
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("decay", help="leaky decay rate via propagation + fit")
     add_common(p)
-    add_bpm(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--z-max", type=float, required=True)
     p.set_defaults(func=cmd_decay)

@@ -17,14 +17,17 @@ from leakyslab import (
     __version__,
     approximate_resonances,
     measure_decay,
+    mode_index_range,
     mode_profile,
     refine_all,
     refine_resonance,
     tapered_mode_column,
 )
+from leakyslab import cli
 from leakyslab.bpm import MAX_STEPS, BpmConfig, Propagator
 from leakyslab.cli import (
     MAX_POINTS,
+    SNAPSHOTS,
     _csv,
     _curve_table,
     _grid_table,
@@ -223,35 +226,42 @@ def test_mode_field_rejects_inadmissible_index(capsys):
 
 
 def test_propagate_requires_initial_condition(tmp_path, capsys):
-    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
+    base = ["propagate", "--k0a", "30", "--u0", "1.5"]
     out_path = tmp_path / "curve.csv"
-    for given in ([], ["--m", "24", "--packet", "0:10:0.4"]):
-        code, out, err = run(base + given + ["-o", str(out_path)], capsys)
-        assert code == 2, given
-        assert "initial condition" in err
-        assert out == "" and not out_path.exists()
+    # --m is required: the tapered mode on BpmConfig.for_slab's grid is the
+    # only launch, so --packet, --nx, --dz and --snapshots are refused too
+    for given in (
+        [],
+        ["--m", "24", "--packet", "0:10:0.4"],
+        ["--m", "24", "--nx", "513"],
+        ["--m", "24", "--dz", "0.1"],
+        ["--m", "24", "--snapshots", "4", "--save-field", str(tmp_path / "field.csv")],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(base + given + ["-o", str(out_path)])
+        assert info.value.code == 2, given
+        assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == [], given
     # no subcommand reads a file: a field saved by one run cannot seed the next
     field = tmp_path / "field.csv"
-    assert main(base + ["--m", "24", "--z-max", "0.1", "--save-field", str(field)]) == 0
+    assert main(base + ["--m", "24", "--z-max", "1", "--save-field", str(field)]) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit) as info:
-        main(base + ["--init-field", str(field), "--z-max", "0.1", "-o", str(out_path)])
+        main(base + ["--init-field", str(field), "--z-max", "1", "-o", str(out_path)])
     assert info.value.code == 2
     assert capsys.readouterr().out == "" and not out_path.exists()
 
 
 def test_propagate_out_of_range_flags_are_refused(tmp_path, capsys):
-    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
-    packet = ["--packet", "0:10:0.4"]
-    out_path, field = tmp_path / "curve.csv", tmp_path / "field.csv"
+    # an out-of-range flag, or either output path unwritable (here a
+    # directory): exit 2, nothing on stdout and neither file left behind
+    base = ["propagate", "--k0a", "30", "--u0", "1.5", "--m", "24"]
+    out_path, field = tmp_path / "sub" / "curve.csv", tmp_path / "sub" / "field.csv"
     for flags, name in (
-        ([*packet, "--z-max", "1", "--save-field", str(field), "--snapshots", "1"], "snapshots"),
-        ([*packet, "--z-max", "1", "--save-field", str(field), "--snapshots", "0"], "snapshots"),
-        ([*packet, "--z-max", "-1"], "z_max"),
-        (["--packet", "0:10", "--z-max", "1"], "x0:width:kx"),
-        (["--packet", "0:10:0.4:1", "--z-max", "1"], "x0:width:kx"),
+        (["--z-max", "-1", "-o", str(out_path), "--save-field", str(field)], "z_max"),
+        (["--z-max", "1", "-o", str(out_path), "--save-field", str(tmp_path)], "directory"),
+        (["--z-max", "1", "-o", str(tmp_path), "--save-field", str(field)], "directory"),
     ):
-        code, out, err = run(base + flags + ["-o", str(out_path)], capsys)
+        code, out, err = run(base + flags, capsys)
         assert code == 2, flags
         assert err.startswith("error: ") and name in err, err
         assert out == "" and not out_path.exists() and not field.exists()
@@ -269,45 +279,26 @@ def saved_field_grids(path):
     return x, z
 
 
-def test_propagate_writes_the_requested_snapshot_count(tmp_path, capsys):
-    # --z-max 5 is 100 steps of dz = 0.05; the snapshots are the distinct
-    # steps round(linspace(0, 100, N)), so exactly N whenever 100 >= N - 1
+def test_propagate_writes_the_snapshot_count(tmp_path, capsys):
+    # the snapshots are the distinct steps round(linspace(0, nsteps, SNAPSHOTS))
+    # of a march in steps of dz = 0.2, so exactly SNAPSHOTS = 11 whenever
+    # nsteps >= 10
+    assert SNAPSHOTS == 11
     field = tmp_path / "field.csv"
 
-    def snapshot_steps(z_max, n):
-        code = main(["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513", "--dz", "0.05",
-                     "--z-max", z_max, "--packet", "0:5:0", "--snapshots", str(n),
+    def snapshot_steps(z_max):
+        code = main(["propagate", "--k0a", "30", "--u0", "1.5", "--m", "24", "--z-max", z_max,
                      "-o", str(tmp_path / "curve.csv"), "--save-field", str(field)])
         capsys.readouterr()
         assert code == 0
         x, z = saved_field_grids(field)
-        assert len(x) == 513
-        return np.round(z / 0.05).astype(int).tolist()
+        assert len(x) == 4097
+        return np.round(z / 0.2).astype(int).tolist()
 
-    assert snapshot_steps("5", 4) == [0, 33, 67, 100]
-    assert snapshot_steps("5", 11) == list(range(0, 101, 10))
-    assert snapshot_steps("5", 101) == list(range(101))
-    # a march of fewer than N - 1 steps keeps each of its steps once
-    assert snapshot_steps("0.1", 4) == [0, 1, 2]
-
-
-def test_snapshots_allocate_nothing_without_save_field(tmp_path, capsys):
-    # the snapshot plan is built only for --save-field, from at most
-    # nsteps + 1 points, so a huge --snapshots costs nothing
-    argv = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513", "--dz", "0.1",
-            "--z-max", "1", "--packet", "0:10:0.4", "--snapshots", "1000000",
-            "-o", str(tmp_path / "curve.csv")]
-    assert main(argv) == 0  # warm-up, so that scipy's import is not counted
-    for extra in ([], ["--save-field", str(tmp_path / "field.csv")]):
-        tracemalloc.start()
-        try:
-            assert main(argv + extra) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5_000_000, (extra, peak)
-    capsys.readouterr()
-    assert len(saved_field_grids(tmp_path / "field.csv")[1]) == 11
+    assert snapshot_steps("30") == list(range(0, 151, 15))
+    assert snapshot_steps("2") == list(range(11))
+    # a march of fewer than 10 steps keeps each of its steps once
+    assert snapshot_steps("1") == [0, 1, 2, 3, 4, 5]
 
 
 def test_a_march_past_the_step_ceiling_is_refused(tmp_path, capsys, monkeypatch):
@@ -318,9 +309,9 @@ def test_a_march_past_the_step_ceiling_is_refused(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(Propagator, "march", march)
     z_max = str((MAX_STEPS + 1) * 0.2)
     out_path = tmp_path / "out.csv"
-    for argv in (["decay", "--m", "24"], ["propagate", "--packet", "0:10:0.4"]):
-        argv = [*argv, "--k0a", "30", "--u0", "1.5", "--nx", "513", "--dz", "0.2",
-                "--z-max", z_max, "-o", str(out_path)]
+    for command in ("decay", "propagate"):
+        argv = [command, "--m", "24", "--k0a", "30", "--u0", "1.5", "--z-max", z_max,
+                "-o", str(out_path)]
         code, out, err = run(argv, capsys)
         assert code == 2, argv
         assert err.startswith("error: ") and "more than MAX_STEPS" in err, err
@@ -338,8 +329,6 @@ def test_oversized_counts_are_refused(tmp_path, capsys):
         ["fbw", "--e0", "0", "--gamma", "1", "--grid", f"0:1:{over}"],
         # 101 x 9901 = MAX_POINTS + 1 cells
         ["mode-field", *slab, "--m", "24", "--x", "-60:60:101", "--z", "0:10:9901"],
-        ["decay", *slab, "--m", "24", "--z-max", "2", "--nx", over],
-        ["propagate", *slab, "--packet", "0:10:0.4", "--z-max", "1", "--nx", over],
     ):
         argv = [*argv, "-o", str(out_path)]
         main(argv)  # warm-up, so that imports and caches are not counted
@@ -356,16 +345,39 @@ def test_oversized_counts_are_refused(tmp_path, capsys):
         assert peak < 8 * MAX_POINTS, (argv, peak)
 
 
-def test_propagate_packet_power_decays(tmp_path, capsys):
+def test_a_slab_with_too_many_modes_is_refused(tmp_path, capsys, monkeypatch):
+    # k0a = 1751997 has MAX_POINTS + 1 mode indices at u0 = 1.5: refused
+    # before a single seed is built
+    def seeds(slab):
+        raise AssertionError("seeds were built")
+
+    monkeypatch.setattr(cli, "approximate_resonances", seeds)
+    assert len(mode_index_range(SlabConfig(1751997.0, 1.5))) == MAX_POINTS + 1
+    slab = ["--k0a", "1751997", "--u0", "1.5"]
+    out_path = tmp_path / "out.csv"
+    for argv in (
+        ["resonances", *slab],
+        ["mode-field", *slab, "--m", "24"],
+        ["propagate", *slab, "--m", "24", "--z-max", "1"],
+        ["decay", *slab, "--m", "24", "--z-max", "1"],
+    ):
+        code, out, err = run([*argv, "-o", str(out_path)], capsys)
+        assert code == 2, argv
+        assert err == "error: 1000001 mode indices is more than MAX_POINTS = 1000000\n", err
+        assert out == "" and not out_path.exists()
+
+
+def test_propagate_mode_power_decays(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code = main(
-        ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513",
-         "--dz", "0.1", "--z-max", "30", "--packet", "0:10:0.4", "-o", str(out_path)]
+        ["propagate", "--k0a", "30", "--u0", "1.5", "--m", "24", "--z-max", "30",
+         "-o", str(out_path)]
     )
     capsys.readouterr()
     assert code == 0
     header, rows = parse_csv(out_path.read_text())
     assert header == ["z", "core_power"]
+    assert len(rows) == 151
     assert float(rows[-1][1]) < float(rows[0][1])
 
 
@@ -417,7 +429,7 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
     assert "nan" not in stdout
     # every other non-finite number is refused before anything is computed
     # from it or written (the filterwarnings mark makes a warning an error)
-    bpm = ["propagate", "--k0a", "30", "--u0", "1.5", "--nx", "513"]
+    bpm = ["propagate", "--k0a", "30", "--u0", "1.5", "--m", "24"]
     decay = ["decay", "--k0a", "30", "--u0", "1.5", "--m", "24"]
     width = ["shift", "--u0", "1.5", "--eps-fixed", "-0.995", "--k0a-sweep", "1:60:3"]
     for argv in (
@@ -428,13 +440,9 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
         ["resonances", "--k0a", "30", "--u0", "inf"],
         [*width, "--k0a", "nan"],
         [*width, "--k0a", "-5"],
-        [*bpm, "--packet", "0:10:0.4", "--dz", "inf"],
-        # finite flags whose z_max/dz overflows to inf
-        [*bpm, "--packet", "0:10:0.4", "--z-max", "1e308"],
-        [*bpm, "--packet", "0:10:0.4", "--z-max", "110", "--dz", "1e-320"],
+        # a finite --z-max whose z_max/dz overflows to inf
+        [*bpm, "--z-max", "1e308"],
         [*decay, "--z-max", "1e308"],
-        [*decay, "--z-max", "110", "--dz", "1e-320"],
-        [*bpm, "--packet", "0:0:0", "--z-max", "1"],
     ):
         code, stdout, err = run([*argv, "-o", str(out)], capsys)
         assert code == 2, argv
@@ -544,18 +552,19 @@ def test_resonances_writers_match_per_element_repr(capsys, refine):
 
 def test_decay_writers_match_per_element_repr(tmp_path, capsys):
     slab = SlabConfig(30.0, 1.5)
-    cfg = BpmConfig.for_slab(slab, nx=513, dz=0.1)
+    cfg = BpmConfig.for_slab(slab)
     seed = next(r for r in approximate_resonances(slab) if r.mode_index_m == 36)
     res = refine_resonance(seed, slab)
     rate = measure_decay(cfg, tapered_mode_column(mode_profile(res, slab), cfg), 30.0)
-    argv = ["decay", "--k0a", "30", "--u0", "1.5", "--nx", "513",
-            "--dz", "0.1", "--m", "36", "--z-max", "30"]
-    # the header records every BPM flag, and the domain half width X = 4A
-    meta = {"k0a": 30.0, "u0": 1.5, "m": 36, "z_max": 30.0, "nx": 513, "dz": 0.1,
+    argv = ["decay", "--k0a", "30", "--u0", "1.5", "--m", "36", "--z-max", "30"]
+    # the header records the flags, and BpmConfig.for_slab's grid and domain
+    # half width X = 4A
+    meta = {"k0a": 30.0, "u0": 1.5, "m": 36, "z_max": 30.0, "nx": 4097, "dz": 0.2,
             "X": 120.0}
-    # which no flag sets; and CSV is the only format, so --format is gone too
+    # which no flag sets (--X, --nx, --dz); and CSV is the only format, so
+    # --format is gone too
     out_path = tmp_path / "decay.out"
-    for flag in (["--X", "120"], ["--format", "json"]):
+    for flag in (["--X", "120"], ["--format", "json"], ["--nx", "513"], ["--dz", "0.1"]):
         with pytest.raises(SystemExit) as info:
             main([*argv, *flag, "-o", str(out_path)])
         assert info.value.code == 2
@@ -596,3 +605,8 @@ def test_readme_command_lines_parse(tmp_path, capsys, monkeypatch):
              for f in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", span)}
     assert len(flags) >= 8, flags
     assert flags <= options, sorted(flags - options)
+    # and, conversely, the README names every option of every subcommand
+    text = readme.read_text()
+    undocumented = {o for o in options - {"--help", "--version"} if o.startswith("--")
+                    and not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", text)}
+    assert not undocumented, sorted(undocumented)

@@ -223,6 +223,49 @@ def test_default_quadrature_matches_48_nodes_per_panel(k0a_u0, divisors):
     assert compared >= 3
 
 
+# The centroid of the synthesized envelope against its exact value, from
+# Parseval's theorem in the pair (eps, z): the z-centroid of
+# sum_k w g t exp(i(k x - eps z)) is the group delay (x + phi' - 2A)/K
+# averaged over the nodes with weight w |g t|^2 / K (the 1/K is d eps = K dK),
+# minus the free packet's x/K averaged with weight w g^2 / K, plus 2A/K_c.
+# Every reference-slab mode whose support stays in the band, at K_c/40 and
+# K_c/80; the bound was fixed before the first run.  K_c/20 is left out:
+# there wavepacket_shift's z window cuts the envelope (its edge holds up to
+# 1.4e-3 of the peak), and the centroid misses by up to 1.6e-3.
+CENTROID_DIVISORS = (40, 80)
+CENTROID_REL_BOUND = 1e-9
+
+
+def test_packet_centroid_equals_the_weighted_group_delay(slab30, refined_modes):
+    A, U0, x_observe = slab30.half_width_A, slab30.core_index_U0, shift._X_OBSERVE
+    compared = 0
+    for mode in refined_modes:
+        k_c = math.sqrt(2 * (mode.eigenvalue.eps_R + 1))
+        for divisor in CENTROID_DIVISORS:
+            sig = k_c / divisor
+            if k_c + 6 * sig >= math.sqrt(2):
+                continue
+            k, w = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, 8)
+            g = np.exp(-((k - k_c) ** 2) / (2 * sig * sig))
+            t, _, _, dphi = _real_axis(k, A, U0)
+            # wavepacket_shift's z window, nz = 4001
+            half_window = 8 / (k_c * sig) + 300
+            z = np.linspace(x_observe / k_c - half_window, x_observe / k_c + half_window, 4001)
+            weights = np.column_stack([w * g * t, w * g])
+            trans, free = shift._packet_intensities(k, weights, x_observe, z).T
+            centroid = z @ trans / trans.sum() - z @ free / free.sum() + 2 * A / k_c
+            w_trans, w_free = w * np.abs(g * t) ** 2 / k, w * g**2 / k
+            delay = (
+                w_trans @ ((x_observe + dphi - 2 * A) / k) / w_trans.sum()
+                - w_free @ (x_observe / k) / w_free.sum()
+                + 2 * A / k_c
+            )
+            assert abs(centroid - delay) <= CENTROID_REL_BOUND * abs(delay), (
+                mode.mode_index_m, divisor)
+            compared += 1
+    assert compared == 29
+
+
 class TestFactoredSynthesis:
     @pytest.mark.parametrize(
         "nz",
