@@ -6,26 +6,30 @@ Marches i dE/dz = (H + n0) E with the library's own eigenvalue operator
 
 whose eigenvalues satisfy K**2/2 = eps + 1 outside and Q**2 = 2*U0*(eps + U0)
 inside the core, with E and dE/dx continuous (see ``core``).  The reference
-index n0 = 1 is the cladding index.  It adds the global phase exp(-i n0 z),
-and it sets how well a step keeps a decay rate: a step multiplies an
-eigenstate of H with eigenvalue eps by (1 - i theta mu)/(1 + i theta mu),
-mu = eps + n0 and theta = dz/2, so a leaky state decays at
-Gamma/(1 + theta^2 |mu|^2).  With n0 = 1, mu = K^2/2, whose real part lies
-in (0, 1) over the whole radiation band; n0 = U0 would add U0 - 1 to it.
-With N = diag(n) the matrix S = N (H + n0) is symmetric tridiagonal, and
-the n-weighted Crank-Nicolson step (N + i dz/2 S) E' = (N - i dz/2 S) E is
-unconditionally stable.  Each edge
-carries Hadley's transparent boundary condition (Opt. Lett. 16, 624, 1991):
-outside the core a leaky field is one outgoing
-exponential, so the node beyond the grid is taken as eta * (edge node), with
-the ratio eta = E_edge / E_inner read from the current column.  eta is
-clamped to an outgoing or evanescent wave (Im eta >= 0), which makes every
-step a contraction in sum n|E|^2 dx; a field that stays clear of both edges
-keeps its norm.  The boundary only touches the two corners of the matrix,
-so the Dirichlet matrix A = N + i dz/2 S is LU-factored once (LAPACK
-zgttrf) and each step is one factored solve (zgttrs) plus a rank-2
-Sherman-Morrison-Woodbury update for the two corners, a 2 x 2 solve
-against the precomputed columns A^{-1} e_0 and A^{-1} e_{-1}.  Used as an
+index n0 = 1 is the cladding index.  It adds the global phase exp(-i n0 z).
+With N = diag(n) the matrix S = N (H + n0) is symmetric tridiagonal, and a
+step multiplies the field by the Pade (2,2) factor
+
+    R(w) = (1 + w/2 + w^2/12)/(1 - w/2 + w^2/12),   w = -i dz N^{-1} S,
+
+whose error is O(dz^5) per step.  After Hadley's multistep method (Opt.
+Lett. 17, 1743, 1992) it is applied as two substeps
+(N + a_k dz S) E' = (N + b_k dz S) E, with a_k = i/(3 +- i sqrt3) and
+b_k = i/(-3 +- i sqrt3); each is unitary on a real spectrum, so the step is
+unconditionally stable.  An eigenstate of H with eigenvalue eps is
+multiplied by R(-i dz mu), mu = eps + n0.  With n0 = 1, mu = K^2/2, whose
+real part lies in (0, 1) over the whole radiation band; n0 = U0 would add
+U0 - 1 to it.  Each substep carries Hadley's transparent boundary
+condition (Opt. Lett. 16, 624, 1991) at both edges: outside the core a
+leaky field is one outgoing exponential, so the node beyond the grid is
+taken as eta * (edge node), with the ratio eta = E_edge / E_inner read from
+the substep's input column.  eta is clamped to an outgoing or evanescent
+wave (Im eta >= 0), which makes every substep a contraction in
+sum n|E|^2 dx; a field that stays clear of both edges keeps its norm.  The
+boundary only touches the two corners of the matrix, so each substep's
+Dirichlet matrix N + a_k dz S is LU-factored once (LAPACK zgttrf) and each
+substep is one factored solve (zgttrs) plus a rank-2
+Sherman-Morrison-Woodbury update for the two corners.  Used as an
 initial-value cross-check on the modal decay rates: a leaky mode's core
 power falls as exp(-Gamma z), and measure_decay fits that rate to a column
 marched as given, up to the last sample its fit window reads.
@@ -55,6 +59,13 @@ _TAPER_OUTER = 3.0
 # tests and the README, z_max = 110 at dz = 0.025, takes 4400
 MAX_STEPS = 1_000_000
 
+# (a_k, b_k) of the two substeps: i over the roots 3 +- i sqrt3 and -3 +- i sqrt3
+# of the Pade (2,2) factor's denominator and numerator, paired so that
+# b_k = conj(a_k) and each substep is unitary on a real spectrum
+_PADE_22 = tuple(
+    (1j / (3 + s * 1j * math.sqrt(3)), 1j / (-3 + s * 1j * math.sqrt(3))) for s in (1, -1)
+)
+
 
 @dataclass(frozen=True)
 class BpmConfig:
@@ -83,17 +94,18 @@ class BpmConfig:
         return 4.0 * self.slab.half_width_A
 
     @classmethod
-    def for_slab(cls, slab: SlabConfig, nx: int = 4097, dz: float = 0.2) -> "BpmConfig":
-        """Defaults: nx = 4097, dz = 0.2.
+    def for_slab(cls, slab: SlabConfig, nx: int = 4097, dz: float = 0.8) -> "BpmConfig":
+        """Defaults: nx = 4097, dz = 0.8.
 
-        With the step referenced to the cladding index, a long step costs
-        little accuracy, so the work goes into dx.  On the k0a = 30, U0 = 1.5
-        slab the decay rates of m = 24/32/40 at z_max = 110 lie 0.40/0.36/
-        1.06 % below the refined widths.  The step's share, theta^2 |mu|^2,
-        grows with Re K, so the top of the band pays most for the long step.
-        In the uniform core a w0 = 5 Gaussian marched 100 steps is off its
-        width law by 5.2e-4, half of the 1e-3 that acceptance criterion 11
-        allows.
+        With the step referenced to the cladding index and a Pade (2,2)
+        step, a long step costs little accuracy, so the work goes into dx.
+        On the k0a = 30, U0 = 1.5 slab the decay rates of m = 24/32/40 at
+        z_max = 110 lie 0.40/0.19/0.47 % below the refined widths; over
+        the 17 modes the median is 0.14 % and the largest 0.47 %.  The
+        step's share grows with (dz |mu|)^4, so the top of the band pays
+        most for the long step, and m = 24 is dx-bound.  In the uniform
+        core a w0 = 5 Gaussian marched 100 steps is off its width law by
+        4.9e-4, half of the 1e-3 that acceptance criterion 11 allows.
         """
         return cls(slab, nx, dz)
 
@@ -117,8 +129,63 @@ def _window(x: np.ndarray, half: float) -> slice:
     return slice(int(np.searchsorted(x, -half, "left")), int(np.searchsorted(x, half, "right")))
 
 
+class _Substep:
+    """One substep (N + a dz S) E' = (N + b dz S) E, its boundary read from E;
+    the corner update is a 2 x 2 solve against A^{-1} e_0 and A^{-1} e_{-1},
+    A = N + a dz S on Dirichlet edges."""
+
+    def __init__(self, n, dz_s_main, dz_s_off, a, b):
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
+        off = a * dz_s_off
+        self._rhs = (b * dz_s_off, n + b * dz_s_main)
+        # a dz and b dz times the ghost node's coupling -1/(2 dx^2), times eta at each edge
+        self._corner, self._rhs_corner = a * dz_s_off[0], b * dz_s_off[0]
+        *lu, info = zgttrf(off, n + a * dz_s_main, off)
+        if info:
+            raise ValueError(f"BPM substep matrix is singular (zgttrf info={info})")
+        self._lu = lu
+        self._gttrs = zgttrs
+        # G = A^{-1} [e_0, e_-1]; each column falls off geometrically away
+        # from its edge, and the corner update only touches its reach: the
+        # entries above eps^2 of its edge value (a few hundred nodes on the
+        # default grid)
+        ends = np.zeros((len(n), 2), dtype=complex)
+        ends[0, 0] = ends[-1, 1] = 1.0
+        g, _ = zgttrs(*lu, ends)
+        mag, tiny = np.abs(g), np.finfo(float).eps ** 2
+        self._lo_reach = slice(0, int(np.flatnonzero(mag[:, 0] > tiny * mag[0, 0])[-1]) + 1)
+        self._hi_reach = slice(int(np.flatnonzero(mag[:, 1] > tiny * mag[-1, 1])[0]), len(n))
+        self._g_lo = g[self._lo_reach, 0].copy()
+        self._g_hi = g[self._hi_reach, 1].copy()
+        self._g_corners = tuple(complex(v) for v in (g[0, 0], g[0, 1], g[-1, 0], g[-1, 1]))
+
+    def __call__(self, column: np.ndarray) -> np.ndarray:
+        off_r, main_r = self._rhs
+        g00, g01, g10, g11 = self._g_corners
+        eta_lo = _ghost_ratio(column[0], column[1])
+        eta_hi = _ghost_ratio(column[-1], column[-2])
+        rhs = main_r * column
+        rhs[:-1] += off_r * column[1:]
+        rhs[1:] += off_r * column[:-1]
+        rhs[0] += self._rhs_corner * eta_lo * column[0]
+        rhs[-1] += self._rhs_corner * eta_hi * column[-1]
+        out, _ = self._gttrs(*self._lu, rhs, overwrite_b=1)
+        # (A + lo e_0 e_0^T + hi e_-1 e_-1^T)^{-1} by Sherman-Morrison-Woodbury:
+        # out -= G M^{-1} diag(lo, hi) [out_0, out_-1], M = I + diag(lo, hi) G_corners
+        lo, hi = self._corner * eta_lo, self._corner * eta_hi
+        m00, m01, m10, m11 = 1.0 + lo * g00, lo * g01, hi * g10, 1.0 + hi * g11
+        det = m00 * m11 - m01 * m10
+        if det == 0:
+            raise ValueError("BPM substep matrix is singular (corner update)")
+        r0, r1 = lo * complex(out[0]), hi * complex(out[-1])
+        out[self._lo_reach] -= (m11 * r0 - m01 * r1) / det * self._g_lo
+        out[self._hi_reach] -= (m00 * r1 - m10 * r0) / det * self._g_hi
+        return out
+
+
 class Propagator:
-    """Crank-Nicolson stepper for one BpmConfig.
+    """Pade (2,2) stepper for one BpmConfig, in two substeps per step.
 
     Each node carries the mean index of its cell [x - dx/2, x + dx/2]: a
     cell holding a fraction f of core has mean n = 1 + f (U0 - 1) and mean
@@ -130,8 +197,6 @@ class Propagator:
     """
 
     def __init__(self, cfg: BpmConfig):
-        from scipy.linalg.lapack import zgttrf, zgttrs
-
         self.cfg = cfg
         X = cfg.transverse_halfwidth_X
         self.x = np.linspace(-X, X, cfg.nx)
@@ -146,28 +211,8 @@ class Propagator:
         # S = N (H + n0) on Dirichlet edges: real symmetric tridiagonal
         self._s_main = 1.0 / (self.dx * self.dx) - (1.0 + f * (u0 * u0 - 1.0)) + n0 * n
         self._s_off = -0.5 / (self.dx * self.dx) * np.ones(cfg.nx - 1)
-        theta = 0.5j * cfg.dz
-        off = theta * self._s_off
-        self._rhs = (-off, n - theta * self._s_main)
-        # i dz/2 times the ghost node's coupling -1/(2 dx^2), times eta at each edge
-        self._corner = theta * self._s_off[0]
-        *lu, info = zgttrf(off, n + theta * self._s_main, off)
-        if info:
-            raise ValueError(f"Crank-Nicolson matrix is singular (zgttrf info={info})")
-        self._lu = lu
-        self._gttrs = zgttrs
-        # G = A^{-1} [e_0, e_-1]; each column falls off geometrically away
-        # from its edge, and the corner update only touches its reach: the
-        # entries above eps^2 of its edge value (~400 nodes on the default grid)
-        ends = np.zeros((cfg.nx, 2), dtype=complex)
-        ends[0, 0] = ends[-1, 1] = 1.0
-        g, _ = zgttrs(*lu, ends)
-        mag, tiny = np.abs(g), np.finfo(float).eps ** 2
-        self._lo_reach = slice(0, int(np.flatnonzero(mag[:, 0] > tiny * mag[0, 0])[-1]) + 1)
-        self._hi_reach = slice(int(np.flatnonzero(mag[:, 1] > tiny * mag[-1, 1])[0]), cfg.nx)
-        self._g_lo = g[self._lo_reach, 0].copy()
-        self._g_hi = g[self._hi_reach, 1].copy()
-        self._g_corners = tuple(complex(v) for v in (g[0, 0], g[0, 1], g[-1, 0], g[-1, 1]))
+        dz_s_main, dz_s_off = cfg.dz * self._s_main, cfg.dz * self._s_off
+        self._substeps = tuple(_Substep(n, dz_s_main, dz_s_off, a_k, b_k) for a_k, b_k in _PADE_22)
         self.core = _window(self.x, a)
 
     def norm(self, column: np.ndarray, where: slice = slice(None)) -> float:
@@ -178,8 +223,8 @@ class Propagator:
     def march(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
         """Yield the column after each of nsteps dz steps.
 
-        With Im eta >= 0 no step can raise the norm of a finite column; a
-        whole-grid norm that grows by more than 1% in one step, or is not
+        With Im eta >= 0 no substep can raise the norm of a finite column; a
+        whole-grid norm that grows by more than 1% in one substep, or is not
         finite, aborts with UnstableStepError.  The column's length is checked
         when march is called.  The march continues from the yielded arrays: do
         not modify them.
@@ -190,32 +235,17 @@ class Propagator:
         return self._steps(column, nsteps)
 
     def _steps(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
-        off_r, main_r = self._rhs
-        g00, g01, g10, g11 = self._g_corners
         before = self.norm(column)
         for _ in range(nsteps):
-            lo = self._corner * _ghost_ratio(column[0], column[1])
-            hi = self._corner * _ghost_ratio(column[-1], column[-2])
-            rhs = main_r * column
-            rhs[:-1] += off_r * column[1:]
-            rhs[1:] += off_r * column[:-1]
-            rhs[0] -= lo * column[0]
-            rhs[-1] -= hi * column[-1]
-            out, _ = self._gttrs(*self._lu, rhs, overwrite_b=1)
-            # (A + lo e_0 e_0^T + hi e_-1 e_-1^T)^{-1} by Sherman-Morrison-Woodbury:
-            # out -= G M^{-1} diag(lo, hi) [out_0, out_-1], M = I + diag(lo, hi) G_corners
-            m00, m01, m10, m11 = 1.0 + lo * g00, lo * g01, hi * g10, 1.0 + hi * g11
-            det = m00 * m11 - m01 * m10
-            if det == 0:
-                raise ValueError("Crank-Nicolson matrix is singular (corner update)")
-            r0, r1 = lo * complex(out[0]), hi * complex(out[-1])
-            out[self._lo_reach] -= (m11 * r0 - m01 * r1) / det * self._g_lo
-            out[self._hi_reach] -= (m00 * r1 - m10 * r0) / det * self._g_hi
-            after = self.norm(out)
-            if not after <= 1.01 * before:
-                raise UnstableStepError(f"norm went from {before:.6g} to {after:.6g} in one step")
-            yield out
-            column, before = out, after
+            for substep in self._substeps:
+                column = substep(column)
+                after = self.norm(column)
+                if not after <= 1.01 * before:
+                    raise UnstableStepError(
+                        f"norm went from {before:.6g} to {after:.6g} in one step"
+                    )
+                before = after
+            yield column
 
     def core_power(self, column: np.ndarray) -> float:
         """Weighted power sum n|E|^2 dx over the core |x| <= A."""
@@ -236,7 +266,9 @@ def step_count(z_max: float, dz: float) -> int:
         )
     nsteps = int(round(steps))
     if nsteps > MAX_STEPS:
-        raise ValueError(f"z_max/dz rounds to {nsteps} steps, more than MAX_STEPS = {MAX_STEPS}")
+        raise ValueError(
+            f"z_max/dz rounds to {nsteps:.7g} steps, more than MAX_STEPS = {MAX_STEPS}"
+        )
     return nsteps
 
 
@@ -261,7 +293,7 @@ def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:
     log P(z) is fit by least squares over [0.2*z_max, 0.8*z_max] (the early
     window skips the start-up transient) on the grid z = j*dz, j up to
     round(z_max/dz).  The march ends at the last sample of that window, the
-    last one the fit reads: 440 of 550 steps at z_max = 110, dz = 0.2.
+    last one the fit reads: 110 of 138 steps at z_max = 110, dz = 0.8.
     Raises ValueError for a z_max that step_count refuses or that spans
     fewer than 10 steps, a column of the wrong length or one with no
     power, and NonExponentialDecayError when the fit explains less than

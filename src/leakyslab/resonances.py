@@ -68,12 +68,17 @@ class Resonance:
 def mode_index_range(cfg: SlabConfig) -> range:
     """Integers m with sqrt(2*U0*(U0-1)) < m*pi/(2*A) < sqrt(2)*U0.
 
-    Returns an empty range when no integer fits (very thin slab).
+    Returns an empty range when no integer fits (very thin slab).  Raises
+    ValueError when the upper bound overflows.
     """
     A = cfg.half_width_A
     U0 = cfg.core_index_U0
     lo = math.sqrt(2.0 * U0 * (U0 - 1.0)) * 2.0 * A / math.pi
     hi = math.sqrt(2.0) * U0 * 2.0 * A / math.pi
+    if not math.isfinite(hi):
+        raise ValueError(
+            f"the mode indices of k0a={A}, U0={U0} overflow: sqrt(2)*U0*2A/pi is {hi}"
+        )
     m_min = math.floor(lo) + 1          # smallest integer strictly above lo
     m_max = math.ceil(hi) - 1           # largest integer strictly below hi
     return range(m_min, m_max + 1)

@@ -57,9 +57,9 @@ def paraxial_width(seed_eps: complex, cfg: SlabConfig) -> float:
 
 
 def test_free_space_gaussian_spreading(slab30, cfg30):
-    # a w0 = 5 beam stays inside the uniform core of the A = 30 slab over
-    # z = 5 (its tail at the interface is ~1e-8), so it spreads as in a
-    # homogeneous medium of index U0
+    # a w0 = 5 beam marched 100 steps (z = 80 at dz = 0.8) widens to
+    # w = 11.8 and keeps all but 3e-4 of its power inside the uniform core
+    # of the A = 30 slab, so it spreads as in a homogeneous medium of index U0
     prop = Propagator(cfg30)
     w0 = 5.0
     col = np.exp(-prop.x**2 / (2 * w0**2)).astype(complex)
@@ -91,14 +91,16 @@ def packet(prop, x0, kx, var=25.0):
 
 
 def test_transparent_boundary_passes_outgoing_packets(cfg30):
-    # packets launched 15 units inside an edge: those heading out leave through
-    # it (a fast one almost entirely), those heading in keep their norm; the
+    # packets launched 15 units inside an edge and marched to z = 200: those
+    # heading out leave through it (a fast one almost entirely), those heading
+    # in keep their norm (by z = 200 they reach the core, not the far edge); the
     # norm never grows in a step, whichever way the packet moves
     prop = Propagator(cfg30)
     edge = cfg30.transverse_halfwidth_X - 15.0
+    nsteps = step_count(200.0, cfg30.dz)
     for x0, kx in ((edge, 0.5), (-edge, -0.5), (edge, -0.5), (-edge, 0.5), (edge, 1.0)):
         col = packet(prop, x0, kx)
-        norms = [prop.norm(col)] + [prop.norm(out) for out in prop.march(col, 1000)]
+        norms = [prop.norm(col)] + [prop.norm(out) for out in prop.march(col, nsteps)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:])), (x0, kx)
         if x0 * kx > 0:
             assert norms[-1] < 0.5 * norms[0], (x0, kx)
@@ -173,12 +175,12 @@ def test_measure_decay_stops_at_the_last_fitted_sample(
 ):
     # the steps past the fit window feed nothing the fit reads: the rate is
     # the full march's, exactly, and exactly the steps up to the window's
-    # last sample are taken (440 of 550 at z_max = 110; 0.8 * 110.1 = 88.08
-    # falls between steps 440 and 441)
+    # last sample z = 88 are taken (110 of 138 at z_max = 110, dz = 0.8;
+    # 0.8 * 110.1 = 88.08 falls between steps 110 and 111)
     res = next(r for r in refined_modes if r.mode_index_m == m)
     col = tapered_mode_column(mode_profile(res, slab30), cfg30)
     want, last = full_march_fit(cfg30, col, z_max)
-    assert last == 440
+    assert last == step_count(88.0, cfg30.dz) < step_count(z_max, cfg30.dz)
 
     taken = []
     march = Propagator.march
@@ -303,14 +305,17 @@ def test_march_equals_successive_steps(slab30, refined_modes, cfg30):
 
 
 @pytest.mark.parametrize("z_max", [math.inf, math.nan, 1e308])
-def test_measure_decay_rejects_non_finite_z_max(cfg30, z_max):
-    # 1e308 is finite, but not in steps of dz: z_max/dz overflows
-    col = np.exp(-np.linspace(-3.0, 3.0, cfg30.nx) ** 2).astype(complex)
+def test_measure_decay_rejects_non_finite_z_max(slab30, z_max):
+    # 1e308 is finite, but not in steps of a dz below 1e308/max_float ~ 0.56
+    # (such as 0.2): z_max/dz overflows
+    cfg = BpmConfig.for_slab(slab30, dz=0.2)
+    assert math.isinf(1e308 / cfg.dz)
+    col = np.exp(-np.linspace(-3.0, 3.0, cfg.nx) ** 2).astype(complex)
     with pytest.raises(ValueError, match="z_max must be finite"):
-        measure_decay(cfg30, col, z_max)
+        measure_decay(cfg, col, z_max)
     # a finite z_max still needs 10 steps of dz
     with pytest.raises(ValueError, match="fewer than 10 steps"):
-        measure_decay(cfg30, col, 0.2)
+        measure_decay(cfg, col, 9 * cfg.dz)
 
 
 def test_measure_decay_refuses_a_march_past_the_step_ceiling(cfg30, monkeypatch):
@@ -321,21 +326,24 @@ def test_measure_decay_refuses_a_march_past_the_step_ceiling(cfg30, monkeypatch)
 
     monkeypatch.setattr(Propagator, "march", march)
     col = np.exp(-np.linspace(-3.0, 3.0, cfg30.nx) ** 2).astype(complex)
-    with pytest.raises(ValueError, match="more than MAX_STEPS"):
+    with pytest.raises(ValueError, match="rounds to 1000001 steps, more than MAX_STEPS = 1000000"):
         measure_decay(cfg30, col, (MAX_STEPS + 1) * cfg30.dz)
+    # past the ceiling by far, the count is printed in 7 significant digits
+    with pytest.raises(ValueError, match=r"rounds to 1\.25e\+307 steps, more than MAX_STEPS"):
+        measure_decay(cfg30, col, 1e307)
 
 
 def test_measure_decay_rejects_a_column_without_power():
     cfg = BpmConfig.for_slab(SlabConfig(30.0, 1.5), nx=513)
     with pytest.raises(ValueError, match="init"):
-        measure_decay(cfg, np.zeros(513, complex), 5.0)
+        measure_decay(cfg, np.zeros(513, complex), 20 * cfg.dz)
 
 
 def test_march_validates_column_length(cfg30):
     with pytest.raises(ValueError, match="column length"):
         Propagator(cfg30).march(np.zeros(17, dtype=complex), 1)
     with pytest.raises(ValueError, match="column length"):
-        measure_decay(cfg30, np.ones(17), 5.0)
+        measure_decay(cfg30, np.ones(17), 20 * cfg30.dz)
 
 
 def test_config_validation(slab30):
@@ -375,17 +383,33 @@ def test_import_path_does_not_load_scipy_linalg():
     assert done.returncode == 0, done.stderr
 
 
-def crank_nicolson_band(cfg: BpmConfig, col: np.ndarray, dtype=complex):
-    """Oracle: the n-weighted Crank-Nicolson band (N + i dz/2 S) and right-hand
-    side (N - i dz/2 S) col, built from the config and the current column.
+def pade_22(w):
+    """The step's factor, the Pade (2,2) approximant of exp(w)."""
+    return (1 + w / 2 + w * w / 12) / (1 - w / 2 + w * w / 12)
+
+
+# (a_k, b_k) of the two substeps (N + a_k dz S) E' = (N + b_k dz S) E: with
+# w = -i dz lambda each multiplies an eigenvector by (1 - w/s_k)/(1 - w/r_k),
+# r_k = 3 +- i sqrt3 and s_k = -3 +- i sqrt3 the roots of pade_22's
+# denominator and numerator, paired by the sign of their imaginary parts
+PADE_SUBSTEPS = [
+    (1j / (3 + s * 1j * math.sqrt(3)), 1j / (-3 + s * 1j * math.sqrt(3))) for s in (1, -1)
+]
+
+
+def pade_substep_band(cfg: BpmConfig, col: np.ndarray, k: int, dtype=complex):
+    """Oracle: substep k of the n-weighted Pade (2,2) step, the band
+    (N + a_k dz S) and right-hand side (N + b_k dz S) col, built from the
+    config and the substep's input column.
 
     Each node takes the slab's index averaged over its cell [x - dx/2,
     x + dx/2]: N holds the mean of n and the potential term of S the mean of
     n^2.  S = N (H + n0) with n0 = 1, the cladding index, and Hadley's
     transparent boundary at both edges: the ghost node beyond each edge is
-    eta * (edge node), eta = edge / inner, |eta| where Im eta < 0, and 0
-    where eta is zero or not finite.  The band is float64; the right-hand
-    side is formed in ``dtype`` from its float64 coefficients.
+    eta * (edge node), eta = edge / inner read in float64 from col, |eta|
+    where Im eta < 0, and 0 where eta is zero or not finite.  The band is
+    float64; the right-hand side is formed in ``dtype`` from its float64
+    coefficients.
     """
     x = np.linspace(-cfg.transverse_halfwidth_X, cfg.transverse_halfwidth_X, cfg.nx)
     dx = x[1] - x[0]
@@ -397,28 +421,29 @@ def crank_nicolson_band(cfg: BpmConfig, col: np.ndarray, dtype=complex):
     off = -0.5 / (dx * dx)
     main = (1.0 / (dx * dx) - n2 + n).astype(complex)
     for edge, inner in ((0, 1), (-1, -2)):
+        pair = col[[edge, inner]].astype(complex)
         with np.errstate(all="ignore"):
-            eta = col[edge] / col[inner]
+            eta = pair[0] / pair[1]
         if eta.imag < 0:
             eta = abs(eta)
         main[edge] += off * (eta if np.isfinite(eta) else 0.0)
-    theta = 0.5j * cfg.dz
+    a_k, b_k = PADE_SUBSTEPS[k]
     ab = np.zeros((3, cfg.nx), dtype=complex)
-    ab[0, 1:] = theta * off
-    ab[1, :] = n + theta * main
-    ab[2, :-1] = theta * off
+    ab[0, 1:] = a_k * (cfg.dz * off)
+    ab[1, :] = n + a_k * (cfg.dz * main)
+    ab[2, :-1] = a_k * (cfg.dz * off)
     col = col.astype(dtype)
-    rhs = (n - theta * main).astype(dtype) * col
-    rhs[:-1] -= dtype(theta * off) * col[1:]
-    rhs[1:] -= dtype(theta * off) * col[:-1]
+    rhs = (n + b_k * (cfg.dz * main)).astype(dtype) * col
+    rhs[:-1] += dtype(b_k * (cfg.dz * off)) * col[1:]
+    rhs[1:] += dtype(b_k * (cfg.dz * off)) * col[:-1]
     return ab, rhs
 
 
 def extended_solve(bands) -> np.ndarray:
-    """Oracle: each (ab, rhs) system of crank_nicolson_band solved by Thomas
+    """Oracle: each (ab, rhs) system of pade_substep_band solved by Thomas
     elimination in extended precision (np.clongdouble), one solution a row.
 
-    The Crank-Nicolson band needs no pivoting: its diagonal dominates.
+    The substep band needs no pivoting: Re a_k > 0, so its diagonal dominates.
     """
     ab = np.stack([b for b, _ in bands], axis=-1)
     sup, dia, sub = ab[0, 1:], ab[1], ab[2, :-1]
@@ -436,6 +461,52 @@ def extended_solve(bands) -> np.ndarray:
     return d.T
 
 
+def extended_steps(cfg: BpmConfig, columns) -> np.ndarray:
+    """Oracle: one step of each column, its two substeps solved in turn by
+    extended_solve, one result a row."""
+    for k in range(2):
+        columns = extended_solve([pade_substep_band(cfg, c, k, np.clongdouble) for c in columns])
+    return columns
+
+
+def banded_step(cfg: BpmConfig, col: np.ndarray) -> np.ndarray:
+    """Oracle: one step of col, its two substeps solved in turn by solve_banded."""
+    for k in range(2):
+        col = solve_banded((1, 1), *pade_substep_band(cfg, col, k))
+    return col
+
+
+def test_step_multiplies_guided_modes_by_the_pade_factor(slab30):
+    # the two substeps multiply an eigenvector of N^{-1} S by pade_22, and
+    # each by a unimodular factor when its eigenvalue is real
+    w = np.array([0.3j, -2.5j, 0.1 - 4j, -0.02 + 0.7j])
+    substeps = [(1 + 1j * b * w) / (1 + 1j * a * w) for a, b in PADE_SUBSTEPS]
+    assert np.allclose(substeps[0] * substeps[1], pade_22(w), rtol=1e-14, atol=0)
+    assert np.allclose(np.abs(np.array(substeps)[:, :2]), 1.0, rtol=1e-14, atol=0)
+    # a guided eigenvector v of S v = lambda N v that vanishes at both edges
+    # (below 1e-13 of its peak, so the transparent edge reads it as a
+    # Dirichlet one: 23 of the 24) is an eigenvector of the step, which
+    # multiplies it by pade_22(-i dz lambda); a second-order factor such as
+    # (1 + w/2)/(1 - w/2) misses this bound by 5e-3 at dz = 0.8, 8e-5 at 0.2
+    for cfg in (BpmConfig.for_slab(slab30), BpmConfig.for_slab(slab30, dz=0.2)):
+        prop = Propagator(cfg)
+        root_n = np.sqrt(prop.n)
+        lam, u = eigh_tridiagonal(
+            prop._s_main / prop.n,
+            prop._s_off / (root_n[:-1] * root_n[1:]),
+            select="v",
+            select_range=(prop.n0 - slab30.core_index_U0, prop.n0 - 1.0 - 1e-9),
+        )
+        vecs = (u / root_n[:, None]).T
+        peak = np.max(np.abs(vecs), axis=1)
+        clear = np.maximum(np.abs(vecs[:, 0]), np.abs(vecs[:, -1])) <= 1e-13 * peak
+        assert len(lam) == 24 and np.count_nonzero(clear) == 23
+        for lam_j, v, top in zip(lam[clear], vecs[clear], peak[clear]):
+            (out,) = prop.march(v, 1)
+            err = np.max(np.abs(out - pade_22(-1j * cfg.dz * lam_j) * v))
+            assert err <= 1e-12 * top, (cfg.dz, lam_j, err / top)
+
+
 def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
     r32 = next(r for r in refined_modes if r.mode_index_m == 32)
     for cfg in (BpmConfig.for_slab(slab30, nx=2049, dz=0.05), cfg30):
@@ -451,19 +522,18 @@ def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
         for col in (tapered_mode_column(mode_profile(r32, slab30), cfg),
                     packet(prop, edge, 0.5), packet(prop, -edge, 0.5), bad_edges):
             steps = list(prop.march(col, 250))
-            bands, banded = [], []
-            for before in [col, *steps[:-1]]:
-                bands.append(crank_nicolson_band(cfg, before, np.clongdouble))
-                banded.append(solve_banded((1, 1), *crank_nicolson_band(cfg, before)))
+            before = [col, *steps[:-1]]
+            banded = [banded_step(cfg, c) for c in before]
             col = steps[-1]
-            exact = extended_solve(bands)
+            exact = extended_steps(cfg, before)
             peak = np.max(np.abs(exact), axis=1)
             err = (np.max(np.abs(np.array(steps) - exact), axis=1) / peak).astype(float)
             err_banded = (np.max(np.abs(np.array(banded) - exact), axis=1) / peak).astype(float)
-            # the factored solve with its corner update rounds as a pivoted
-            # banded solve of the whole band does (within 1.11x here): on the
-            # 2049 / 0.05 grid to below 1e-15 of the peak, on the default grid
-            # (dz/dx^2 16x larger) to ~2e-15 for either
+            # the factored substeps with their corner updates round as pivoted
+            # banded solves of the whole bands do (the largest errors within
+            # 1.24x here, the typical ones within 1.04x): on the 2049 / 0.05
+            # grid to below 1e-15 of the peak, on the default grid (dz/dx^2
+            # 64x larger) to ~1e-14 for either
             assert err.max() <= 1.25 * err_banded.max(), (err.max(), err_banded.max())
             if cfg is not cfg30:
                 assert err.max() <= 1e-15
@@ -475,16 +545,18 @@ def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
 
 
 def test_coupled_corners_match_banded_solve():
-    # on a short grid with a long step A^{-1} e_0 reaches the far edge, so
-    # the corner update couples both edges (on the default grid it does not)
+    # on a short grid with a long step A_k^{-1} e_0 reaches the far edge in
+    # each substep, so the corner update couples both edges (on the default
+    # grid it does not)
     cfg = BpmConfig.for_slab(SlabConfig(1.0, 1.5), nx=513, dz=10.0)
-    ab, _ = crank_nicolson_band(cfg, np.zeros(cfg.nx, dtype=complex))
-    reach = solve_banded((1, 1), ab, np.eye(cfg.nx, 1, dtype=complex)[:, 0])
-    assert abs(reach[-1]) > 1e-8 * abs(reach[0])
+    for k in range(2):
+        ab, _ = pade_substep_band(cfg, np.zeros(cfg.nx, dtype=complex), k)
+        reach = solve_banded((1, 1), ab, np.eye(cfg.nx, 1, dtype=complex)[:, 0])
+        assert abs(reach[-1]) > 1e-8 * abs(reach[0]), (k, abs(reach[-1] / reach[0]))
     prop = Propagator(cfg)
     for x0, kx in ((2.5, 5.0), (-2.5, -5.0)):
         col = packet(prop, x0, kx, var=0.05)
         for out in prop.march(col, 100):
-            ref = solve_banded((1, 1), *crank_nicolson_band(cfg, col))
+            ref = banded_step(cfg, col)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
             col = out

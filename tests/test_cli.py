@@ -24,7 +24,7 @@ from leakyslab import (
     tapered_mode_column,
 )
 from leakyslab import cli
-from leakyslab.bpm import MAX_STEPS, BpmConfig, Propagator
+from leakyslab.bpm import MAX_STEPS, BpmConfig, Propagator, step_count
 from leakyslab.cli import (
     MAX_POINTS,
     SNAPSHOTS,
@@ -281,24 +281,26 @@ def saved_field_grids(path):
 
 def test_propagate_writes_the_snapshot_count(tmp_path, capsys):
     # the snapshots are the distinct steps round(linspace(0, nsteps, SNAPSHOTS))
-    # of a march in steps of dz = 0.2, so exactly SNAPSHOTS = 11 whenever
-    # nsteps >= 10
+    # of a march in steps of BpmConfig.for_slab's dz, so exactly SNAPSHOTS = 11
+    # whenever nsteps >= 10
     assert SNAPSHOTS == 11
+    dz = BpmConfig.for_slab(SlabConfig(30.0, 1.5)).dz
     field = tmp_path / "field.csv"
 
     def snapshot_steps(z_max):
-        code = main(["propagate", "--k0a", "30", "--u0", "1.5", "--m", "24", "--z-max", z_max,
+        code = main(["propagate", "--k0a", "30", "--u0", "1.5", "--m", "24", "--z-max", str(z_max),
                      "-o", str(tmp_path / "curve.csv"), "--save-field", str(field)])
         capsys.readouterr()
         assert code == 0
         x, z = saved_field_grids(field)
         assert len(x) == 4097
-        return np.round(z / 0.2).astype(int).tolist()
+        return np.round(z / dz).astype(int).tolist()
 
-    assert snapshot_steps("30") == list(range(0, 151, 15))
-    assert snapshot_steps("2") == list(range(11))
+    nsteps = step_count(30.0, dz)
+    assert snapshot_steps(30.0) == np.round(np.linspace(0, nsteps, 11)).astype(int).tolist()
+    assert snapshot_steps(10 * dz) == list(range(11))
     # a march of fewer than 10 steps keeps each of its steps once
-    assert snapshot_steps("1") == [0, 1, 2, 3, 4, 5]
+    assert snapshot_steps(5 * dz) == [0, 1, 2, 3, 4, 5]
 
 
 def test_a_march_past_the_step_ceiling_is_refused(tmp_path, capsys, monkeypatch):
@@ -307,15 +309,17 @@ def test_a_march_past_the_step_ceiling_is_refused(tmp_path, capsys, monkeypatch)
         raise AssertionError(f"a march of {nsteps} steps was started")
 
     monkeypatch.setattr(Propagator, "march", march)
-    z_max = str((MAX_STEPS + 1) * 0.2)
+    dz = BpmConfig.for_slab(SlabConfig(30.0, 1.5)).dz
     out_path = tmp_path / "out.csv"
-    for command in ("decay", "propagate"):
-        argv = [command, "--m", "24", "--k0a", "30", "--u0", "1.5", "--z-max", z_max,
-                "-o", str(out_path)]
-        code, out, err = run(argv, capsys)
-        assert code == 2, argv
-        assert err.startswith("error: ") and "more than MAX_STEPS" in err, err
-        assert out == "" and not out_path.exists()
+    # the count is printed in 7 significant digits: exact at the ceiling, short far past it
+    for z_max, steps in (((MAX_STEPS + 1) * dz, "1000001"), (1e307, "1.25e+307")):
+        for command in ("decay", "propagate"):
+            argv = [command, "--m", "24", "--k0a", "30", "--u0", "1.5", "--z-max", str(z_max),
+                    "-o", str(out_path)]
+            code, out, err = run(argv, capsys)
+            assert code == 2, argv
+            assert err == f"error: z_max/dz rounds to {steps} steps, more than MAX_STEPS = {MAX_STEPS}\n", err
+            assert out == "" and not out_path.exists()
 
 
 def test_oversized_counts_are_refused(tmp_path, capsys):
@@ -367,6 +371,25 @@ def test_a_slab_with_too_many_modes_is_refused(tmp_path, capsys, monkeypatch):
         assert out == "" and not out_path.exists()
 
 
+def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys):
+    # SlabConfig takes any finite k0a, but sqrt(2)*U0*2A/pi overflows at
+    # k0a = 1e308: a ValueError, not an OverflowError from math.ceil(inf)
+    with pytest.raises(ValueError, match="overflow"):
+        mode_index_range(SlabConfig(1e308, 1.5))
+    slab = ["--k0a", "1e308", "--u0", "1.5"]
+    out_path = tmp_path / "out.csv"
+    for argv in (
+        ["resonances", *slab],
+        ["mode-field", *slab, "--m", "24"],
+        ["propagate", *slab, "--m", "24", "--z-max", "1"],
+        ["decay", *slab, "--m", "24", "--z-max", "1"],
+    ):
+        code, out, err = run([*argv, "-o", str(out_path)], capsys)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "overflow" in err and "\n" == err[-1:], err
+        assert out == "" and not out_path.exists()
+
+
 def test_propagate_mode_power_decays(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code = main(
@@ -377,7 +400,7 @@ def test_propagate_mode_power_decays(tmp_path, capsys):
     assert code == 0
     header, rows = parse_csv(out_path.read_text())
     assert header == ["z", "core_power"]
-    assert len(rows) == 151
+    assert len(rows) == step_count(30.0, BpmConfig.for_slab(SlabConfig(30.0, 1.5)).dz) + 1
     assert float(rows[-1][1]) < float(rows[0][1])
 
 
@@ -440,7 +463,7 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
         ["resonances", "--k0a", "30", "--u0", "inf"],
         [*width, "--k0a", "nan"],
         [*width, "--k0a", "-5"],
-        # a finite --z-max whose z_max/dz overflows to inf
+        # a finite --z-max far past the step ceiling
         [*bpm, "--z-max", "1e308"],
         [*decay, "--z-max", "1e308"],
     ):
@@ -559,7 +582,7 @@ def test_decay_writers_match_per_element_repr(tmp_path, capsys):
     argv = ["decay", "--k0a", "30", "--u0", "1.5", "--m", "36", "--z-max", "30"]
     # the header records the flags, and BpmConfig.for_slab's grid and domain
     # half width X = 4A
-    meta = {"k0a": 30.0, "u0": 1.5, "m": 36, "z_max": 30.0, "nx": 4097, "dz": 0.2,
+    meta = {"k0a": 30.0, "u0": 1.5, "m": 36, "z_max": 30.0, "nx": 4097, "dz": cfg.dz,
             "X": 120.0}
     # which no flag sets (--X, --nx, --dz); and CSV is the only format, so
     # --format is gone too
