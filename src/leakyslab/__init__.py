@@ -17,7 +17,6 @@ from .core import (
     ComplexEigenvalue,
     SlabConfig,
     Wavenumbers,
-    beam_slope,
     eigenvalue_to_wavenumbers,
 )
 from .errors import (
@@ -42,7 +41,6 @@ from .resonances import (
     approximate_resonances,
     count_leaky_modes,
     mode_index_range,
-    narrowness_diagnostic,
     refine_all,
     refine_resonance,
     siegert_residual,
@@ -85,7 +83,6 @@ __all__ = [
     "UnstableStepError",
     "Wavenumbers",
     "approximate_resonances",
-    "beam_slope",
     "count_leaky_modes",
     "eigenvalue_to_wavenumbers",
     "fbw_superposition",
@@ -96,7 +93,6 @@ __all__ = [
     "measure_decay",
     "mode_index_range",
     "mode_profile",
-    "narrowness_diagnostic",
     "phase_derivative",
     "propagate_mode",
     "refine_all",

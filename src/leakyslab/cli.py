@@ -43,6 +43,12 @@ MAX_POINTS = 10**6
 # snapshots propagate --save-field keeps: the distinct steps
 # round(linspace(0, nsteps, SNAPSHOTS)), or every step of a shorter march
 SNAPSHOTS = 11
+# the field components a grid table writes, by their --component name
+_COMPONENTS = {
+    "re": lambda a: a.real,
+    "im": lambda a: a.imag,
+    "abs2": lambda a: np.abs(a) ** 2,
+}
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -115,19 +121,9 @@ def _grid_table(grid: FieldGrid, *components: str):
     columns = (
         itertools.chain.from_iterable(itertools.repeat(x, len(zs)) for x in xs),
         itertools.chain.from_iterable(itertools.repeat(zs, len(xs))),
-        *(_cells(_component(grid.amplitudes, c)) for c in components),
+        *(_cells(_COMPONENTS[c](grid.amplitudes)) for c in components),
     )
     return ("x", "z", *(f"{c}_E" for c in components)), columns
-
-
-def _component(amplitudes: np.ndarray, which: str) -> np.ndarray:
-    if which == "re":
-        return amplitudes.real
-    if which == "im":
-        return amplitudes.imag
-    if which == "abs2":
-        return np.abs(amplitudes) ** 2
-    raise ValueError(f"component must be re|im|abs2, got {which!r}")
 
 
 def _slab_from(args) -> SlabConfig:
@@ -341,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="mode index")
     p.add_argument("--x", default=None, help="x grid start:stop:count (default -2A:2A:801)")
     p.add_argument("--z", default=None, help="z grid start:stop:count (default 0:200:401)")
-    p.add_argument("--component", choices=("re", "im", "abs2"), default="re")
+    p.add_argument("--component", choices=tuple(_COMPONENTS), default="re")
     p.set_defaults(func=cmd_mode_field)
 
     p = sub.add_parser("propagate", help="finite-difference propagation of a tapered leaky mode")

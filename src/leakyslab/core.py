@@ -164,20 +164,3 @@ def _real_axis(K, A, U0):
     dphi = (2.0 * A * dQ * g + dg * c * s) / (c * c + g * g * s * s)
     return t, r, phi, dphi
 
-
-def beam_slope(eps_R: float, x_index: float) -> float:
-    """Local ray angle theta with respect to the optical axis, in radians.
-
-    The eigenvalue fixes the beam slope through eps = -n(x)*cos(theta(x)).
-    Returns theta in [0, pi/2].  Raises ValueError in the evanescent regime
-    |eps_R| > n(x) where no real ray angle exists, on NaN input and on n(x) <= 0.
-    """
-    if math.isnan(eps_R) or math.isnan(x_index):
-        raise ValueError(f"beam_slope needs numbers, got eps_R={eps_R}, x_index={x_index}")
-    if not x_index > 0:
-        raise ValueError(f"beam_slope needs a local index > 0, got {x_index}")
-    if abs(eps_R) > x_index:
-        raise ValueError(
-            f"no real ray angle: |eps_R|={abs(eps_R)} exceeds local index {x_index}"
-        )
-    return math.acos(-eps_R / x_index)

@@ -69,15 +69,17 @@ def mode_index_range(cfg: SlabConfig) -> range:
     """Integers m with sqrt(2*U0*(U0-1)) < m*pi/(2*A) < sqrt(2)*U0.
 
     Returns an empty range when no integer fits (very thin slab).  Raises
-    ValueError when the upper bound overflows.
+    ValueError when either bound overflows; the lower one does first,
+    inside 2*U0*(U0-1).
     """
     A = cfg.half_width_A
     U0 = cfg.core_index_U0
     lo = math.sqrt(2.0 * U0 * (U0 - 1.0)) * 2.0 * A / math.pi
     hi = math.sqrt(2.0) * U0 * 2.0 * A / math.pi
-    if not math.isfinite(hi):
+    if not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError(
-            f"the mode indices of k0a={A}, U0={U0} overflow: sqrt(2)*U0*2A/pi is {hi}"
+            f"the mode indices of k0a={A}, U0={U0} overflow: the bounds "
+            f"sqrt(2*U0*(U0-1))*2A/pi and sqrt(2)*U0*2A/pi are {lo} and {hi}"
         )
     m_min = math.floor(lo) + 1          # smallest integer strictly above lo
     m_max = math.ceil(hi) - 1           # largest integer strictly below hi
@@ -167,23 +169,6 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
 def refine_all(seeds: list[Resonance], cfg: SlabConfig) -> list[Resonance]:
     """Refine every seed; independent per mode."""
     return [refine_resonance(s, cfg) for s in seeds]
-
-
-def narrowness_diagnostic(resonances: list[Resonance]) -> list[float]:
-    """Per adjacent pair, (Gamma_n/2) / (eps_{R,n+1} - eps_{R,n}).
-
-    Small ratios mean well-separated, long-lived modes.  Requires at least
-    two entries sorted by eps_R.
-    """
-    if len(resonances) < 2:
-        raise ValueError("need at least two resonances")
-    eps = [r.eigenvalue.eps_R for r in resonances]
-    if any(b <= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("resonances must be sorted by increasing eps_R")
-    out = []
-    for a, b in zip(resonances, resonances[1:]):
-        out.append(a.eigenvalue.half_width_Gamma / (b.eigenvalue.eps_R - a.eigenvalue.eps_R))
-    return out
 
 
 def _winding_on_segment(

@@ -54,6 +54,8 @@ class Curve:
             raise ValueError("abscissa must be finite")
         if np.iscomplexobj(v):
             raise ValueError("values must be real; give a complex column as two real ones")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite")
         if np.any(np.diff(a) <= 0):
             raise ValueError("abscissa must be strictly increasing")
         if v.shape[0] != a.shape[0]:

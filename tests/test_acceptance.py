@@ -141,11 +141,13 @@ def test_criterion_05_fbw_properties():
 def test_criterion_06_fbw_superposition_vs_transmission(slab30, approx_modes):
     """Lorentzian-sum approximation of T at the 17 peak centers.
 
-    The 17 lineshapes overlap strongly here (width over spacing reaches
-    ~0.5 near the band top), so at every transparency point the sum exceeds
+    The 17 lineshapes overlap strongly here: near the band top the half
+    width Gamma_n/2 reaches 0.41 of the spacing eps_{R,n+1} - eps_{R,n}
+    (0.82 for the full width) on these closed-form modes, and 0.49 on the
+    refined modes.  So at every transparency point the sum exceeds
     T = 1 by the accumulated neighbour tails: measured deviations run from
     0.088 (narrowest mode) to 0.41.  The 0.05 target is out of reach for
-    this slab; it would require width/spacing ratios several times smaller.
+    this slab; it would require these ratios several times smaller.
     """
     terms = [
         (r.eigenvalue.eps_R, r.eigenvalue.width_Gamma) for r in approx_modes

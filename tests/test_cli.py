@@ -372,10 +372,13 @@ def test_a_slab_with_too_many_modes_is_refused(tmp_path, capsys, monkeypatch):
 
 
 def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys):
-    # SlabConfig takes any finite k0a, but sqrt(2)*U0*2A/pi overflows at
-    # k0a = 1e308: a ValueError, not an OverflowError from math.ceil(inf)
-    with pytest.raises(ValueError, match="overflow"):
-        mode_index_range(SlabConfig(1e308, 1.5))
+    # SlabConfig takes any finite k0a and U0, but sqrt(2)*U0*2A/pi overflows
+    # at k0a = 1e308, and the lower bound sqrt(2*U0*(U0-1))*2A/pi overflows
+    # inside 2*U0*(U0-1) once U0 > ~1e154 while the upper one stays finite:
+    # a ValueError, not an OverflowError from math.floor(inf) or math.ceil(inf)
+    for k0a, u0 in ((1e308, 1.5), (30.0, 1e154), (1e-10, 1e200)):
+        with pytest.raises(ValueError, match="overflow"):
+            mode_index_range(SlabConfig(k0a, u0))
     slab = ["--k0a", "1e308", "--u0", "1.5"]
     out_path = tmp_path / "out.csv"
     for argv in (
@@ -383,6 +386,8 @@ def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys):
         ["mode-field", *slab, "--m", "24"],
         ["propagate", *slab, "--m", "24", "--z-max", "1"],
         ["decay", *slab, "--m", "24", "--z-max", "1"],
+        ["resonances", "--k0a", "30", "--u0", "1e154", "--refine"],
+        ["resonances", "--k0a", "1e-10", "--u0", "1e200"],
     ):
         code, out, err = run([*argv, "-o", str(out_path)], capsys)
         assert code == 2, argv
@@ -483,6 +488,19 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", "error: grid endpoints must be finite, got 'nan:nan:1'\n"
     )
+    # finite inputs whose table is not: Q overflows once U0 > ~1e154, and
+    # 2QA overflows at k0a = 1e308; numpy warns, and no nan row is written
+    for argv in (
+        ["transmission", "--k0a", "30", "--u0", "1e200", "--eps", "-0.5:-0.4:3"],
+        ["shift", "--k0a", "30", "--u0", "1.5", "--eps-fixed", "-0.5",
+         "--k0a-sweep", "1e-300:1e308:3"],
+    ):
+        done = subprocess.run(
+            [*cli, *argv, "-o", str(out)], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        assert done.stderr.endswith("\nerror: values must be finite\n"), done.stderr
+        assert not out.exists()
     # a width whose square underflows is the zero-width limit, not 0/0
     done = subprocess.run(
         [*cli, "fbw", "--e0", "0", "--gamma", "1e-300", "--grid", "-1:1:3"],
@@ -519,7 +537,9 @@ def csv_body(text):
 
 def test_curve_writers_match_per_element_repr():
     abscissa = np.array([-1e16, -0.0, 5e-324, 1 / 3, 2.0])
-    real = np.array(AWKWARD)
+    # a Curve refuses NaN, so its last value is the negative smallest
+    # subnormal instead; the grid writer below still writes NaN
+    real = np.array([*AWKWARD[:-1], -5e-324])
     curve = Curve(abscissa=abscissa, values=np.column_stack([real, real[::-1]]), labels=("x", "a", "b"))
     names = ["x", "a", "b"]
     columns = [abscissa, real, real[::-1]]

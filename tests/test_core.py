@@ -6,7 +6,6 @@ import pytest
 from leakyslab import (
     ComplexEigenvalue,
     SlabConfig,
-    beam_slope,
     eigenvalue_to_wavenumbers,
 )
 
@@ -77,23 +76,6 @@ def test_fourth_quadrant_for_leaky_eigenvalues(slab30):
         assert wn.K.imag <= 0
 
 
-@pytest.mark.parametrize(
-    "eps_R,index,expected",
-    [(-1.5, 1.5, 0.0), (0.0, 1.5, math.pi / 2), (-0.75, 1.5, math.pi / 3)],
-)
-def test_beam_slope_values(eps_R, index, expected):
-    assert beam_slope(eps_R, index) == pytest.approx(expected, abs=1e-14)
-
-
-def test_beam_slope_rejects_evanescent():
-    with pytest.raises(ValueError, match="no real ray angle"):
-        beam_slope(-1.6, 1.5)
-    # no ray angle without a positive local index, and no division by zero
-    for eps_R, index in ((0.0, 0.0), (0.0, -1.5), (-0.5, -1.5)):
-        with pytest.raises(ValueError, match="local index > 0"):
-            beam_slope(eps_R, index)
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="half_width_A"):
         SlabConfig(half_width_A=0.0, core_index_U0=1.5)
@@ -114,7 +96,3 @@ def test_config_validation():
             ComplexEigenvalue(eps_R=bad)
         with pytest.raises(ValueError, match="half_width_Gamma must be finite"):
             ComplexEigenvalue(eps_R=-0.5, half_width_Gamma=bad)
-    with pytest.raises(ValueError, match="beam_slope needs numbers"):
-        beam_slope(math.nan, 1.5)
-    with pytest.raises(ValueError, match="beam_slope needs numbers"):
-        beam_slope(-0.5, math.nan)

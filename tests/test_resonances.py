@@ -14,7 +14,6 @@ from leakyslab import (
     count_leaky_modes,
     eigenvalue_to_wavenumbers,
     mode_index_range,
-    narrowness_diagnostic,
     refine_resonance,
     siegert_residual,
 )
@@ -199,33 +198,6 @@ def test_refinement_rejects_guided_band_seed(slab30):
     )
     with pytest.raises((ConvergenceError, RootJumpError)):
         refine_resonance(seed, slab30)
-
-
-def test_narrowness_first_pair(approx_modes):
-    ratios = narrowness_diagnostic(approx_modes)
-    assert len(ratios) == 16
-    assert ratios[0] == pytest.approx(0.0051042 / 0.044779, abs=1e-4)
-    assert ratios[0] == pytest.approx(0.114, abs=1e-3)
-    # widths grow and spacings shrink toward the band top
-    assert ratios[-1] > ratios[0]
-
-
-def test_narrowness_zero_width():
-    eps_a = ComplexEigenvalue(-0.9, 0.0)
-    eps_b = ComplexEigenvalue(-0.8, 0.0)
-    cfg = SlabConfig(half_width_A=30.0, core_index_U0=1.5)
-    pair = [
-        Resonance(1, eps_a, eigenvalue_to_wavenumbers(eps_a, cfg), 1.0, "approximate"),
-        Resonance(2, eps_b, eigenvalue_to_wavenumbers(eps_b, cfg), 1.0, "approximate"),
-    ]
-    assert narrowness_diagnostic(pair) == [0.0]
-
-
-def test_narrowness_validation(approx_modes):
-    with pytest.raises(ValueError, match="at least two"):
-        narrowness_diagnostic(approx_modes[:1])
-    with pytest.raises(ValueError, match="sorted"):
-        narrowness_diagnostic(list(reversed(approx_modes)))
 
 
 def test_resonance_type_invariants(slab30):

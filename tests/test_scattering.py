@@ -242,3 +242,8 @@ def test_curve_validation():
         Curve(abscissa=[0.0, float("inf")], values=[1.0, 2.0], labels=("x", "y"))
     with pytest.raises(ValueError, match="real"):
         Curve(abscissa=[0.0, 1.0], values=[1.0, 2.0j], labels=("x", "y"))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="values must be finite"):
+            Curve(abscissa=[0.0, 1.0], values=[1.0, bad], labels=("x", "y"))
+        with pytest.raises(ValueError, match="values must be finite"):
+            Curve(abscissa=[0.0, 1.0], values=[[1.0, 2.0], [3.0, bad]], labels=("x", "y", "z"))
