@@ -56,7 +56,7 @@ _TAPER_INNER = 2.0
 _TAPER_OUTER = 3.0
 
 # the most dz steps one march to z_max may take; the longest march in the
-# tests and the README, z_max = 110 at dz = 0.025, takes 4400
+# tests and the README, to z = 400 of z_max = 500 at dz = 0.8, takes 500
 MAX_STEPS = 1_000_000
 
 # (a_k, b_k) of the two substeps: i over the roots 3 +- i sqrt3 and -3 +- i sqrt3
@@ -276,8 +276,11 @@ def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     """Sample a leaky-mode profile, windowed to suppress the unbounded tail.
 
     Unity up to 2A, smooth cosine-squared roll-off, zero beyond 3A; peak
-    amplitude normalized to 1.
+    amplitude normalized to 1.  Raises ValueError for a mode of another slab
+    than cfg's.
     """
+    if mode.slab != cfg.slab:
+        raise ValueError(f"the mode's slab {mode.slab} is not the grid's {cfg.slab}")
     x = np.linspace(-cfg.transverse_halfwidth_X, cfg.transverse_halfwidth_X, cfg.nx)
     a = cfg.slab.half_width_A
     column = mode.evaluate(x)

@@ -30,14 +30,13 @@ from .core import SlabConfig
 from .errors import LeakySlabError
 from .fbw import FbwLine, fourier_coefficient, lineshape
 from .fields import FieldGrid, default_render_grids, mode_profile, propagate_mode
-from .resonances import approximate_resonances, mode_index_range, refine_all, refine_resonance
+from .resonances import approximate_resonances, refine_all, refine_resonance
 from .scattering import Curve, transmission_sweep
 from .shift import shift_sweep, width_sweep
 
 OUTDIR_ENV = "LEAKYSLAB_OUTDIR"
-# most points in one grid or mode-field rectangle, and most mode indices of
-# one slab (at most 4096 and 321,201 points in the README and the benchmark,
-# and 17 modes on the reference slab); a larger count is refused before
+# most points in one grid or mode-field rectangle (at most 4096 and 321,201
+# in the README and the benchmark); a larger count is refused before
 # anything of its size is allocated
 MAX_POINTS = 10**6
 # snapshots propagate --save-field keeps: the distinct steps
@@ -63,6 +62,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"bad grid specification {spec!r}: {exc}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid endpoints must be finite, got {spec!r}")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid span stop - start must be finite, got {spec!r}")
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
     if count > MAX_POINTS:
@@ -130,33 +131,20 @@ def _slab_from(args) -> SlabConfig:
     return SlabConfig(half_width_A=args.k0a, core_index_U0=args.u0)
 
 
-def _seeds(slab: SlabConfig):
-    """approximate_resonances(slab), refused before any seed is built when
-    the slab has more than MAX_POINTS mode indices."""
-    indices = mode_index_range(slab)
-    count = indices.stop - indices.start  # len() overflows past sys.maxsize
-    if count > MAX_POINTS:
-        raise ValueError(f"{count} mode indices is more than MAX_POINTS = {MAX_POINTS}")
-    return approximate_resonances(slab)
-
-
 def cmd_resonances(args) -> int:
     slab = _slab_from(args)
-    modes = _seeds(slab)
+    modes = approximate_resonances(slab)
     meta = {"k0a": args.k0a, "u0": args.u0, "refine": args.refine}
     if not modes:
-        sys.stderr.write(
-            "warning: no admissible mode index for this slab (empty interval)\n"
-        )
-    elif args.refine:
+        raise ValueError("no admissible mode index for this slab (empty interval)")
+    if args.refine:
         modes = refine_all(modes, slab)
     names = ("m", "eps_R", "half_width_Gamma", "residual", "method")
     rows = [
         (r.mode_index_m, r.eigenvalue.eps_R, r.eigenvalue.half_width_Gamma, r.residual, r.method)
         for r in modes
     ]
-    _emit(args, "resonances", meta, (names, [map(str, col) for col in zip(*rows)]))
-    return 2 if not modes else 0
+    return _emit(args, "resonances", meta, (names, [map(str, col) for col in zip(*rows)]))
 
 
 def cmd_transmission(args) -> int:
@@ -196,7 +184,7 @@ def cmd_fbw(args) -> int:
 
 
 def _refined_mode(slab: SlabConfig, m: int):
-    modes = {r.mode_index_m: r for r in _seeds(slab)}
+    modes = {r.mode_index_m: r for r in approximate_resonances(slab)}
     if m not in modes:
         allowed = f"[{min(modes)}, {max(modes)}]" if modes else "none"
         raise ValueError(f"mode index m={m} is not admissible for this slab (allowed: {allowed})")

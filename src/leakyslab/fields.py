@@ -73,6 +73,8 @@ class FieldGrid:
         object.__setattr__(self, "amplitudes", a)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
             raise ValueError("grids must be finite")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("amplitudes must be finite")
         if np.any(np.diff(x) <= 0) or np.any(np.diff(z) < 0):
             raise ValueError("grids must be increasing")
         if a.shape != (len(x), len(z)):
@@ -121,13 +123,11 @@ def propagate_mode(field: ModeField, x_grid, z_grid) -> FieldGrid:
     z = np.asarray(z_grid, dtype=float)
     if np.any(z < 0):
         raise ValueError("z_grid must be >= 0 (forward propagation)")
-    phi = field.evaluate(x)
     eps = field.resonance.eigenvalue.value
-    return FieldGrid(
-        x_grid=x,
-        z_grid=z,
-        amplitudes=phi[:, None] * np.exp(-1j * eps * z)[None, :],
-    )
+    # FieldGrid refuses a field that overflows, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitudes = field.evaluate(x)[:, None] * np.exp(-1j * eps * z)[None, :]
+    return FieldGrid(x_grid=x, z_grid=z, amplitudes=amplitudes)
 
 
 def default_render_grids(cfg: SlabConfig) -> tuple[np.ndarray, np.ndarray]:

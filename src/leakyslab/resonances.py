@@ -43,6 +43,10 @@ _REFINED_RESIDUAL = 1e-10
 _COUNT_BOX = (-0.999 - 0.15j, -0.001 - 0.15j, -0.001 + 0.05j, -0.999 + 0.05j)
 # initial samples per edge of the argument-principle count
 _SAMPLES_PER_EDGE = 2048
+# most mode indices of one slab (17 on the reference slab), and the least
+# mode-index bound mode_index_range refuses
+MAX_MODES = 10**6
+_MAX_BOUND = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -68,22 +72,29 @@ class Resonance:
 def mode_index_range(cfg: SlabConfig) -> range:
     """Integers m with sqrt(2*U0*(U0-1)) < m*pi/(2*A) < sqrt(2)*U0.
 
-    Returns an empty range when no integer fits (very thin slab).  Raises
-    ValueError when either bound overflows; the lower one does first,
-    inside 2*U0*(U0-1).
+    Returns an empty range when no integer fits (very thin slab).  Each
+    bound on m takes at most five rounded operations on A and U0 besides
+    math.pi's own rounding, so its relative error stays below 2^-50, and
+    below _MAX_BOUND = 2^40 (~1.1e12) its absolute error below 2^-10 of an
+    index.  Raises ValueError, before any seed is built, when a bound
+    overflows or reaches _MAX_BOUND, or the range holds more than MAX_MODES
+    indices.
     """
     A = cfg.half_width_A
     U0 = cfg.core_index_U0
     lo = math.sqrt(2.0 * U0 * (U0 - 1.0)) * 2.0 * A / math.pi
     hi = math.sqrt(2.0) * U0 * 2.0 * A / math.pi
-    if not math.isfinite(lo) or not math.isfinite(hi):
+    # lo <= hi unless 2*U0*(U0-1) overflows, and inf fails the test too
+    if not (lo < _MAX_BOUND and hi < _MAX_BOUND):
         raise ValueError(
-            f"the mode indices of k0a={A}, U0={U0} overflow: the bounds "
-            f"sqrt(2*U0*(U0-1))*2A/pi and sqrt(2)*U0*2A/pi are {lo} and {hi}"
+            f"the mode indices of k0a={A}, U0={U0} overflow or cannot be resolved: "
+            f"the bounds sqrt(2*U0*(U0-1))*2A/pi and sqrt(2)*U0*2A/pi are {lo} "
+            f"and {hi}, not both below 2**40"
         )
-    m_min = math.floor(lo) + 1          # smallest integer strictly above lo
-    m_max = math.ceil(hi) - 1           # largest integer strictly below hi
-    return range(m_min, m_max + 1)
+    indices = range(math.floor(lo) + 1, math.ceil(hi))  # strictly between lo and hi
+    if len(indices) > MAX_MODES:
+        raise ValueError(f"{len(indices)} mode indices is more than MAX_MODES = {MAX_MODES}")
+    return indices
 
 
 def _approximate_eigenvalue(m: int, cfg: SlabConfig) -> ComplexEigenvalue:
@@ -139,7 +150,12 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
         val = _dispersion(K, cfg)[1]
         if abs(val) <= _NEWTON_TOL:
             break
-        step = val / ((_dispersion(K + h, cfg)[1] - _dispersion(K - h, cfg)[1]) / (2 * h))
+        slope = (_dispersion(K + h, cfg)[1] - _dispersion(K - h, cfg)[1]) / (2 * h)
+        if slope == 0:
+            raise ConvergenceError(
+                f"Newton's slope vanished at K={K} for seed m={seed.mode_index_m}"
+            )
+        step = val / slope
         K = K - step
         if abs(step) < 1e-14:
             val = _dispersion(K, cfg)[1]

@@ -173,8 +173,6 @@ def wavepacket_shift(
     sig = float(packet_width_sigmaK)
     if not (math.isfinite(sig) and sig > 0):
         raise ValueError("packet_width_sigmaK must be positive and finite")
-    if sig > Kc / 6.0:
-        raise ValueError(f"packet too wide: sigma_K={sig} exceeds K_c/6={Kc / 6.0}")
     if Kc - 6.0 * sig <= 0.0 or Kc + 6.0 * sig >= math.sqrt(2.0):
         raise ValueError(
             "packet support [K_c - 6 sigma, K_c + 6 sigma] must stay inside "

@@ -333,6 +333,12 @@ def test_measure_decay_refuses_a_march_past_the_step_ceiling(cfg30, monkeypatch)
         measure_decay(cfg30, col, 1e307)
 
 
+def test_tapered_mode_column_refuses_a_mode_of_another_slab(slab30, refined_modes):
+    cfg = BpmConfig.for_slab(SlabConfig(20.0, 1.5), nx=513)
+    with pytest.raises(ValueError, match="slab"):
+        tapered_mode_column(mode_profile(refined_modes[0], slab30), cfg)
+
+
 def test_measure_decay_rejects_a_column_without_power():
     cfg = BpmConfig.for_slab(SlabConfig(30.0, 1.5), nx=513)
     with pytest.raises(ValueError, match="init"):

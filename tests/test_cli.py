@@ -23,7 +23,7 @@ from leakyslab import (
     refine_resonance,
     tapered_mode_column,
 )
-from leakyslab import cli
+from leakyslab import resonances
 from leakyslab.bpm import MAX_STEPS, BpmConfig, Propagator, step_count
 from leakyslab.cli import (
     MAX_POINTS,
@@ -70,6 +70,9 @@ def test_parse_grid():
         parse_grid("-inf:0:1")
     with pytest.raises(ValueError, match="finite"):
         parse_grid("nan:nan:1")
+    # finite endpoints whose span overflows: refused before linspace fills inf
+    with pytest.raises(ValueError, match="span"):
+        parse_grid("-1e308:1e308:5")
     assert len(parse_grid(f"0:1:{MAX_POINTS}")) == MAX_POINTS
     with pytest.raises(ValueError, match="MAX_POINTS"):
         parse_grid(f"0:1:{MAX_POINTS + 1}")
@@ -110,16 +113,14 @@ def test_resonances_refined_residuals(capsys):
         assert row[4] == "refined"
 
 
-def test_resonances_empty_range_warns(capsys):
-    code, out, err = run(["resonances", "--k0a", "0.1", "--u0", "1.5"], capsys)
+def test_resonances_empty_range_is_refused(tmp_path, capsys):
+    # no admissible index is a validation error like any other: exit 2,
+    # one error line and no table
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(["resonances", "--k0a", "0.1", "--u0", "1.5", "-o", str(out_path)], capsys)
     assert code == 2
-    assert "empty" in err
-    _, rows = parse_csv(out)
-    assert rows == []
-    meta = {"k0a": 0.1, "u0": 1.5, "refine": False}
-    assert out.splitlines() == header("resonances", meta) + [
-        "m,eps_R,half_width_Gamma,residual,method"
-    ]
+    assert err == "error: no admissible mode index for this slab (empty interval)\n", err
+    assert out == "" and not out_path.exists()
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
@@ -350,13 +351,15 @@ def test_oversized_counts_are_refused(tmp_path, capsys):
 
 
 def test_a_slab_with_too_many_modes_is_refused(tmp_path, capsys, monkeypatch):
-    # k0a = 1751997 has MAX_POINTS + 1 mode indices at u0 = 1.5: refused
-    # before a single seed is built
-    def seeds(slab):
-        raise AssertionError("seeds were built")
+    # k0a = 1751997 has MAX_MODES + 1 mode indices at u0 = 1.5, and
+    # k0a = 1751996 MAX_MODES: refused before a single seed is built
+    def seed(m, slab):
+        raise AssertionError("a seed was built")
 
-    monkeypatch.setattr(cli, "approximate_resonances", seeds)
-    assert len(mode_index_range(SlabConfig(1751997.0, 1.5))) == MAX_POINTS + 1
+    assert len(mode_index_range(SlabConfig(1751996.0, 1.5))) == resonances.MAX_MODES
+    monkeypatch.setattr(resonances, "_approximate_eigenvalue", seed)
+    with pytest.raises(ValueError, match="1000001 mode indices"):
+        approximate_resonances(SlabConfig(1751997.0, 1.5))
     slab = ["--k0a", "1751997", "--u0", "1.5"]
     out_path = tmp_path / "out.csv"
     for argv in (
@@ -367,7 +370,7 @@ def test_a_slab_with_too_many_modes_is_refused(tmp_path, capsys, monkeypatch):
     ):
         code, out, err = run([*argv, "-o", str(out_path)], capsys)
         assert code == 2, argv
-        assert err == "error: 1000001 mode indices is more than MAX_POINTS = 1000000\n", err
+        assert err == "error: 1000001 mode indices is more than MAX_MODES = 1000000\n", err
         assert out == "" and not out_path.exists()
 
 
@@ -393,6 +396,35 @@ def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys):
         assert code == 2, argv
         assert err.startswith("error: ") and "overflow" in err and "\n" == err[-1:], err
         assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        # Newton's central difference is exactly zero on these weak slabs
+        ("resonances --k0a 5 --u0 1.00001 --refine", 3),
+        ("resonances --k0a 30 --u0 1.00000001 --refine", 3),
+        # the field overflows at x = +-1e300
+        ("mode-field --k0a 30 --u0 1.5 --m 40 --x -1e300:1e300:3 --z 0:1:2", 2),
+        # finite endpoints, overflowing span
+        ("fbw --e0 1e308 --gamma 1e308 --grid -1e308:1e308:5", 2),
+        # no admissible index
+        ("resonances --k0a 0.1 --u0 1.5", 2),
+        # bounds past 2**40, whose rounding errors reach about one index
+        ("resonances --k0a 30 --u0 1e14", 2),
+        ("resonances --k0a 30 --u0 1e15", 2),
+        ("resonances --k0a 1751997 --u0 1.5", 2),
+        ("resonances --k0a 1e308 --u0 1.5", 2),
+    ],
+)
+def test_no_cli_input_ends_in_a_traceback(tmp_path, capsys, command, code):
+    # main lets no other exception through, so a traceback would fail here
+    out_path = tmp_path / "out.csv"
+    got, out, err = run([*command.split(), "-o", str(out_path)], capsys)
+    assert got == code
+    prefix = "error: " if code == 2 else "numerical failure: "
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert out == "" and not out_path.exists()
 
 
 def test_propagate_mode_power_decays(tmp_path, capsys):
@@ -526,8 +558,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 # Values whose shortest repr is easy to get wrong: signed zero, the smallest
 # subnormal, a float past the exact-integer range, a repeating binary
-# fraction and NaN.
-AWKWARD = [-0.0, 5e-324, 1e16, 1 / 3, float("nan")]
+# fraction and the negative smallest subnormal (a Curve and a FieldGrid
+# refuse NaN).
+AWKWARD = [-0.0, 5e-324, 1e16, 1 / 3, -5e-324]
 
 
 def csv_body(text):
@@ -537,9 +570,7 @@ def csv_body(text):
 
 def test_curve_writers_match_per_element_repr():
     abscissa = np.array([-1e16, -0.0, 5e-324, 1 / 3, 2.0])
-    # a Curve refuses NaN, so its last value is the negative smallest
-    # subnormal instead; the grid writer below still writes NaN
-    real = np.array([*AWKWARD[:-1], -5e-324])
+    real = np.array(AWKWARD)
     curve = Curve(abscissa=abscissa, values=np.column_stack([real, real[::-1]]), labels=("x", "a", "b"))
     names = ["x", "a", "b"]
     columns = [abscissa, real, real[::-1]]

@@ -142,3 +142,6 @@ def test_field_grid_validation():
         FieldGrid(np.array([np.nan]), np.array([0.0]), np.zeros((1, 1)))
     with pytest.raises(ValueError, match="grids must be finite"):
         FieldGrid(np.array([0.0, 1.0]), np.array([0.0, np.inf]), np.zeros((2, 2)))
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            FieldGrid(np.array([0.0]), np.array([0.0]), np.array([[bad]]))

@@ -41,6 +41,15 @@ def test_mode_index_range_empty_for_thin_slab():
     assert approximate_resonances(thin) == []
 
 
+def test_mode_index_range_refuses_unresolvable_bounds():
+    # near 2.7e15 (U0 = 1e14) the bounds' rounding errors reach about one
+    # index; below 2**40 the window, 2A/(pi*sqrt 2) ~ 13.5 wide, still
+    # holds its 14 indices
+    with pytest.raises(ValueError, match="cannot be resolved"):
+        mode_index_range(SlabConfig(30.0, 1e14))
+    assert len(mode_index_range(SlabConfig(30.0, 1e10))) == 14
+
+
 def test_reference_eigenvalue_table(approx_modes):
     assert len(approx_modes) == 17
     for res in approx_modes:

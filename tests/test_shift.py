@@ -138,7 +138,8 @@ class TestWavepacket:
 
     @pytest.mark.filterwarnings("error")
     def test_packet_width_validation(self, slab30):
-        with pytest.raises(ValueError, match="too wide"):
+        # sigma_K > K_c/6 puts K_c - 6 sigma_K below the band bottom
+        with pytest.raises(ValueError, match="radiation band"):
             wavepacket_shift(-0.5, 0.5, slab30)
         with pytest.raises(ValueError, match="positive"):
             wavepacket_shift(-0.5, 0.0, slab30)
