@@ -38,6 +38,7 @@ from .fbw import (
 from .fields import FieldGrid, ModeField, mode_profile, propagate_mode
 from .resonances import (
     Resonance,
+    approximate_resonance,
     approximate_resonances,
     count_leaky_modes,
     mode_index_range,
@@ -82,6 +83,7 @@ __all__ = [
     "SlabConfig",
     "UnstableStepError",
     "Wavenumbers",
+    "approximate_resonance",
     "approximate_resonances",
     "count_leaky_modes",
     "eigenvalue_to_wavenumbers",

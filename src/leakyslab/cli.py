@@ -30,7 +30,7 @@ from .core import SlabConfig
 from .errors import LeakySlabError
 from .fbw import FbwLine, fourier_coefficient, lineshape
 from .fields import FieldGrid, default_render_grids, mode_profile, propagate_mode
-from .resonances import approximate_resonances, refine_all, refine_resonance
+from .resonances import approximate_resonance, approximate_resonances, refine_all, refine_resonance
 from .scattering import Curve, transmission_sweep
 from .shift import shift_sweep, width_sweep
 
@@ -183,17 +183,9 @@ def cmd_fbw(args) -> int:
     return _emit(args, "fbw", meta, _curve_table(curve))
 
 
-def _refined_mode(slab: SlabConfig, m: int):
-    modes = {r.mode_index_m: r for r in approximate_resonances(slab)}
-    if m not in modes:
-        allowed = f"[{min(modes)}, {max(modes)}]" if modes else "none"
-        raise ValueError(f"mode index m={m} is not admissible for this slab (allowed: {allowed})")
-    return refine_resonance(modes[m], slab)
-
-
 def cmd_mode_field(args) -> int:
     slab = _slab_from(args)
-    res = _refined_mode(slab, args.m)
+    res = refine_resonance(approximate_resonance(args.m, slab), slab)
     field = mode_profile(res, slab)
     x_default, z_default = default_render_grids(slab)
     x = parse_grid(args.x) if args.x else x_default
@@ -219,7 +211,7 @@ def _bpm_setup(args):
     slab = _slab_from(args)
     cfg = BpmConfig.for_slab(slab)
     nsteps = step_count(args.z_max, cfg.dz)
-    res = _refined_mode(slab, args.m)
+    res = refine_resonance(approximate_resonance(args.m, slab), slab)
     column = tapered_mode_column(mode_profile(res, slab), cfg)
     meta = {
         "k0a": args.k0a,
@@ -236,8 +228,7 @@ def _bpm_setup(args):
 def cmd_propagate(args) -> int:
     cfg, nsteps, _, column, meta = _bpm_setup(args)
     prop = Propagator(cfg)
-    # more than nsteps + 1 points would select every step once anyway
-    plan = np.linspace(0, nsteps, min(SNAPSHOTS, nsteps + 1))
+    plan = np.linspace(0, nsteps, SNAPSHOTS)
     keep = set(np.round(plan).astype(int).tolist()) if args.save_field else set()
     powers = [prop.core_power(column)]
     snaps = {0: column}

@@ -97,25 +97,28 @@ def mode_index_range(cfg: SlabConfig) -> range:
     return indices
 
 
-def _approximate_eigenvalue(m: int, cfg: SlabConfig) -> ComplexEigenvalue:
-    A = cfg.half_width_A
-    U0 = cfg.core_index_U0
-    eps_R = (m * math.pi / (2.0 * A)) ** 2 / (2.0 * U0) - U0
-    half_gamma = math.sqrt(2.0 * (eps_R + 1.0)) / (A * U0)
-    return ComplexEigenvalue(eps_R=eps_R, half_width_Gamma=half_gamma)
-
-
-def approximate_resonances(cfg: SlabConfig) -> list[Resonance]:
-    """Closed-form eigenvalues for every admissible mode index.
+def approximate_resonance(m: int, cfg: SlabConfig) -> Resonance:
+    """Closed-form eigenvalue of mode index m; raises mode_index_range's
+    ValueError first, then ValueError for an m outside that range.
 
     eps_R(m) = (1/(2*U0)) * (m*pi/(2*A))^2 - U0 and
     Gamma/2  = sqrt(2*(eps_R+1)) / (A*U0), in units of k0.
     """
-    out = []
-    for m in mode_index_range(cfg):
-        eps = _approximate_eigenvalue(m, cfg)
-        out.append(_resonance(m, eps, eigenvalue_to_wavenumbers(eps, cfg).K, cfg, APPROXIMATE))
-    return out
+    indices = mode_index_range(cfg)
+    if m not in indices:
+        allowed = f"[{indices[0]}, {indices[-1]}]" if indices else "none"
+        raise ValueError(f"mode index m={m} is not admissible for this slab (allowed: {allowed})")
+    A = cfg.half_width_A
+    U0 = cfg.core_index_U0
+    eps_R = (m * math.pi / (2.0 * A)) ** 2 / (2.0 * U0) - U0
+    half_gamma = math.sqrt(2.0 * (eps_R + 1.0)) / (A * U0)
+    eps = ComplexEigenvalue(eps_R=eps_R, half_width_Gamma=half_gamma)
+    return _resonance(m, eps, eigenvalue_to_wavenumbers(eps, cfg).K, cfg, APPROXIMATE)
+
+
+def approximate_resonances(cfg: SlabConfig) -> list[Resonance]:
+    """approximate_resonance for every admissible mode index."""
+    return [approximate_resonance(m, cfg) for m in mode_index_range(cfg)]
 
 
 def _resonance(m: int, eps: ComplexEigenvalue, K: complex, cfg: SlabConfig, method: str):

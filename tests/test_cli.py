@@ -15,6 +15,7 @@ from leakyslab import (
     FieldGrid,
     SlabConfig,
     __version__,
+    approximate_resonance,
     approximate_resonances,
     measure_decay,
     mode_index_range,
@@ -219,11 +220,43 @@ def test_mode_field_csv_shape(capsys):
 
 
 def test_mode_field_rejects_inadmissible_index(capsys):
-    code, _, err = run(
-        ["mode-field", "--k0a", "30", "--u0", "1.5", "--m", "5"], capsys
-    )
+    for argv, m in (
+        (["mode-field", "--k0a", "30", "--u0", "1.5", "--m", "5"], 5),
+        (["decay", "--k0a", "30", "--u0", "1.5", "--m", "41", "--z-max", "30"], 41),
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert err == (
+            f"error: mode index m={m} is not admissible for this slab (allowed: [24, 40])\n"
+        ), err
+        assert out == ""
+
+
+def test_mode_field_builds_only_the_seed_and_its_refinement(capsys, monkeypatch):
+    # the one seed of --m is built, never the table of every seed first
+    built = []
+    build = resonances._resonance
+
+    def counting(m, *args):
+        built.append(m)
+        return build(m, *args)
+
+    monkeypatch.setattr(resonances, "_resonance", counting)
+    argv = ["mode-field", "--k0a", "30", "--u0", "1.5", "--m", "24", "--x", "-60:60:7",
+            "--z", "0:10:3"]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert built == [24, 24]
+    # a slab of exactly MAX_MODES indices refuses an index outside them at once
+    built.clear()
+    argv = ["mode-field", "--k0a", "1751996", "--u0", "1.5", "--m", "24"]
+    code, out, err = run(argv, capsys)
     assert code == 2
-    assert "not admissible" in err
+    assert err == (
+        "error: mode index m=24 is not admissible for this slab "
+        "(allowed: [1366026, 2366025])\n"
+    ), err
+    assert out == "" and built == []
 
 
 def test_propagate_requires_initial_condition(tmp_path, capsys):
@@ -353,11 +386,11 @@ def test_oversized_counts_are_refused(tmp_path, capsys):
 def test_a_slab_with_too_many_modes_is_refused(tmp_path, capsys, monkeypatch):
     # k0a = 1751997 has MAX_MODES + 1 mode indices at u0 = 1.5, and
     # k0a = 1751996 MAX_MODES: refused before a single seed is built
-    def seed(m, slab):
+    def seed(*args):
         raise AssertionError("a seed was built")
 
     assert len(mode_index_range(SlabConfig(1751996.0, 1.5))) == resonances.MAX_MODES
-    monkeypatch.setattr(resonances, "_approximate_eigenvalue", seed)
+    monkeypatch.setattr(resonances, "_resonance", seed)
     with pytest.raises(ValueError, match="1000001 mode indices"):
         approximate_resonances(SlabConfig(1751997.0, 1.5))
     slab = ["--k0a", "1751997", "--u0", "1.5"]
@@ -415,6 +448,10 @@ def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys):
         ("resonances --k0a 30 --u0 1e15", 2),
         ("resonances --k0a 1751997 --u0 1.5", 2),
         ("resonances --k0a 1e308 --u0 1.5", 2),
+        # the kernel overflows on finite inputs; Curve refuses the result
+        ("transmission --k0a 30 --u0 1e200 --eps -0.9:-0.1:3", 2),
+        ("shift --k0a 30 --u0 1e200 --eps -0.9:-0.1:3", 2),
+        ("shift --k0a 30 --u0 1.5 --eps-fixed -0.5 --k0a-sweep 1:1e308:3", 2),
     ],
 )
 def test_no_cli_input_ends_in_a_traceback(tmp_path, capsys, command, code):
@@ -521,9 +558,11 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
         2, "", "error: grid endpoints must be finite, got 'nan:nan:1'\n"
     )
     # finite inputs whose table is not: Q overflows once U0 > ~1e154, and
-    # 2QA overflows at k0a = 1e308; numpy warns, and no nan row is written
+    # 2QA overflows at k0a = 1e308; no nan row is written, and no numpy
+    # warning comes before the one error line
     for argv in (
         ["transmission", "--k0a", "30", "--u0", "1e200", "--eps", "-0.5:-0.4:3"],
+        ["shift", "--k0a", "30", "--u0", "1e200", "--eps", "-0.9:-0.1:3"],
         ["shift", "--k0a", "30", "--u0", "1.5", "--eps-fixed", "-0.5",
          "--k0a-sweep", "1e-300:1e308:3"],
     ):
@@ -531,7 +570,7 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
             [*cli, *argv, "-o", str(out)], env=env, capture_output=True, text=True
         )
         assert (done.returncode, done.stdout) == (2, ""), argv
-        assert done.stderr.endswith("\nerror: values must be finite\n"), done.stderr
+        assert done.stderr == "error: values must be finite\n", done.stderr
         assert not out.exists()
     # a width whose square underflows is the zero-width limit, not 0/0
     done = subprocess.run(
@@ -627,8 +666,7 @@ def test_resonances_writers_match_per_element_repr(capsys, refine):
 def test_decay_writers_match_per_element_repr(tmp_path, capsys):
     slab = SlabConfig(30.0, 1.5)
     cfg = BpmConfig.for_slab(slab)
-    seed = next(r for r in approximate_resonances(slab) if r.mode_index_m == 36)
-    res = refine_resonance(seed, slab)
+    res = refine_resonance(approximate_resonance(36, slab), slab)
     rate = measure_decay(cfg, tapered_mode_column(mode_profile(res, slab), cfg), 30.0)
     argv = ["decay", "--k0a", "30", "--u0", "1.5", "--m", "36", "--z-max", "30"]
     # the header records the flags, and BpmConfig.for_slab's grid and domain

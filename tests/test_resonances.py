@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from leakyslab import (
     Resonance,
     RootJumpError,
     SlabConfig,
+    approximate_resonance,
     approximate_resonances,
     count_leaky_modes,
     eigenvalue_to_wavenumbers,
@@ -39,6 +41,22 @@ def test_mode_index_range_empty_for_thin_slab():
     thin = SlabConfig(half_width_A=0.1, core_index_U0=1.5)
     assert len(mode_index_range(thin)) == 0
     assert approximate_resonances(thin) == []
+
+
+def test_approximate_resonance_is_the_seed_of_one_admissible_index(slab30, approx_modes):
+    for m in range(24, 41):
+        assert approximate_resonance(m, slab30) == approx_modes[m - 24]
+    for m in (23, 41):
+        message = f"mode index m={m} is not admissible for this slab (allowed: [24, 40])"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            approximate_resonance(m, slab30)
+    with pytest.raises(ValueError, match=re.escape("(allowed: none)")):
+        approximate_resonance(24, SlabConfig(0.1, 1.5))
+    # mode_index_range's own refusals come first
+    with pytest.raises(ValueError, match="1000001 mode indices is more than MAX_MODES"):
+        approximate_resonance(24, SlabConfig(1751997.0, 1.5))
+    with pytest.raises(ValueError, match="overflow or cannot be resolved"):
+        approximate_resonance(24, SlabConfig(1e308, 1.5))
 
 
 def test_mode_index_range_refuses_unresolvable_bounds():
