@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -34,7 +33,6 @@ from .resonances import approximate_resonance, approximate_resonances, refine_al
 from .scattering import Curve, transmission_sweep
 from .shift import shift_sweep, width_sweep
 
-OUTDIR_ENV = "LEAKYSLAB_OUTDIR"
 # most points in one grid or mode-field rectangle (at most 4096 and 321,201
 # in the README and the benchmark); a larger count is refused before
 # anything of its size is allocated
@@ -79,15 +77,11 @@ def _cells(values):
 
 
 def _write(path: str | None, text: str) -> Path | None:
-    """Write text to stdout, or to path (relative paths under $LEAKYSLAB_OUTDIR).
-    Returns the file written, or None for stdout."""
+    """Write text to stdout, or to path; returns the file written, or None."""
     if path is None:
         sys.stdout.write(text)
         return
     p = Path(path)
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not p.is_absolute():
-        p = Path(outdir) / p
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text(text)
     return p
@@ -341,7 +335,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is refused with its own error line, so numpy need not
+        # warn of it first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

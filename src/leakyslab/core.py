@@ -21,8 +21,9 @@ f(K) = cos(2QA) - i*g*sin(2QA), g = (K**2 + Q**2)/(2*K*Q), the denominator
 of the transmission amplitude t = e^{-2iKA}/f; its zeros with K in the
 fourth quadrant are the leaky modes.  ``_dispersion`` gives Q and f at any
 K but the pole K = 0, where it raises ValueError; ``_real_axis`` gives t, r,
-the phase phi = -arg f - pi/2 and dphi/dK on the radiation band.  Every
-module takes these quantities from here.
+the phase phi = -arg f - pi/2 and dphi/dK on the radiation band, and raises
+ValueError where any of them is not finite, as where Q or 2QA overflows.
+Every module takes these quantities from here.
 """
 
 from __future__ import annotations
@@ -150,6 +151,7 @@ def _real_axis(K, A, U0):
         dphi/dK = (2A Q' g + g' c s) / |f|^2,
 
     both regular in K: 1 + d s^2 >= 1 and |f|^2 = c^2 + g^2 s^2 >= 1.
+    Raises ValueError if any of the four is not finite.
     """
     Q = _interior_wavenumber(K, U0)
     s = np.sin(2.0 * Q * A)
@@ -162,5 +164,7 @@ def _real_axis(K, A, U0):
     dQ = U0 * K / Q
     dg = 0.5 * (Q - K * dQ) * (1.0 / (Q * Q) - 1.0 / (K * K))
     dphi = (2.0 * A * dQ * g + dg * c * s) / (c * c + g * g * s * s)
+    if not all(np.all(np.isfinite(v)) for v in (t, r, phi, dphi)):
+        raise ValueError("values must be finite")
     return t, r, phi, dphi
 

@@ -124,9 +124,7 @@ def propagate_mode(field: ModeField, x_grid, z_grid) -> FieldGrid:
     if np.any(z < 0):
         raise ValueError("z_grid must be >= 0 (forward propagation)")
     eps = field.resonance.eigenvalue.value
-    # FieldGrid refuses a field that overflows, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        amplitudes = field.evaluate(x)[:, None] * np.exp(-1j * eps * z)[None, :]
+    amplitudes = field.evaluate(x)[:, None] * np.exp(-1j * eps * z)[None, :]
     return FieldGrid(x_grid=x, z_grid=z, amplitudes=amplitudes)
 
 

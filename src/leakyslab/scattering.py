@@ -108,9 +108,7 @@ def transmission_coefficient(eps_R: float, cfg: SlabConfig) -> float:
 
 def transmission_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     """T(eps) and the unwrapped phase phi(eps) over an increasing grid."""
-    # Curve refuses a result that overflows, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        t, _, phi = _sweep(eps_grid, cfg)
+    t, _, phi = _sweep(eps_grid, cfg)
     return Curve(
         abscissa=eps_grid,
         values=np.column_stack([np.abs(t) ** 2, phi]),

@@ -74,9 +74,7 @@ def shift_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     """k0*delta_z (plus entry/exit points) over an eigenvalue grid."""
     e = np.asarray(eps_grid, dtype=float)
     K = _band_wavenumber(e)
-    # Curve refuses a result that overflows, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        dz = _real_axis(K, cfg.half_width_A, cfg.core_index_U0)[3] / K
+    dz = _real_axis(K, cfg.half_width_A, cfg.core_index_U0)[3] / K
     z_in = -cfg.half_width_A / K
     return Curve(
         abscissa=e,
@@ -93,8 +91,7 @@ def width_sweep(eps_R: float, halfwidth_grid, core_index_U0: float) -> Curve:
     K = _band_wavenumber(eps_R)
     # the narrowest slab validates the whole grid
     SlabConfig(half_width_A=As.min(), core_index_U0=core_index_U0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dz = _real_axis(K, As, core_index_U0)[3] / K
+    dz = _real_axis(K, As, core_index_U0)[3] / K
     return Curve(abscissa=As, values=dz, labels=("k0a", "k0_delta_z"))
 
 

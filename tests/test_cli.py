@@ -448,10 +448,12 @@ def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys):
         ("resonances --k0a 30 --u0 1e15", 2),
         ("resonances --k0a 1751997 --u0 1.5", 2),
         ("resonances --k0a 1e308 --u0 1.5", 2),
-        # the kernel overflows on finite inputs; Curve refuses the result
+        # the kernel overflows on finite inputs and refuses the result
         ("transmission --k0a 30 --u0 1e200 --eps -0.9:-0.1:3", 2),
         ("shift --k0a 30 --u0 1e200 --eps -0.9:-0.1:3", 2),
         ("shift --k0a 30 --u0 1.5 --eps-fixed -0.5 --k0a-sweep 1:1e308:3", 2),
+        # the kernel's values are finite, but z_in = -A/K overflows; Curve refuses it
+        ("shift --k0a 1e307 --u0 1.5 --eps -0.999:-0.99:3", 2),
     ],
 )
 def test_no_cli_input_ends_in_a_traceback(tmp_path, capsys, command, code):
@@ -488,8 +490,8 @@ def test_decay_subcommand(capsys):
     assert float(rows[0][1]) > 0.05
 
 
-def test_outdir_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LEAKYSLAB_OUTDIR", str(tmp_path))
+def test_relative_output_path_is_under_the_working_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code = main(["fbw", "--e0", "0", "--gamma", "1", "--grid", "0:1:2", "-o", "sub/c.csv"])
     capsys.readouterr()
     assert code == 0
@@ -557,14 +559,16 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", "error: grid endpoints must be finite, got 'nan:nan:1'\n"
     )
-    # finite inputs whose table is not: Q overflows once U0 > ~1e154, and
-    # 2QA overflows at k0a = 1e308; no nan row is written, and no numpy
-    # warning comes before the one error line
+    # finite inputs whose table is not: Q overflows once U0 > ~1e154, 2QA
+    # at k0a = 1e308, and z_in = -A/K at k0a = 1e307 near the band bottom;
+    # no nan row is written, and no numpy warning comes before the one
+    # error line
     for argv in (
         ["transmission", "--k0a", "30", "--u0", "1e200", "--eps", "-0.5:-0.4:3"],
         ["shift", "--k0a", "30", "--u0", "1e200", "--eps", "-0.9:-0.1:3"],
         ["shift", "--k0a", "30", "--u0", "1.5", "--eps-fixed", "-0.5",
          "--k0a-sweep", "1e-300:1e308:3"],
+        ["shift", "--k0a", "1e307", "--u0", "1.5", "--eps", "-0.999:-0.99:3"],
     ):
         done = subprocess.run(
             [*cli, *argv, "-o", str(out)], env=env, capture_output=True, text=True
@@ -572,6 +576,13 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
         assert (done.returncode, done.stdout) == (2, ""), argv
         assert done.stderr == "error: values must be finite\n", done.stderr
         assert not out.exists()
+    # a grid whose distance to the centre overflows writes omega = 0 there,
+    # with no numpy warning
+    done = subprocess.run(
+        [*cli, "fbw", "--e0", "1e308", "--gamma", "1", "--grid", "-1e308:1e307:5"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
     # a width whose square underflows is the zero-width limit, not 0/0
     done = subprocess.run(
         [*cli, "fbw", "--e0", "0", "--gamma", "1e-300", "--grid", "-1:1:3"],
@@ -697,7 +708,7 @@ def test_readme_command_lines_parse(tmp_path, capsys, monkeypatch):
     lines = [l for b in blocks for l in b.splitlines() if l.startswith("leakyslab ")]
     assert len(lines) >= 8, lines
     parser = build_parser()
-    monkeypatch.setenv("LEAKYSLAB_OUTDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     for line in lines:
         argv = shlex.split(line)[1:]
         args = parser.parse_args(argv)

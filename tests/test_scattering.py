@@ -195,6 +195,20 @@ def test_domain_validation(slab30):
         transmission_sweep([], slab30)
     with pytest.raises(ValueError, match="non-empty 1-D"):
         shift_sweep([], slab30)
+    # Q overflows on this slab: the kernel refuses every point function and
+    # sweep alike, and numpy's warning that comes first is silenced here
+    overflowing = SlabConfig(30.0, 1e200)
+    for call in (
+        lambda: transfer_amplitudes(-0.5, overflowing),
+        lambda: transmission_coefficient(-0.5, overflowing),
+        lambda: unwrapped_phase([-0.5, -0.4], overflowing),
+        lambda: transmission_sweep([-0.5, -0.4], overflowing),
+        # here only dphi/dK overflows, yet T and phi are refused with it
+        lambda: transmission_sweep([-0.9, -0.8], SlabConfig(1e308, 1.001)),
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="values must be finite"):
+                call()
 
 
 def test_fbw_superposition_single_line():
