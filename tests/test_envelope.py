@@ -5,7 +5,8 @@ Envelope: k0a in [5, 60], U0 in [1.05, 2] and, on the real axis, eps_R in
 ``count_leaky_modes`` counts.  The oracle below does not call
 ``core._dispersion``: t and r come from solving the four interface
 conditions (E and dE/dx continuous at x = -A and x = A) in mpmath, and the
-outgoing condition f is written out again in mpmath.
+outgoing condition f is written out again in mpmath.  The count test
+compares ``count_leaky_modes`` with a dense flat winding sum of that kernel.
 
 The library evaluates the phase 2QA from a rounded K, so its first-order
 error is a few ulps of 2QA times a sensitivity of at most ~(1 + |g|), with
@@ -17,16 +18,18 @@ import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakyslab import (
     SlabConfig,
+    count_leaky_modes,
     phase_derivative,
     transfer_amplitudes,
     transmission_coefficient,
 )
 from leakyslab.core import _dispersion
+from leakyslab.resonances import _COUNT_BOX
 
 # a private context, so the 30 digits do not leak into mpmath's global one
 mp = mpmath.MPContext()
@@ -117,3 +120,28 @@ def test_kernel_matches_the_oracle_in_the_counted_box(A, U0, eps_R, eps_I):
     # the cmath path (a Newton iterate) and the numpy path (the contour)
     assert abs(_dispersion(K, cfg)[1] - exact) <= bound
     assert abs(_dispersion(np.array([K]), cfg)[1][0] - exact) <= bound
+
+
+# the reference slab; a slab whose closed-form seeds miss one of its 17
+# boxed roots; and the three slabs of a 3000-slab census (default_rng(12345))
+# whose phase turns fastest per sample at 2048 samples per edge
+@example(30.0, 1.5, 17)
+@example(23.463135, 1.087562, 17)
+@example(11.264352, 1.782141, 7)
+@example(9.243, 1.324618, 5)
+@example(8.313631, 1.239793, 3)
+@settings(envelope, max_examples=100)
+@given(k0a, u0, st.none())
+def test_count_matches_a_dense_unrefined_winding(A, U0, expected):
+    # a flat sum at 16384 samples per edge, 64 times the count's own; on
+    # (11.264352, 1.782141) a root lies 2.3e-6 inside the box, and its
+    # steps still turn f by up to 2.04 rad
+    cfg = SlabConfig(A, U0)
+    n = 16384
+    zs = np.interp(np.linspace(0.0, 4.0, 4 * n + 1), range(5), _COUNT_BOX + _COUNT_BOX[:1])
+    vals = _dispersion(np.sqrt(2.0 * (zs + 1.0)), cfg)[1]
+    dphi = np.angle(vals[1:] / vals[:-1])
+    dense = round(float(dphi.sum()) / (2.0 * math.pi))
+    assert count_leaky_modes(cfg) == dense
+    if expected is not None:
+        assert dense == expected

@@ -187,18 +187,22 @@ def test_refined_count_matches_argument_principle(slab30, refined_modes):
     assert count_leaky_modes(slab30) == len(refined_modes) == 17
 
 
+def _segment(z0, z1, n):
+    """n + 1 evenly spaced points from z0 to z1."""
+    return z0 + (z1 - z0) * np.linspace(0.0, 1.0, n + 1)
+
+
 def test_count_refines_the_edges_where_the_phase_turns_fast(slab30):
     # the bottom and top edges of the counted box turn f through ~8 full
     # circles: 16 samples miss whole turns, so only the adaptive refinement
     # reaches the winding of a dense 65536-sample sum
     def flat_sum(z0, z1, n):
-        zs = z0 + (z1 - z0) * np.linspace(0.0, 1.0, n + 1)
-        vals = _dispersion(np.sqrt(2.0 * (zs + 1.0)), slab30)[1]
+        vals = _dispersion(np.sqrt(2.0 * (_segment(z0, z1, n) + 1.0)), slab30)[1]
         return float(np.angle(vals[1:] / vals[:-1]).sum())
 
     box = resonances._COUNT_BOX
     for (i, j), dense, coarse in (((0, 1), 51.7599, 1.4945), ((2, 3), 53.1652, -3.3834)):
-        refined = resonances._winding_on_segment(box[i], box[j], slab30, 16)
+        refined = resonances._winding(_segment(box[i], box[j], 16), slab30)
         assert abs(refined - flat_sum(box[i], box[j], 65536)) <= 1e-9
         assert refined == pytest.approx(dense, abs=1e-4)
         assert flat_sum(box[i], box[j], 16) == pytest.approx(coarse, abs=1e-4)
@@ -211,7 +215,7 @@ def test_count_through_a_root_is_reported(slab30, refined_modes):
     assert root.mode_index_m == 24
     eps = root.eigenvalue.value
     with pytest.raises(ConvergenceError, match="winding-number refinement stalled"):
-        resonances._winding_on_segment(eps - 0.01, eps + 0.01, slab30, 16)
+        resonances._winding(_segment(eps - 0.01, eps + 0.01, 16), slab30)
 
 
 def test_refinement_rejects_guided_band_seed(slab30):
