@@ -2,13 +2,15 @@
 
 The slab (half width A = k0*a, core index U0 > 1, vacuum clad) is treated
 in dimensionless units throughout: lengths in 1/k0, wavenumbers in k0.
+SlabConfig accepts the domain 0 < A <= 1e6, 1 < U0 <= 4 and refuses any
+other slab.
 Guided modes occupy eps in [-U0, -1), radiation modes [-1, 0); leaky modes
 carry complex eps = eps_R - i*Gamma/2 and attenuate as e^{-Gamma*z} while
 growing transversely.
 
 Note: the underlying scalar, weakly-guiding treatment is applied here even
-for strong index contrast (e.g. U0 = 1.5 against vacuum); no contrast check
-is imposed.
+for strong index contrast (e.g. U0 = 1.5 against vacuum); the domain bounds
+U0 for digits, not for the validity of that treatment.
 """
 
 __version__ = "0.1.0"

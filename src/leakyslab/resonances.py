@@ -44,10 +44,6 @@ _COUNT_BOX = (-0.999 - 0.15j, -0.001 - 0.15j, -0.001 + 0.05j, -0.999 + 0.05j)
 # samples per edge of the argument-principle count's one walk of the box;
 # steps turning arg f by more than pi/2 are refined (see count_leaky_modes)
 _SAMPLES_PER_EDGE = 256
-# most mode indices of one slab (17 on the reference slab), and the least
-# mode-index bound mode_index_range refuses
-MAX_MODES = 10**6
-_MAX_BOUND = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -75,32 +71,21 @@ def mode_index_range(cfg: SlabConfig) -> range:
 
     Returns an empty range when no integer fits (very thin slab).  Each
     bound on m takes at most five rounded operations on A and U0 besides
-    math.pi's own rounding, so its relative error stays below 2^-50, and
-    below _MAX_BOUND = 2^40 (~1.1e12) its absolute error below 2^-10 of an
-    index.  Raises ValueError, before any seed is built, when a bound
-    overflows or reaches _MAX_BOUND, or the range holds more than MAX_MODES
-    indices.
+    math.pi's own rounding, so its relative error stays below 2^-50; on
+    SlabConfig's domain the bounds stay below 3.7e6, so their absolute
+    error is below 2^-28 of an index, and the range holds fewer than
+    0.91e6 indices.
     """
     A = cfg.half_width_A
     U0 = cfg.core_index_U0
     lo = math.sqrt(2.0 * U0 * (U0 - 1.0)) * 2.0 * A / math.pi
     hi = math.sqrt(2.0) * U0 * 2.0 * A / math.pi
-    # lo <= hi unless 2*U0*(U0-1) overflows, and inf fails the test too
-    if not (lo < _MAX_BOUND and hi < _MAX_BOUND):
-        raise ValueError(
-            f"the mode indices of k0a={A}, U0={U0} overflow or cannot be resolved: "
-            f"the bounds sqrt(2*U0*(U0-1))*2A/pi and sqrt(2)*U0*2A/pi are {lo} "
-            f"and {hi}, not both below 2**40"
-        )
-    indices = range(math.floor(lo) + 1, math.ceil(hi))  # strictly between lo and hi
-    if len(indices) > MAX_MODES:
-        raise ValueError(f"{len(indices)} mode indices is more than MAX_MODES = {MAX_MODES}")
-    return indices
+    return range(math.floor(lo) + 1, math.ceil(hi))  # strictly between lo and hi
 
 
 def approximate_resonance(m: int, cfg: SlabConfig) -> Resonance:
-    """Closed-form eigenvalue of mode index m; raises mode_index_range's
-    ValueError first, then ValueError for an m outside that range.
+    """Closed-form eigenvalue of mode index m; raises ValueError for an m
+    outside mode_index_range.
 
     eps_R(m) = (1/(2*U0)) * (m*pi/(2*A))^2 - U0 and
     Gamma/2  = sqrt(2*(eps_R+1)) / (A*U0), in units of k0.

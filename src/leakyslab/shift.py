@@ -89,8 +89,9 @@ def width_sweep(eps_R: float, halfwidth_grid, core_index_U0: float) -> Curve:
     if As.ndim != 1 or len(As) == 0:
         raise ValueError("halfwidth_grid must be a non-empty 1-D array")
     K = _band_wavenumber(eps_R)
-    # the narrowest slab validates the whole grid
-    SlabConfig(half_width_A=As.min(), core_index_U0=core_index_U0)
+    # the narrowest and the widest slab validate the whole grid
+    for A in (As.min(), As.max()):
+        SlabConfig(half_width_A=A, core_index_U0=core_index_U0)
     dz = _real_axis(K, As, core_index_U0)[3] / K
     return Curve(abscissa=As, values=dz, labels=("k0a", "k0_delta_z"))
 

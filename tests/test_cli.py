@@ -18,7 +18,6 @@ from leakyslab import (
     approximate_resonance,
     approximate_resonances,
     measure_decay,
-    mode_index_range,
     mode_profile,
     refine_all,
     refine_resonance,
@@ -247,14 +246,14 @@ def test_mode_field_builds_only_the_seed_and_its_refinement(capsys, monkeypatch)
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert built == [24, 24]
-    # a slab of exactly MAX_MODES indices refuses an index outside them at once
+    # the widest slab of the domain refuses an index outside its 570,778 at once
     built.clear()
-    argv = ["mode-field", "--k0a", "1751996", "--u0", "1.5", "--m", "24"]
+    argv = ["mode-field", "--k0a", "1e6", "--u0", "1.5", "--m", "24"]
     code, out, err = run(argv, capsys)
     assert code == 2
     assert err == (
         "error: mode index m=24 is not admissible for this slab "
-        "(allowed: [1366026, 2366025])\n"
+        "(allowed: [779697, 1350474])\n"
     ), err
     assert out == "" and built == []
 
@@ -383,51 +382,46 @@ def test_oversized_counts_are_refused(tmp_path, capsys):
         assert peak < 8 * MAX_POINTS, (argv, peak)
 
 
-def test_a_slab_with_too_many_modes_is_refused(tmp_path, capsys, monkeypatch):
-    # k0a = 1751997 has MAX_MODES + 1 mode indices at u0 = 1.5, and
-    # k0a = 1751996 MAX_MODES: refused before a single seed is built
+def test_a_slab_outside_the_domain_is_refused(tmp_path, capsys, monkeypatch):
+    # at u0 = 1.5, k0a = 1751996 has 10**6 mode indices and 1751997 one
+    # more; sqrt(2)*U0*2A/pi overflows at k0a = 1e308, and the lower bound
+    # sqrt(2*U0*(U0-1))*2A/pi inside 2*U0*(U0-1) once U0 > ~1e154: SlabConfig
+    # refuses each, naming the field, before a single seed is built
     def seed(*args):
         raise AssertionError("a seed was built")
 
-    assert len(mode_index_range(SlabConfig(1751996.0, 1.5))) == resonances.MAX_MODES
     monkeypatch.setattr(resonances, "_resonance", seed)
-    with pytest.raises(ValueError, match="1000001 mode indices"):
-        approximate_resonances(SlabConfig(1751997.0, 1.5))
-    slab = ["--k0a", "1751997", "--u0", "1.5"]
-    out_path = tmp_path / "out.csv"
-    for argv in (
-        ["resonances", *slab],
-        ["mode-field", *slab, "--m", "24"],
-        ["propagate", *slab, "--m", "24", "--z-max", "1"],
-        ["decay", *slab, "--m", "24", "--z-max", "1"],
+    domain = "is outside the slab domain 0 < k0a <= 1e+06, 1 < U0 <= 4"
+    for k0a, u0, refused in (
+        (1751996.0, 1.5, "half_width_A = 1751996.0"),
+        (1751997.0, 1.5, "half_width_A = 1751997.0"),
+        (1e308, 1.5, "half_width_A = 1e+308"),
+        (30.0, 1e154, "core_index_U0 = 1e+154"),
+        (1e-10, 1e200, "core_index_U0 = 1e+200"),
     ):
+        with pytest.raises(ValueError, match=re.escape(f"{refused} {domain}")):
+            approximate_resonances(SlabConfig(k0a, u0))
+    refusals = []
+    for k0a, value in (("1751997", "1751997.0"), ("1e308", "1e+308")):
+        slab = ["--k0a", k0a, "--u0", "1.5"]
+        refusals += [
+            (argv, f"half_width_A = {value}")
+            for argv in (
+                ["resonances", *slab],
+                ["mode-field", *slab, "--m", "24"],
+                ["propagate", *slab, "--m", "24", "--z-max", "1"],
+                ["decay", *slab, "--m", "24", "--z-max", "1"],
+            )
+        ]
+    refusals += [
+        (["resonances", "--k0a", "30", "--u0", "1e154", "--refine"], "core_index_U0 = 1e+154"),
+        (["resonances", "--k0a", "1e-10", "--u0", "1e200"], "core_index_U0 = 1e+200"),
+    ]
+    out_path = tmp_path / "out.csv"
+    for argv, refused in refusals:
         code, out, err = run([*argv, "-o", str(out_path)], capsys)
         assert code == 2, argv
-        assert err == "error: 1000001 mode indices is more than MAX_MODES = 1000000\n", err
-        assert out == "" and not out_path.exists()
-
-
-def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys):
-    # SlabConfig takes any finite k0a and U0, but sqrt(2)*U0*2A/pi overflows
-    # at k0a = 1e308, and the lower bound sqrt(2*U0*(U0-1))*2A/pi overflows
-    # inside 2*U0*(U0-1) once U0 > ~1e154 while the upper one stays finite:
-    # a ValueError, not an OverflowError from math.floor(inf) or math.ceil(inf)
-    for k0a, u0 in ((1e308, 1.5), (30.0, 1e154), (1e-10, 1e200)):
-        with pytest.raises(ValueError, match="overflow"):
-            mode_index_range(SlabConfig(k0a, u0))
-    slab = ["--k0a", "1e308", "--u0", "1.5"]
-    out_path = tmp_path / "out.csv"
-    for argv in (
-        ["resonances", *slab],
-        ["mode-field", *slab, "--m", "24"],
-        ["propagate", *slab, "--m", "24", "--z-max", "1"],
-        ["decay", *slab, "--m", "24", "--z-max", "1"],
-        ["resonances", "--k0a", "30", "--u0", "1e154", "--refine"],
-        ["resonances", "--k0a", "1e-10", "--u0", "1e200"],
-    ):
-        code, out, err = run([*argv, "-o", str(out_path)], capsys)
-        assert code == 2, argv
-        assert err.startswith("error: ") and "overflow" in err and "\n" == err[-1:], err
+        assert err == f"error: {refused} {domain}\n", err
         assert out == "" and not out_path.exists()
 
 
@@ -443,17 +437,19 @@ def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys):
         ("fbw --e0 1e308 --gamma 1e308 --grid -1e308:1e308:5", 2),
         # no admissible index
         ("resonances --k0a 0.1 --u0 1.5", 2),
-        # bounds past 2**40, whose rounding errors reach about one index
+        # slabs outside SlabConfig's domain: mode-index bounds whose rounding
+        # errors reach about one index, too many indices, bounds that overflow
         ("resonances --k0a 30 --u0 1e14", 2),
         ("resonances --k0a 30 --u0 1e15", 2),
         ("resonances --k0a 1751997 --u0 1.5", 2),
         ("resonances --k0a 1e308 --u0 1.5", 2),
-        # the kernel overflows on finite inputs and refuses the result
+        # ... where Q, 2QA or z_in = -A/K would overflow
         ("transmission --k0a 30 --u0 1e200 --eps -0.9:-0.1:3", 2),
         ("shift --k0a 30 --u0 1e200 --eps -0.9:-0.1:3", 2),
         ("shift --k0a 30 --u0 1.5 --eps-fixed -0.5 --k0a-sweep 1:1e308:3", 2),
-        # the kernel's values are finite, but z_in = -A/K overflows; Curve refuses it
         ("shift --k0a 1e307 --u0 1.5 --eps -0.999:-0.99:3", 2),
+        # ... and where every value is finite but no digit of phi is left
+        ("transmission --k0a 6e307 --u0 1.001 --eps -0.5:-0.4:3", 2),
     ],
 )
 def test_no_cli_input_ends_in_a_traceback(tmp_path, capsys, command, code):
@@ -559,22 +555,27 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", "error: grid endpoints must be finite, got 'nan:nan:1'\n"
     )
-    # finite inputs whose table is not: Q overflows once U0 > ~1e154, 2QA
-    # at k0a = 1e308, and z_in = -A/K at k0a = 1e307 near the band bottom;
-    # no nan row is written, and no numpy warning comes before the one
-    # error line
-    for argv in (
-        ["transmission", "--k0a", "30", "--u0", "1e200", "--eps", "-0.5:-0.4:3"],
-        ["shift", "--k0a", "30", "--u0", "1e200", "--eps", "-0.9:-0.1:3"],
-        ["shift", "--k0a", "30", "--u0", "1.5", "--eps-fixed", "-0.5",
-         "--k0a-sweep", "1e-300:1e308:3"],
-        ["shift", "--k0a", "1e307", "--u0", "1.5", "--eps", "-0.999:-0.99:3"],
+    # finite inputs whose table would not be: Q overflows once U0 > ~1e154,
+    # 2QA at k0a = 1e308, and z_in = -A/K at k0a = 1e307 near the band
+    # bottom; SlabConfig refuses each slab, the widest of a width sweep
+    # too, so no nan row is written, and no numpy warning comes before the
+    # one error line
+    domain = "is outside the slab domain 0 < k0a <= 1e+06, 1 < U0 <= 4"
+    for argv, refused in (
+        (["transmission", "--k0a", "30", "--u0", "1e200", "--eps", "-0.5:-0.4:3"],
+         "core_index_U0 = 1e+200"),
+        (["shift", "--k0a", "30", "--u0", "1e200", "--eps", "-0.9:-0.1:3"],
+         "core_index_U0 = 1e+200"),
+        (["shift", "--k0a", "30", "--u0", "1.5", "--eps-fixed", "-0.5",
+          "--k0a-sweep", "1e-300:1e308:3"], "half_width_A = 1e+308"),
+        (["shift", "--k0a", "1e307", "--u0", "1.5", "--eps", "-0.999:-0.99:3"],
+         "half_width_A = 1e+307"),
     ):
         done = subprocess.run(
             [*cli, *argv, "-o", str(out)], env=env, capture_output=True, text=True
         )
         assert (done.returncode, done.stdout) == (2, ""), argv
-        assert done.stderr == "error: values must be finite\n", done.stderr
+        assert done.stderr == f"error: {refused} {domain}\n", done.stderr
         assert not out.exists()
     # a grid whose distance to the centre overflows writes omega = 0 there,
     # with no numpy warning

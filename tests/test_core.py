@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from leakyslab import (
     ComplexEigenvalue,
     SlabConfig,
     eigenvalue_to_wavenumbers,
+    mode_index_range,
 )
+from leakyslab.core import K0A_MAX, U0_MAX, _real_axis
 
 
 def invert(wn):
@@ -96,3 +99,25 @@ def test_config_validation():
             ComplexEigenvalue(eps_R=bad)
         with pytest.raises(ValueError, match="half_width_Gamma must be finite"):
             ComplexEigenvalue(eps_R=-0.5, half_width_Gamma=bad)
+
+
+def test_the_slab_domain_keeps_the_kernel_finite_and_the_indices_few():
+    # at every corner of the domain, on the edges of the radiation band, no
+    # value of the kernel overflows or is nan, and the mode indices stay
+    # fewer than 10**6 with their upper bound below 2**40, so neither the
+    # kernel nor mode_index_range needs a check of its own
+    assert (K0A_MAX, U0_MAX) == (1e6, 4.0)
+    eps = np.array([-1.0 + 2.0**-53, -0.5, -5e-324])
+    K = np.sqrt(2.0 * (eps + 1.0))
+    for k0a, u0 in itertools.product((5e-324, 1.0, K0A_MAX), (1.0 + 2.0**-52, 1.5, U0_MAX)):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = _real_axis(K, k0a, u0)
+        assert all(np.all(np.isfinite(v)) for v in values), (k0a, u0)
+        indices = mode_index_range(SlabConfig(k0a, u0))
+        assert len(indices) < 1_000_000 and indices.stop < 2**40, (k0a, u0)
+    assert len(mode_index_range(SlabConfig(K0A_MAX, 1.0 + 2.0**-52))) == 900316
+    # and a slab a step outside either bound is refused
+    with pytest.raises(ValueError, match="half_width_A"):
+        SlabConfig(np.nextafter(K0A_MAX, math.inf), 1.5)
+    with pytest.raises(ValueError, match="core_index_U0"):
+        SlabConfig(30.0, np.nextafter(U0_MAX, math.inf))

@@ -52,20 +52,17 @@ def test_approximate_resonance_is_the_seed_of_one_admissible_index(slab30, appro
             approximate_resonance(m, slab30)
     with pytest.raises(ValueError, match=re.escape("(allowed: none)")):
         approximate_resonance(24, SlabConfig(0.1, 1.5))
-    # mode_index_range's own refusals come first
-    with pytest.raises(ValueError, match="1000001 mode indices is more than MAX_MODES"):
-        approximate_resonance(24, SlabConfig(1751997.0, 1.5))
-    with pytest.raises(ValueError, match="overflow or cannot be resolved"):
-        approximate_resonance(24, SlabConfig(1e308, 1.5))
+    # a slab outside SlabConfig's domain is refused before any index is checked
+    for k0a in (1751997.0, 1e308):
+        with pytest.raises(ValueError, match="half_width_A = .* is outside the slab domain"):
+            approximate_resonance(24, SlabConfig(k0a, 1.5))
 
 
 def test_mode_index_range_refuses_unresolvable_bounds():
-    # near 2.7e15 (U0 = 1e14) the bounds' rounding errors reach about one
-    # index; below 2**40 the window, 2A/(pi*sqrt 2) ~ 13.5 wide, still
-    # holds its 14 indices
-    with pytest.raises(ValueError, match="cannot be resolved"):
+    # near 2.7e15 (U0 = 1e14) the bounds' rounding errors would reach about
+    # one index; SlabConfig refuses the slab before any bound is formed
+    with pytest.raises(ValueError, match="core_index_U0 = .* is outside the slab domain"):
         mode_index_range(SlabConfig(30.0, 1e14))
-    assert len(mode_index_range(SlabConfig(30.0, 1e10))) == 14
 
 
 def test_reference_eigenvalue_table(approx_modes):

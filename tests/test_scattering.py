@@ -195,20 +195,17 @@ def test_domain_validation(slab30):
         transmission_sweep([], slab30)
     with pytest.raises(ValueError, match="non-empty 1-D"):
         shift_sweep([], slab30)
-    # Q overflows on this slab: the kernel refuses every point function and
-    # sweep alike, and numpy's warning that comes first is silenced here
-    overflowing = SlabConfig(30.0, 1e200)
-    for call in (
-        lambda: transfer_amplitudes(-0.5, overflowing),
-        lambda: transmission_coefficient(-0.5, overflowing),
-        lambda: unwrapped_phase([-0.5, -0.4], overflowing),
-        lambda: transmission_sweep([-0.5, -0.4], overflowing),
-        # here only dphi/dK overflows, yet T and phi are refused with it
-        lambda: transmission_sweep([-0.9, -0.8], SlabConfig(1e308, 1.001)),
+    # Q would overflow on this slab, and on the second only dphi/dK: each
+    # lies outside SlabConfig's domain, so no point function or sweep runs
+    for call, field in (
+        (lambda: transfer_amplitudes(-0.5, SlabConfig(30.0, 1e200)), "core_index_U0"),
+        (lambda: transmission_coefficient(-0.5, SlabConfig(30.0, 1e200)), "core_index_U0"),
+        (lambda: unwrapped_phase([-0.5, -0.4], SlabConfig(30.0, 1e200)), "core_index_U0"),
+        (lambda: transmission_sweep([-0.5, -0.4], SlabConfig(30.0, 1e200)), "core_index_U0"),
+        (lambda: transmission_sweep([-0.9, -0.8], SlabConfig(1e308, 1.001)), "half_width_A"),
     ):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="values must be finite"):
-                call()
+        with pytest.raises(ValueError, match=f"{field} = .* is outside the slab domain"):
+            call()
 
 
 def test_fbw_superposition_single_line():

@@ -111,19 +111,17 @@ def test_domain_validation(slab30):
         longitudinal_shift(0.1, slab30)
     with pytest.raises(ValueError, match="halfwidth_grid"):
         width_sweep(-0.5, [], 1.5)
-    # Q overflows on this slab (and 2QA on k0a = 1e308): the kernel refuses
-    # every shift alike, and numpy's warning that comes first is silenced here
-    overflowing = SlabConfig(30.0, 1e200)
-    for call in (
-        lambda: phase_derivative(-0.5, overflowing),
-        lambda: longitudinal_shift(-0.5, overflowing),
-        lambda: shift_sweep([-0.5, -0.4], overflowing),
-        lambda: width_sweep(-0.5, [1.0, 1e308], 1.5),
-        lambda: wavepacket_shift(-0.5, 0.01, overflowing),
+    # Q would overflow on this slab (and 2QA on k0a = 1e308): each lies
+    # outside SlabConfig's domain, the widest slab of a width sweep too
+    for call, field in (
+        (lambda: phase_derivative(-0.5, SlabConfig(30.0, 1e200)), "core_index_U0"),
+        (lambda: longitudinal_shift(-0.5, SlabConfig(30.0, 1e200)), "core_index_U0"),
+        (lambda: shift_sweep([-0.5, -0.4], SlabConfig(30.0, 1e200)), "core_index_U0"),
+        (lambda: width_sweep(-0.5, [1.0, 1e308], 1.5), "half_width_A"),
+        (lambda: wavepacket_shift(-0.5, 0.01, SlabConfig(30.0, 1e200)), "core_index_U0"),
     ):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="values must be finite"):
-                call()
+        with pytest.raises(ValueError, match=f"{field} = .* is outside the slab domain"):
+            call()
 
 
 class TestWavepacket:
