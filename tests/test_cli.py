@@ -382,47 +382,68 @@ def test_oversized_counts_are_refused(tmp_path, capsys):
         assert peak < 8 * MAX_POINTS, (argv, peak)
 
 
-def test_a_slab_outside_the_domain_is_refused(tmp_path, capsys, monkeypatch):
-    # at u0 = 1.5, k0a = 1751996 has 10**6 mode indices and 1751997 one
-    # more; sqrt(2)*U0*2A/pi overflows at k0a = 1e308, and the lower bound
-    # sqrt(2*U0*(U0-1))*2A/pi inside 2*U0*(U0-1) once U0 > ~1e154: SlabConfig
-    # refuses each, naming the field, before a single seed is built
+DOMAIN = "is outside the slab domain 0 < k0a <= 1e+06, 1 < U0 <= 4"
+
+
+def _refused_before_a_seed(tmp_path, capsys, monkeypatch, library, cli):
+    # SlabConfig refuses each slab, naming the field, before a single seed
+    # is built, in the library and on every subcommand that builds one
     def seed(*args):
         raise AssertionError("a seed was built")
 
     monkeypatch.setattr(resonances, "_resonance", seed)
-    domain = "is outside the slab domain 0 < k0a <= 1e+06, 1 < U0 <= 4"
-    for k0a, u0, refused in (
-        (1751996.0, 1.5, "half_width_A = 1751996.0"),
-        (1751997.0, 1.5, "half_width_A = 1751997.0"),
-        (1e308, 1.5, "half_width_A = 1e+308"),
-        (30.0, 1e154, "core_index_U0 = 1e+154"),
-        (1e-10, 1e200, "core_index_U0 = 1e+200"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(f"{refused} {domain}")):
+    for k0a, u0, refused in library:
+        with pytest.raises(ValueError, match=re.escape(f"{refused} {DOMAIN}")):
             approximate_resonances(SlabConfig(k0a, u0))
-    refusals = []
-    for k0a, value in (("1751997", "1751997.0"), ("1e308", "1e+308")):
-        slab = ["--k0a", k0a, "--u0", "1.5"]
-        refusals += [
-            (argv, f"half_width_A = {value}")
-            for argv in (
-                ["resonances", *slab],
-                ["mode-field", *slab, "--m", "24"],
-                ["propagate", *slab, "--m", "24", "--z-max", "1"],
-                ["decay", *slab, "--m", "24", "--z-max", "1"],
-            )
-        ]
-    refusals += [
-        (["resonances", "--k0a", "30", "--u0", "1e154", "--refine"], "core_index_U0 = 1e+154"),
-        (["resonances", "--k0a", "1e-10", "--u0", "1e200"], "core_index_U0 = 1e+200"),
-    ]
     out_path = tmp_path / "out.csv"
-    for argv, refused in refusals:
+    for argv, refused in cli:
         code, out, err = run([*argv, "-o", str(out_path)], capsys)
         assert code == 2, argv
-        assert err == f"error: {refused} {domain}\n", err
+        assert err == f"error: {refused} {DOMAIN}\n", err
         assert out == "" and not out_path.exists()
+
+
+def _every_seeding_subcommand(k0a, refused):
+    slab = ["--k0a", k0a, "--u0", "1.5"]
+    return [
+        (argv, refused)
+        for argv in (
+            ["resonances", *slab],
+            ["mode-field", *slab, "--m", "24"],
+            ["propagate", *slab, "--m", "24", "--z-max", "1"],
+            ["decay", *slab, "--m", "24", "--z-max", "1"],
+        )
+    ]
+
+
+def test_a_slab_with_too_many_modes_is_refused(tmp_path, capsys, monkeypatch):
+    # at u0 = 1.5, k0a = 1751996 has 10**6 mode indices and 1751997 one more
+    _refused_before_a_seed(
+        tmp_path, capsys, monkeypatch,
+        library=(
+            (1751996.0, 1.5, "half_width_A = 1751996.0"),
+            (1751997.0, 1.5, "half_width_A = 1751997.0"),
+        ),
+        cli=_every_seeding_subcommand("1751997", "half_width_A = 1751997.0"),
+    )
+
+
+def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys, monkeypatch):
+    # sqrt(2)*U0*2A/pi overflows at k0a = 1e308, and the lower bound
+    # sqrt(2*U0*(U0-1))*2A/pi inside 2*U0*(U0-1) once U0 > ~1e154
+    _refused_before_a_seed(
+        tmp_path, capsys, monkeypatch,
+        library=(
+            (1e308, 1.5, "half_width_A = 1e+308"),
+            (30.0, 1e154, "core_index_U0 = 1e+154"),
+            (1e-10, 1e200, "core_index_U0 = 1e+200"),
+        ),
+        cli=[
+            *_every_seeding_subcommand("1e308", "half_width_A = 1e+308"),
+            (["resonances", "--k0a", "30", "--u0", "1e154", "--refine"], "core_index_U0 = 1e+154"),
+            (["resonances", "--k0a", "1e-10", "--u0", "1e200"], "core_index_U0 = 1e+200"),
+        ],
+    )
 
 
 @pytest.mark.parametrize(
