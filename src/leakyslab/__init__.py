@@ -33,9 +33,7 @@ from .fbw import (
     FbwLine,
     fbw_superposition,
     fourier_coefficient,
-    lifetime,
     lineshape,
-    survival_amplitude,
 )
 from .fields import FieldGrid, ModeField, mode_profile, propagate_mode
 from .resonances import (
@@ -91,7 +89,6 @@ __all__ = [
     "eigenvalue_to_wavenumbers",
     "fbw_superposition",
     "fourier_coefficient",
-    "lifetime",
     "lineshape",
     "longitudinal_shift",
     "measure_decay",
@@ -103,7 +100,6 @@ __all__ = [
     "refine_resonance",
     "shift_sweep",
     "siegert_residual",
-    "survival_amplitude",
     "tapered_mode_column",
     "transfer_amplitudes",
     "transmission_coefficient",

@@ -1,8 +1,4 @@
-"""Lorentzian (Fock-Breit-Wigner) lineshape, its sum over resonances, and
-the forward-time decay law.
-
-Units: hbar = 1, so times are reciprocal energies.  In the waveguide
-reading the same numbers describe axial evolution, t -> k0*z.
+"""Lorentzian (Fock-Breit-Wigner) lineshape and its sum over resonances.
 
 The lineshape is omega = |C|^2, where C = (Gamma/2) / (E - E0 + i*Gamma/2) is
 the Fourier coefficient of the decay law.  A width whose (Gamma/2)^2
@@ -54,9 +50,11 @@ def _coefficient(de, hw: float):
 def lineshape(line: FbwLine, E):
     """omega(E) = |C(E)|^2 = (Gamma/2)^2 / ((E-E0)^2 + (Gamma/2)^2), in [0, 1].
 
-    Equals 1 exactly at E = E0 and 0.5 exactly at E0 +- Gamma/2.  The
-    zero-width limit is delta-like: 0 away from the center and 1 at it (a
-    non-decaying state).  Accepts scalars or arrays.
+    Equals 1 exactly at E = E0, and 0.5 exactly where E - E0 equals Gamma/2
+    exactly (FbwLine(0, 2) at E = 1); at a rounded E0 +- Gamma/2 it is 0.5
+    within that rounding.  The zero-width limit is delta-like: 0 away from
+    the center and 1 at it (a non-decaying state).  Accepts scalars or
+    arrays.
     """
     c = fourier_coefficient(line, E)
     return c.real * c.real + c.imag * c.imag
@@ -65,9 +63,13 @@ def lineshape(line: FbwLine, E):
 def fourier_coefficient(line: FbwLine, E):
     """C(E) = (Gamma/2) / (E - E0 + i*Gamma/2); |C|^2 is the lineshape.
 
-    The zero-width limit is -i at E = E0 and 0 elsewhere.
+    The zero-width limit is -i at E = E0 and 0 elsewhere; E = +-inf gives
+    the limit 0, and a NaN E raises ValueError.
     """
-    out = _coefficient(np.asarray(E, dtype=float) - line.center_E0, _half_width(line.width_Gamma))
+    de = np.asarray(E, dtype=float) - line.center_E0
+    if np.isnan(de).any():
+        raise ValueError("E must not be NaN")
+    out = _coefficient(de, _half_width(line.width_Gamma))
     return complex(out) if np.isscalar(E) else out
 
 
@@ -76,8 +78,10 @@ def fbw_superposition(eps_R: float, resonances: Sequence[tuple[float, float]]) -
 
     Each term is the ``lineshape`` of FbwLine(E_n, Gamma_n) at eps_R, zero
     widths included.  At least one term is required; centres must be finite
-    and strictly increasing, widths finite and >= 0.
+    and strictly increasing, widths finite and >= 0, and eps_R not NaN.
     """
+    if math.isnan(eps_R):
+        raise ValueError("eps_R must not be NaN")
     if not resonances:
         raise ValueError("at least one resonance term is required")
     total, previous = 0.0, -math.inf
@@ -93,25 +97,3 @@ def fbw_superposition(eps_R: float, resonances: Sequence[tuple[float, float]]) -
         c = _coefficient(eps_R - e_n, _half_width(gamma_n))
         total += c.real * c.real + c.imag * c.imag
     return float(total)
-
-
-def survival_amplitude(line: FbwLine, t: float) -> complex:
-    """Forward-time transition amplitude (Gamma/2)*e^{-i*E0*t}*e^{-Gamma*t/2}.
-
-    Valid for finite t >= 0 only; the prefactor Gamma/2 is kept as is, so
-    consumers wanting a normalized survival use the ratio to t = 0.
-    """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"survival amplitude is defined for finite t >= 0, got t={t}")
-    hw = 0.5 * line.width_Gamma
-    return hw * complex(math.cos(line.center_E0 * t), -math.sin(line.center_E0 * t)) * math.exp(-hw * t)
-
-
-def lifetime(line: FbwLine) -> float:
-    """tau = 1/Gamma; in the waveguide reading the 1/e axial distance.
-
-    Gamma = 0 returns math.inf (bound/guided, non-decaying limit).
-    """
-    if line.width_Gamma == 0.0:
-        return math.inf
-    return 1.0 / line.width_Gamma

@@ -18,7 +18,6 @@ from leakyslab import (
     approximate_resonances,
     count_leaky_modes,
     fbw_superposition,
-    lifetime,
     lineshape,
     longitudinal_shift,
     measure_decay,
@@ -28,7 +27,6 @@ from leakyslab import (
     propagate_mode,
     refine_all,
     siegert_residual,
-    survival_amplitude,
     tapered_mode_column,
     transmission_coefficient,
     unwrapped_phase,
@@ -116,22 +114,31 @@ def test_criterion_04_outgoing_condition(slab30, refined_modes):
     assert ok, line
 
 
-def test_criterion_05_fbw_properties():
+def test_criterion_05_fbw_properties(slab30, refined_modes):
+    """Lorentzian peak and half widths, and the 1/e power at one lifetime.
+
+    The peak and half-width clauses read a line of m = 24's tabulated width,
+    Gamma = 0.0102084.  The 1/e clause reads the refined m = 24 mode: at
+    z = tau = 1/Gamma of that mode's own width (0.0102759), propagate_mode's
+    power |E(x, z)|^2 is 1/e of its value at z = 0, at every x.  The BPM's
+    fitted rate cannot carry a 1e-12 clause: ``leakyslab decay --k0a 30
+    --u0 1.5 --m 24 --z-max 110`` gives 0.0102351, 0.40% below that Gamma.
+    """
     line_shape = FbwLine(center_E0=-0.3, width_Gamma=0.0102084)
     hg = 0.5 * line_shape.width_Gamma
     peak = lineshape(line_shape, -0.3)
     half_up = lineshape(line_shape, -0.3 + hg)
     half_dn = lineshape(line_shape, -0.3 - hg)
-    tau = lifetime(line_shape)
-    ratio = (
-        abs(survival_amplitude(line_shape, tau)) ** 2
-        / abs(survival_amplitude(line_shape, 0.0)) ** 2
-    )
+    r24 = next(r for r in refined_modes if r.mode_index_m == 24)
+    tau = 1.0 / r24.eigenvalue.width_Gamma
+    grid = propagate_mode(mode_profile(r24, slab30), [0.0, 10.0, 45.0], [0.0, tau])
+    power = np.abs(grid.amplitudes) ** 2
+    ratio = power[:, 1] / power[:, 0]
     worst = max(
         abs(peak - 1.0),
         abs(half_up - 0.5),
         abs(half_dn - 0.5),
-        abs(ratio - math.exp(-1.0)),
+        float(np.max(np.abs(ratio - math.exp(-1.0)))),
     )
     ok = worst <= 1e-12
     line = report(5, ok, f"peak/half-width/1-over-e deviations <= {worst:.2e}")

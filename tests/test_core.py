@@ -1,9 +1,11 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 
+import leakyslab
 from leakyslab import (
     ComplexEigenvalue,
     SlabConfig,
@@ -121,3 +123,15 @@ def test_the_slab_domain_keeps_the_kernel_finite_and_the_indices_few():
         SlabConfig(np.nextafter(K0A_MAX, math.inf), 1.5)
     with pytest.raises(ValueError, match="core_index_U0"):
         SlabConfig(30.0, np.nextafter(U0_MAX, math.inf))
+
+
+def test_all_names_every_public_binding():
+    # each public name is written twice in the package root, once in its
+    # import and once in __all__; a name dropped from only one list fails here
+    public = {
+        name
+        for name, value in vars(leakyslab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(leakyslab.__all__) == len(set(leakyslab.__all__))
+    assert set(leakyslab.__all__) == public

@@ -7,9 +7,7 @@ from leakyslab import (
     FbwLine,
     fbw_superposition,
     fourier_coefficient,
-    lifetime,
     lineshape,
-    survival_amplitude,
 )
 
 
@@ -89,47 +87,15 @@ def test_fourier_coefficient_five_widths_out():
     assert value == pytest.approx(1.0 / 101.0, rel=1e-12)
 
 
-def test_survival_amplitude_at_zero():
-    line = FbwLine(center_E0=0.4, width_Gamma=0.2)
-    assert survival_amplitude(line, 0.0) == pytest.approx(0.1, abs=1e-15)
-
-
-def test_survival_probability_law():
-    line = FbwLine(center_E0=-0.9, width_Gamma=0.01)
-    rng = np.random.default_rng(29)
-    for t in rng.uniform(0.0, 500.0, 200):
-        p = abs(survival_amplitude(line, t)) ** 2
-        assert p == pytest.approx(0.005**2 * math.exp(-0.01 * t), rel=1e-13)
-
-
-def test_survival_one_over_e_at_lifetime():
-    line = FbwLine(center_E0=0.0, width_Gamma=0.0102084)
-    tau = lifetime(line)
-    ratio = abs(survival_amplitude(line, tau)) ** 2 / abs(survival_amplitude(line, 0.0)) ** 2
-    assert ratio == pytest.approx(math.exp(-1.0), abs=1e-14)
-
-
-def test_survival_probability_strictly_decreasing():
-    line = FbwLine(center_E0=1.0, width_Gamma=0.3)
-    ts = np.linspace(0.0, 30.0, 500)
-    ps = np.array([abs(survival_amplitude(line, t)) ** 2 for t in ts])
-    assert np.all(np.diff(ps) < 0)
-
-
-def test_survival_rejects_negative_time():
-    with pytest.raises(ValueError, match="t >= 0"):
-        survival_amplitude(FbwLine(0.0, 1.0), -1e-9)
-    for center in (0.0, 0.5):
-        for t in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite t >= 0"):
-                survival_amplitude(FbwLine(center, 1.0), t)
-
-
-def test_lifetime_values():
-    assert lifetime(FbwLine(0.0, 0.0102084)) == pytest.approx(1 / 0.0102084, rel=1e-14)
-    assert round(lifetime(FbwLine(0.0, 0.0102084)), 2) == 97.96
-    assert lifetime(FbwLine(0.0, 2.0)) == 0.5
-    assert lifetime(FbwLine(0.0, 0.0)) == math.inf
+def test_nan_energy_is_refused():
+    # a NaN energy has no lineshape value; +-inf keeps the far-tail limit 0
+    line = FbwLine(center_E0=-0.5, width_Gamma=0.01)
+    for evaluate in (lineshape, fourier_coefficient):
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate(line, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate(line, np.array([-0.5, math.nan]))
+    assert lineshape(line, math.inf) == lineshape(line, -math.inf) == 0.0
 
 
 def test_width_validation():

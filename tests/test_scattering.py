@@ -226,6 +226,8 @@ def test_fbw_superposition_validation():
     for bad in ((nan, 0.1), (inf, 0.1), (-inf, 0.1), (-0.5, nan), (-0.5, inf), (-0.5, -0.2)):
         with pytest.raises(ValueError, match="finite"):
             fbw_superposition(-0.5, [(-0.6, 0.1), bad])
+    with pytest.raises(ValueError, match="eps_R must not be NaN"):
+        fbw_superposition(nan, [(-0.5, 0.1)])
     # a zero width is the lineshape's delta-like limit: 1 at the centre, 0 elsewhere
     assert fbw_superposition(-0.5, [(-0.5, 0.0)]) == 1.0
     assert fbw_superposition(-0.5, [(-0.5, 1e-200)]) == 1.0
