@@ -50,7 +50,6 @@ from .scattering import (
     Curve,
     ScatteringAmplitudes,
     transfer_amplitudes,
-    transmission_coefficient,
     transmission_sweep,
     unwrapped_phase,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "siegert_residual",
     "tapered_mode_column",
     "transfer_amplitudes",
-    "transmission_coefficient",
     "transmission_sweep",
     "unwrapped_phase",
     "wavepacket_shift",

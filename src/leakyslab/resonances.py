@@ -8,8 +8,9 @@ amplitude, equivalently the purely outgoing matching determinant):
 
 whose zeros with K in the fourth quadrant are the leaky modes.  A winding
 number counter over a rectangle in the eps plane provides an independent
-root count.  Both evaluate f through the dispersion kernel of ``core``, and
-each seed or refined Resonance takes Q and |f| from one kernel call at its K.
+root count.  Both evaluate f through the dispersion kernel of ``core``: a
+seed takes Q and |f| from one kernel call at its K, and a refined Resonance
+from the call at which Newton accepts its root.
 """
 
 from __future__ import annotations
@@ -99,18 +100,13 @@ def approximate_resonance(m: int, cfg: SlabConfig) -> Resonance:
     eps_R = (m * math.pi / (2.0 * A)) ** 2 / (2.0 * U0) - U0
     half_gamma = math.sqrt(2.0 * (eps_R + 1.0)) / (A * U0)
     eps = ComplexEigenvalue(eps_R=eps_R, half_width_Gamma=half_gamma)
-    return _resonance(m, eps, eigenvalue_to_wavenumbers(eps, cfg).K, cfg, APPROXIMATE)
+    wavenumbers = eigenvalue_to_wavenumbers(eps, cfg)
+    return Resonance(m, eps, wavenumbers, abs(_dispersion(wavenumbers.K, cfg)[1]), APPROXIMATE)
 
 
 def approximate_resonances(cfg: SlabConfig) -> list[Resonance]:
     """approximate_resonance for every admissible mode index."""
     return [approximate_resonance(m, cfg) for m in mode_index_range(cfg)]
-
-
-def _resonance(m: int, eps: ComplexEigenvalue, K: complex, cfg: SlabConfig, method: str):
-    """The Resonance at K, with Q and the residual |f| from one kernel call."""
-    Q, f = _dispersion(K, cfg)
-    return Resonance(m, eps, Wavenumbers(K=K, Q=Q), abs(f), method)
 
 
 def siegert_residual(eps: ComplexEigenvalue, cfg: SlabConfig) -> complex:
@@ -130,32 +126,31 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
     K = 0, unlike eps near the band edge); the derivative is a central
     difference with a small complex-plane step.  The refined eigenvalue must
     stay within 5*Gamma_seed of the seed, otherwise RootJumpError signals a
-    collision with a neighbouring mode; a step below 1e-14 that leaves
-    |f| > _REFINED_RESIDUAL is a stall.  The result keeps Newton's own K.
+    collision with a neighbouring mode.  An iterate is accepted where
+    |f| <= _NEWTON_TOL or the step to it was below 1e-14; the latter with
+    |f| > _REFINED_RESIDUAL is a stall.  The result keeps that iterate's K,
+    and Q and |f| from the kernel call that accepted it.
     """
-    K = complex(seed.wavenumbers.K)
+    K, step = complex(seed.wavenumbers.K), math.inf
     h = _DERIVATIVE_STEP
-    for _ in range(_NEWTON_MAX_ITER):
-        val = _dispersion(K, cfg)[1]
-        if abs(val) <= _NEWTON_TOL:
+    for n in range(_NEWTON_MAX_ITER + 1):
+        Q, f = _dispersion(K, cfg)
+        if abs(f) <= _NEWTON_TOL or abs(step) < 1e-14:
             break
+        if n == _NEWTON_MAX_ITER:
+            raise ConvergenceError(
+                f"no convergence after {_NEWTON_MAX_ITER} iterations for seed m={seed.mode_index_m}"
+            )
         slope = (_dispersion(K + h, cfg)[1] - _dispersion(K - h, cfg)[1]) / (2 * h)
         if slope == 0:
             raise ConvergenceError(
                 f"Newton's slope vanished at K={K} for seed m={seed.mode_index_m}"
             )
-        step = val / slope
+        step = f / slope
         K = K - step
-        if abs(step) < 1e-14:
-            val = _dispersion(K, cfg)[1]
-            if abs(val) > _REFINED_RESIDUAL:
-                raise ConvergenceError(
-                    f"Newton stalled at |f|={abs(val):.3e} for seed m={seed.mode_index_m}"
-                )
-            break
-    else:
+    if abs(f) > _REFINED_RESIDUAL:
         raise ConvergenceError(
-            f"no convergence after {_NEWTON_MAX_ITER} iterations for seed m={seed.mode_index_m}"
+            f"Newton stalled at |f|={abs(f):.3e} for seed m={seed.mode_index_m}"
         )
     if K.real < 0 or K.imag > 0:
         raise RootJumpError(
@@ -168,7 +163,7 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
             f"refined root moved {abs(eps.value - seed.eigenvalue.value):.3e} "
             f"from seed m={seed.mode_index_m}, beyond trust region {trust:.3e}"
         )
-    return _resonance(seed.mode_index_m, eps, K, cfg, REFINED)
+    return Resonance(seed.mode_index_m, eps, Wavenumbers(K=K, Q=Q), abs(f), REFINED)
 
 
 def refine_all(seeds: list[Resonance], cfg: SlabConfig) -> list[Resonance]:

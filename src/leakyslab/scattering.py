@@ -10,7 +10,8 @@ The transmission phase phi is the quantity entering the wave-packet
 integrands: phi = arg t + 2*K*A - pi/2 = -arg f - pi/2.  Single-point calls
 return its principal value in (-pi/2, pi/2]; sweeps return the continuous
 branch, evaluated in closed form and shifted by a multiple of pi so that
-the first grid point carries its principal value.
+the first grid point carries its principal value.  T = |t|^2 comes from
+transmission_sweep, a one-point sweep included, with the same bits.
 """
 
 from __future__ import annotations
@@ -98,12 +99,6 @@ def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
     """
     t, r, phi = _sweep([eps_R], cfg)
     return ScatteringAmplitudes(r=complex(r[0]), t=complex(t[0]), phase_phi=float(phi[0]))
-
-
-def transmission_coefficient(eps_R: float, cfg: SlabConfig) -> float:
-    """T = |t|^2 in (0, 1]."""
-    t, _, _ = _sweep([eps_R], cfg)
-    return float((np.abs(t) ** 2)[0])
 
 
 def transmission_sweep(eps_grid, cfg: SlabConfig) -> Curve:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_norm_conservation_without_absorber(slab30, refined_modes):
     # on this grid the tapered mode stays clear of both edges over these
     # steps (z = 5), so the transparent boundary takes nothing and the step
     # conserves the norm
-    cfg = BpmConfig.for_slab(slab30, nx=2049, dz=0.05)
+    cfg = BpmConfig(slab30, 2049, 0.05)
     prop = Propagator(cfg)
     col = tapered_mode_column(mode_profile(refined_modes[0], slab30), cfg)
     norm = prop.norm(col)
@@ -220,7 +221,7 @@ def test_cell_averaged_index_is_second_order(slab30):
     assert len(exact) == 24
     errors = []
     for nx in (1025, 2049, 4097):
-        prop = Propagator(BpmConfig.for_slab(slab30, nx=nx))
+        prop = Propagator(replace(BpmConfig.for_slab(slab30), nx=nx))
         root_n = np.sqrt(prop.n)
         lam = eigh_tridiagonal(
             prop._s_main / prop.n,
@@ -249,7 +250,7 @@ def test_default_grid_decay_rates_are_within_1_5_percent(slab30, refined_modes, 
 def test_grid_refinement_consistency(slab30, refined_modes):
     r32 = next(r for r in refined_modes if r.mode_index_m == 32)
     base_cfg = BpmConfig.for_slab(slab30)
-    fine_cfg = BpmConfig.for_slab(slab30, nx=8193, dz=0.2)
+    fine_cfg = BpmConfig(slab30, 8193, 0.2)
     base = measure_decay(base_cfg, tapered_mode_column(mode_profile(r32, slab30), base_cfg), 110.0)
     fine = measure_decay(fine_cfg, tapered_mode_column(mode_profile(r32, slab30), fine_cfg), 110.0)
     assert abs(fine - base) / base <= 0.02
@@ -308,7 +309,7 @@ def test_march_equals_successive_steps(slab30, refined_modes, cfg30):
 def test_measure_decay_rejects_non_finite_z_max(slab30, z_max):
     # 1e308 is finite, but not in steps of a dz below 1e308/max_float ~ 0.56
     # (such as 0.2): z_max/dz overflows
-    cfg = BpmConfig.for_slab(slab30, dz=0.2)
+    cfg = replace(BpmConfig.for_slab(slab30), dz=0.2)
     assert math.isinf(1e308 / cfg.dz)
     col = np.exp(-np.linspace(-3.0, 3.0, cfg.nx) ** 2).astype(complex)
     with pytest.raises(ValueError, match="z_max must be finite"):
@@ -334,13 +335,13 @@ def test_measure_decay_refuses_a_march_past_the_step_ceiling(cfg30, monkeypatch)
 
 
 def test_tapered_mode_column_refuses_a_mode_of_another_slab(slab30, refined_modes):
-    cfg = BpmConfig.for_slab(SlabConfig(20.0, 1.5), nx=513)
+    cfg = replace(BpmConfig.for_slab(SlabConfig(20.0, 1.5)), nx=513)
     with pytest.raises(ValueError, match="slab"):
         tapered_mode_column(mode_profile(refined_modes[0], slab30), cfg)
 
 
 def test_measure_decay_rejects_a_column_without_power():
-    cfg = BpmConfig.for_slab(SlabConfig(30.0, 1.5), nx=513)
+    cfg = replace(BpmConfig.for_slab(SlabConfig(30.0, 1.5)), nx=513)
     with pytest.raises(ValueError, match="init"):
         measure_decay(cfg, np.zeros(513, complex), 20 * cfg.dz)
 
@@ -354,13 +355,13 @@ def test_march_validates_column_length(cfg30):
 
 def test_config_validation(slab30):
     with pytest.raises(ValueError, match="nx"):
-        BpmConfig.for_slab(slab30, nx=257)
+        replace(BpmConfig.for_slab(slab30), nx=257)
     with pytest.raises(ValueError, match="dz"):
-        BpmConfig.for_slab(slab30, dz=0.0)
+        replace(BpmConfig.for_slab(slab30), dz=0.0)
     with pytest.raises(ValueError, match="dz"):
-        BpmConfig.for_slab(slab30, dz=math.inf)
+        replace(BpmConfig.for_slab(slab30), dz=math.inf)
     with pytest.raises(ValueError, match="dz"):
-        BpmConfig.for_slab(slab30, dz=math.nan)
+        replace(BpmConfig.for_slab(slab30), dz=math.nan)
     for nx in (1025.5, 1025.0, "1025"):
         with pytest.raises(ValueError, match="nx"):
             BpmConfig(slab30, nx, 0.05)
@@ -380,7 +381,7 @@ def test_import_path_does_not_load_scipy_linalg():
         "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
         "from leakyslab import SlabConfig\n"
         "from leakyslab.bpm import BpmConfig, Propagator\n"
-        "prop = Propagator(BpmConfig.for_slab(SlabConfig(30.0, 1.5), nx=513))\n"
+        "prop = Propagator(BpmConfig(SlabConfig(30.0, 1.5), 513, 0.8))\n"
         "(col,) = prop.march(np.exp(-prop.x**2 / 200.0).astype(complex), 1)\n"
         "assert np.all(np.isfinite(col)) and prop.norm(col) > 0\n"
     )
@@ -494,7 +495,7 @@ def test_step_multiplies_guided_modes_by_the_pade_factor(slab30):
     # Dirichlet one: 23 of the 24) is an eigenvector of the step, which
     # multiplies it by pade_22(-i dz lambda); a second-order factor such as
     # (1 + w/2)/(1 - w/2) misses this bound by 5e-3 at dz = 0.8, 8e-5 at 0.2
-    for cfg in (BpmConfig.for_slab(slab30), BpmConfig.for_slab(slab30, dz=0.2)):
+    for cfg in (BpmConfig.for_slab(slab30), replace(BpmConfig.for_slab(slab30), dz=0.2)):
         prop = Propagator(cfg)
         root_n = np.sqrt(prop.n)
         lam, u = eigh_tridiagonal(
@@ -515,7 +516,7 @@ def test_step_multiplies_guided_modes_by_the_pade_factor(slab30):
 
 def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
     r32 = next(r for r in refined_modes if r.mode_index_m == 32)
-    for cfg in (BpmConfig.for_slab(slab30, nx=2049, dz=0.05), cfg30):
+    for cfg in (BpmConfig(slab30, 2049, 0.05), cfg30):
         prop = Propagator(cfg)
         # each step against the exact step of the same column: a leaky mode,
         # a packet leaving through the right edge, one moving inward from the
@@ -554,7 +555,7 @@ def test_coupled_corners_match_banded_solve():
     # on a short grid with a long step A_k^{-1} e_0 reaches the far edge in
     # each substep, so the corner update couples both edges (on the default
     # grid it does not)
-    cfg = BpmConfig.for_slab(SlabConfig(1.0, 1.5), nx=513, dz=10.0)
+    cfg = BpmConfig(SlabConfig(1.0, 1.5), 513, 10.0)
     for k in range(2):
         ab, _ = pade_substep_band(cfg, np.zeros(cfg.nx, dtype=complex), k)
         reach = solve_banded((1, 1), ab, np.eye(cfg.nx, 1, dtype=complex)[:, 0])

@@ -142,12 +142,12 @@ def test_transmission_values(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["eps_R", "T", "phi"]
-    from leakyslab import SlabConfig, transmission_coefficient
+    from leakyslab import SlabConfig, transfer_amplitudes
 
     slab = SlabConfig(30.0, 1.5)
     for row in rows:
         assert float(row[1]) == pytest.approx(
-            transmission_coefficient(float(row[0]), slab), rel=1e-12
+            abs(transfer_amplitudes(float(row[0]), slab).t) ** 2, rel=1e-12
         )
 
 
@@ -234,13 +234,13 @@ def test_mode_field_rejects_inadmissible_index(capsys):
 def test_mode_field_builds_only_the_seed_and_its_refinement(capsys, monkeypatch):
     # the one seed of --m is built, never the table of every seed first
     built = []
-    build = resonances._resonance
+    build = resonances.Resonance
 
     def counting(m, *args):
         built.append(m)
         return build(m, *args)
 
-    monkeypatch.setattr(resonances, "_resonance", counting)
+    monkeypatch.setattr(resonances, "Resonance", counting)
     argv = ["mode-field", "--k0a", "30", "--u0", "1.5", "--m", "24", "--x", "-60:60:7",
             "--z", "0:10:3"]
     code, _, _ = run(argv, capsys)
@@ -391,7 +391,7 @@ def _refused_before_a_seed(tmp_path, capsys, monkeypatch, library, cli):
     def seed(*args):
         raise AssertionError("a seed was built")
 
-    monkeypatch.setattr(resonances, "_resonance", seed)
+    monkeypatch.setattr(resonances, "Resonance", seed)
     for k0a, u0, refused in library:
         with pytest.raises(ValueError, match=re.escape(f"{refused} {DOMAIN}")):
             approximate_resonances(SlabConfig(k0a, u0))

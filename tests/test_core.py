@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,3 +137,19 @@ def test_all_names_every_public_binding():
     }
     assert len(leakyslab.__all__) == len(set(leakyslab.__all__))
     assert set(leakyslab.__all__) == public
+
+
+def test_every_public_name_is_used_by_the_library_or_the_benchmark():
+    # a public name only its own tests call is code for hypothetical users;
+    # an import, an __all__ string or a docstring does not count as a use
+    root = Path(__file__).resolve().parents[1]
+    files = [*(root / "src" / "leakyslab").glob("*.py"), *(root / "bench").glob("*.py")]
+    assert any(path.parent.name == "bench" for path in files)
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(leakyslab.__all__) - used) == []

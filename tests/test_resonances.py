@@ -172,6 +172,31 @@ def test_residual_is_the_condition_at_the_stored_wavenumber(slab30):
     assert checked >= 500
 
 
+def test_newton_evaluates_the_kernel_once_per_wavenumber(slab30, monkeypatch):
+    # the accepted K is not evaluated again: its Q and |f| come from the call
+    # that accepted it, so no refinement passes the same K to the kernel twice
+    rng = np.random.default_rng(2024)
+    slabs = [slab30] + [
+        SlabConfig(math.exp(rng.uniform(math.log(5.0), math.log(60.0))), rng.uniform(1.05, 2.0))
+        for _ in range(8)
+    ]
+    seeds = [(cfg, seed) for cfg in slabs for seed in approximate_resonances(cfg)]
+    calls = []
+    monkeypatch.setattr(
+        resonances, "_dispersion", lambda K, cfg: calls.append(K) or _dispersion(K, cfg)
+    )
+    refined = 0
+    for cfg, seed in seeds:
+        calls.clear()
+        try:
+            refine_resonance(seed, cfg)
+            refined += 1
+        except LeakySlabError:
+            pass
+        assert len(calls) >= 3 and len(set(calls)) == len(calls), (cfg, seed.mode_index_m)
+    assert refined >= 100
+
+
 def test_all_refined_roots_distinct_and_separated(refined_modes, approx_modes):
     assert len(refined_modes) == 17
     seed_widths = {r.mode_index_m: r.eigenvalue.width_Gamma for r in approx_modes}

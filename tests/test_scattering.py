@@ -9,7 +9,6 @@ from leakyslab import (
     fbw_superposition,
     shift_sweep,
     transfer_amplitudes,
-    transmission_coefficient,
     transmission_sweep,
     unwrapped_phase,
     width_sweep,
@@ -75,7 +74,7 @@ def _slab_id(slab: SlabConfig) -> str:
 
 def test_transparency_at_half_wave_resonances(slab30):
     for m in range(24, 41):
-        T = transmission_coefficient(half_wave_center(m, slab30), slab30)
+        T = abs(transfer_amplitudes(half_wave_center(m, slab30), slab30).t) ** 2
         assert T == pytest.approx(1.0, abs=1e-12)
 
 
@@ -104,7 +103,7 @@ def test_amplitudes_match_closed_forms(slab):
 def test_peak_of_transmission_near_m24(slab30):
     center = half_wave_center(24, slab30)
     grid = np.linspace(center - 0.02, center + 0.02, 2001)
-    T = np.array([transmission_coefficient(e, slab30) for e in grid])
+    T = transmission_sweep(grid, slab30).values[:, 0]
     imax = int(np.argmax(T))
     assert T[imax] > 0.9999
     assert abs(grid[imax] - center) <= grid[1] - grid[0]
@@ -112,15 +111,15 @@ def test_peak_of_transmission_near_m24(slab30):
 
 def test_midpoint_transmission_below_neighbor_peaks(slab30):
     mid = 0.5 * (half_wave_center(24, slab30) + half_wave_center(25, slab30))
-    t_mid = transmission_coefficient(mid, slab30)
+    t_mid = abs(transfer_amplitudes(mid, slab30).t) ** 2
     assert t_mid < 1.0
-    assert t_mid < transmission_coefficient(half_wave_center(24, slab30), slab30)
-    assert t_mid < transmission_coefficient(half_wave_center(25, slab30), slab30)
+    assert t_mid < abs(transfer_amplitudes(half_wave_center(24, slab30), slab30).t) ** 2
+    assert t_mid < abs(transfer_amplitudes(half_wave_center(25, slab30), slab30).t) ** 2
 
 
 def test_band_top_matches_closed_form(slab30):
     eps = -1e-6
-    assert transmission_coefficient(eps, slab30) == pytest.approx(
+    assert abs(transfer_amplitudes(eps, slab30).t) ** 2 == pytest.approx(
         closed_form_T(eps, slab30), abs=1e-10
     )
 
@@ -137,10 +136,10 @@ def test_transmission_maxima_align_with_half_wave_centers(slab30):
 
 
 def test_single_point_transmission_equals_the_sweep(slab30):
-    # a single-point call is a one-point sweep, so T agrees to the last bit
+    # a one-point sweep agrees with the long sweep to the last bit
     grid = np.linspace(-0.999, -0.001, 4096)
     T = transmission_sweep(grid, slab30).values[:, 0]
-    assert [transmission_coefficient(float(e), slab30) for e in grid] == T.tolist()
+    assert [transmission_sweep([e], slab30).values[0, 0] for e in grid] == T.tolist()
 
 
 def test_phase_equals_closed_form_mod_pi(slab30):
@@ -188,7 +187,7 @@ def test_domain_validation(slab30):
         with pytest.raises(ValueError, match="radiation band"):
             transfer_amplitudes(bad, slab30)
         with pytest.raises(ValueError, match="radiation band"):
-            transmission_coefficient(bad, slab30)
+            transmission_sweep([bad], slab30)
         with pytest.raises(ValueError, match="radiation band"):
             width_sweep(bad, np.linspace(1.0, 60.0, 5), 1.5)
     with pytest.raises(ValueError, match="non-empty 1-D"):
@@ -199,7 +198,7 @@ def test_domain_validation(slab30):
     # lies outside SlabConfig's domain, so no point function or sweep runs
     for call, field in (
         (lambda: transfer_amplitudes(-0.5, SlabConfig(30.0, 1e200)), "core_index_U0"),
-        (lambda: transmission_coefficient(-0.5, SlabConfig(30.0, 1e200)), "core_index_U0"),
+        (lambda: transmission_sweep([-0.5], SlabConfig(30.0, 1e200)), "core_index_U0"),
         (lambda: unwrapped_phase([-0.5, -0.4], SlabConfig(30.0, 1e200)), "core_index_U0"),
         (lambda: transmission_sweep([-0.5, -0.4], SlabConfig(30.0, 1e200)), "core_index_U0"),
         (lambda: transmission_sweep([-0.9, -0.8], SlabConfig(1e308, 1.001)), "half_width_A"),
