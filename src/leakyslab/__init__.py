@@ -17,17 +17,10 @@ __version__ = "0.1.0"
 
 from .core import (
     ComplexEigenvalue,
+    LeakySlabError,
     SlabConfig,
     Wavenumbers,
     eigenvalue_to_wavenumbers,
-)
-from .errors import (
-    ConvergenceError,
-    LeakySlabError,
-    NonExponentialDecayError,
-    PeakAmbiguityError,
-    RootJumpError,
-    UnstableStepError,
 )
 from .fbw import (
     FbwLine,
@@ -66,21 +59,16 @@ from .bpm import BpmConfig, Propagator, measure_decay, tapered_mode_column
 __all__ = [
     "BpmConfig",
     "ComplexEigenvalue",
-    "ConvergenceError",
     "Curve",
     "FbwLine",
     "FieldGrid",
     "LeakySlabError",
     "ModeField",
-    "NonExponentialDecayError",
-    "PeakAmbiguityError",
     "Propagator",
     "Resonance",
-    "RootJumpError",
     "ScatteringAmplitudes",
     "ShiftSample",
     "SlabConfig",
-    "UnstableStepError",
     "Wavenumbers",
     "approximate_resonance",
     "approximate_resonances",

@@ -47,8 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import SlabConfig
-from .errors import NonExponentialDecayError, UnstableStepError
+from .core import LeakySlabError, SlabConfig
 from .fields import ModeField
 
 # tapered_mode_column's window edges, in units of the core half width
@@ -92,6 +91,12 @@ class BpmConfig:
     def transverse_halfwidth_X(self) -> float:
         """The domain half width X = 4A."""
         return 4.0 * self.slab.half_width_A
+
+    @property
+    def x(self) -> np.ndarray:
+        """The nx evenly spaced nodes of [-X, X]."""
+        X = self.transverse_halfwidth_X
+        return np.linspace(-X, X, self.nx)
 
     @classmethod
     def for_slab(cls, slab: SlabConfig) -> "BpmConfig":
@@ -198,8 +203,7 @@ class Propagator:
 
     def __init__(self, cfg: BpmConfig):
         self.cfg = cfg
-        X = cfg.transverse_halfwidth_X
-        self.x = np.linspace(-X, X, cfg.nx)
+        self.x = cfg.x
         self.dx = self.x[1] - self.x[0]
         a, u0 = cfg.slab.half_width_A, cfg.slab.core_index_U0
         # core length of each cell: its part left of +A minus its part left of -A
@@ -225,7 +229,7 @@ class Propagator:
 
         With Im eta >= 0 no substep can raise the norm of a finite column; a
         whole-grid norm that grows by more than 1% in one substep, or is not
-        finite, aborts with UnstableStepError.  The column's length is checked
+        finite, aborts with LeakySlabError.  The column's length is checked
         when march is called.  The march continues from the yielded arrays: do
         not modify them.
         """
@@ -241,7 +245,7 @@ class Propagator:
                 column = substep(column)
                 after = self.norm(column)
                 if not after <= 1.01 * before:
-                    raise UnstableStepError(
+                    raise LeakySlabError(
                         f"norm went from {before:.6g} to {after:.6g} in one step"
                     )
                 before = after
@@ -281,11 +285,11 @@ def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     """
     if mode.slab != cfg.slab:
         raise ValueError(f"the mode's slab {mode.slab} is not the grid's {cfg.slab}")
-    x = np.linspace(-cfg.transverse_halfwidth_X, cfg.transverse_halfwidth_X, cfg.nx)
+    x = cfg.x
     a = cfg.slab.half_width_A
     column = mode.evaluate(x)
     r = (np.abs(x) - _TAPER_INNER * a) / ((_TAPER_OUTER - _TAPER_INNER) * a)
-    window = np.where(r <= 0, 1.0, np.where(r >= 1, 0.0, np.cos(0.5 * np.pi * np.clip(r, 0, 1)) ** 2))
+    window = np.where(r >= 1, 0.0, np.cos(0.5 * np.pi * np.clip(r, 0, 1)) ** 2)
     column = column * window
     return column / np.max(np.abs(column))
 
@@ -299,7 +303,7 @@ def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:
     last one the fit reads: 110 of 138 steps at z_max = 110, dz = 0.8.
     Raises ValueError for a z_max that step_count refuses or that spans
     fewer than 10 steps, a column of the wrong length or one with no
-    power, and NonExponentialDecayError when the fit explains less than
+    power, and LeakySlabError, naming R^2, when the fit explains less than
     R^2 = 0.99 of a decaying record.
     """
     nsteps = step_count(z_max, cfg.dz)
@@ -320,16 +324,13 @@ def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:
         power[i] = prop.core_power(column)
     logp = np.log(power[window])
     slope, intercept = np.polyfit(z[window], logp, 1)
-    rate = -slope
     # a record that never decays appreciably has no exponential to validate
     span = logp.max() - logp.min()
     if span > 1e-3:
         resid = logp - (slope * z[window] + intercept)
         r2 = 1.0 - np.sum(resid**2) / np.sum((logp - logp.mean()) ** 2)
         if r2 < 0.99:
-            raise NonExponentialDecayError(
-                f"decay not single-exponential over the fit window (R^2={r2:.4f})",
-                rate=rate,
-                r_squared=float(r2),
+            raise LeakySlabError(
+                f"decay not single-exponential over the fit window (R^2={r2:.4f})"
             )
-    return float(rate)
+    return float(-slope)

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bpm import BpmConfig, Propagator, measure_decay, step_count, tapered_mode_column
-from .core import SlabConfig
-from .errors import LeakySlabError
+from .core import LeakySlabError, SlabConfig
 from .fbw import FbwLine, fourier_coefficient, lineshape
 from .fields import FieldGrid, default_render_grids, mode_profile, propagate_mode
 from .resonances import approximate_resonance, approximate_resonances, refine_all, refine_resonance

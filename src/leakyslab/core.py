@@ -1,4 +1,5 @@
-"""Slab configuration, eigenvalue bookkeeping, wavenumbers, dispersion kernel.
+"""Slab configuration, eigenvalue bookkeeping, wavenumbers, dispersion kernel,
+and the library's one numerical-failure type.
 
 Units convention
 ----------------
@@ -23,6 +24,11 @@ fourth quadrant are the leaky modes.  ``_dispersion`` gives Q and f at any
 K but the pole K = 0, where it raises ValueError; ``_real_axis`` gives t, r,
 the phase phi = -arg f - pi/2 and dphi/dK on the radiation band.  Every
 module takes these quantities from here.
+
+Failures: an invalid input (a slab outside the domain, an inadmissible mode
+index, a bad grid) raises ValueError, CLI exit code 2; a numerical failure
+of an otherwise well-posed computation raises LeakySlabError, CLI exit
+code 3.  Its message says which computation failed and why.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ import numpy as np
 # the accepted slab domain 0 < k0a <= K0A_MAX, 1 < U0 <= U0_MAX (see SlabConfig)
 K0A_MAX = 1e6
 U0_MAX = 4.0
+
+
+class LeakySlabError(RuntimeError):
+    """A numerical failure of a well-posed computation (CLI exit code 3)."""
 
 
 @dataclass(frozen=True)

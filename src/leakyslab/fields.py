@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SlabConfig
-from .resonances import REFINED, Resonance
+from .core import SlabConfig, _dispersion
+from .resonances import _REFINED_RESIDUAL, REFINED, Resonance
 
 _NORM_GRID = 4001
 
@@ -89,12 +89,19 @@ def mode_profile(res: Resonance, cfg: SlabConfig) -> ModeField:
     Construction: set D_III = 1, obtain B, C from the right interface and
     A_I from left-interface continuity; the leftover derivative mismatch at
     x = -A is the matching residual and vanishes with the quantization
-    condition.  Raises ValueError for an unrefined seed or a failed matching.
+    condition.  Raises ValueError for an unrefined seed, for a resonance
+    whose K is not a root of cfg's outgoing condition (|f| above the refined
+    residual bound: a resonance of another slab), or a failed matching.
     """
     if res.method != REFINED:
         raise ValueError("mode_profile requires a refined resonance")
     A = cfg.half_width_A
     K = res.wavenumbers.K
+    residual = abs(_dispersion(K, cfg)[1])
+    if not residual <= _REFINED_RESIDUAL:
+        raise ValueError(
+            f"the resonance is not a root of this slab's outgoing condition: |f| = {residual:.3e}"
+        )
     Q = res.wavenumbers.Q
     d = 1.0 + 0.0j
     b = 0.5 * d * np.exp(1j * K * A) * (1.0 + K / Q) * np.exp(-1j * Q * A)

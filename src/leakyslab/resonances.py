@@ -22,12 +22,12 @@ import numpy as np
 
 from .core import (
     ComplexEigenvalue,
+    LeakySlabError,
     SlabConfig,
     Wavenumbers,
     _dispersion,
     eigenvalue_to_wavenumbers,
 )
-from .errors import ConvergenceError, RootJumpError
 
 APPROXIMATE = "approximate"
 REFINED = "refined"
@@ -124,12 +124,14 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
 
     The iteration runs in the exterior wavenumber K (analytic away from
     K = 0, unlike eps near the band edge); the derivative is a central
-    difference with a small complex-plane step.  The refined eigenvalue must
-    stay within 5*Gamma_seed of the seed, otherwise RootJumpError signals a
-    collision with a neighbouring mode.  An iterate is accepted where
-    |f| <= _NEWTON_TOL or the step to it was below 1e-14; the latter with
-    |f| > _REFINED_RESIDUAL is a stall.  The result keeps that iterate's K,
-    and Q and |f| from the kernel call that accepted it.
+    difference with a small complex-plane step.  An iterate is accepted
+    where |f| <= _NEWTON_TOL or the step to it was below 1e-14.  Raises
+    LeakySlabError for an exhausted iteration budget, a vanishing slope, a
+    stall (an accepted iterate with |f| > _REFINED_RESIDUAL), a root outside
+    the fourth quadrant, or a refined eigenvalue more than 5*Gamma_seed from
+    the seed, which signals a collision with a neighbouring mode.  The result
+    keeps the accepted iterate's K, and Q and |f| from the kernel call that
+    accepted it.
     """
     K, step = complex(seed.wavenumbers.K), math.inf
     h = _DERIVATIVE_STEP
@@ -138,28 +140,28 @@ def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
         if abs(f) <= _NEWTON_TOL or abs(step) < 1e-14:
             break
         if n == _NEWTON_MAX_ITER:
-            raise ConvergenceError(
+            raise LeakySlabError(
                 f"no convergence after {_NEWTON_MAX_ITER} iterations for seed m={seed.mode_index_m}"
             )
         slope = (_dispersion(K + h, cfg)[1] - _dispersion(K - h, cfg)[1]) / (2 * h)
         if slope == 0:
-            raise ConvergenceError(
+            raise LeakySlabError(
                 f"Newton's slope vanished at K={K} for seed m={seed.mode_index_m}"
             )
         step = f / slope
         K = K - step
     if abs(f) > _REFINED_RESIDUAL:
-        raise ConvergenceError(
+        raise LeakySlabError(
             f"Newton stalled at |f|={abs(f):.3e} for seed m={seed.mode_index_m}"
         )
     if K.real < 0 or K.imag > 0:
-        raise RootJumpError(
+        raise LeakySlabError(
             f"iterate left the fourth quadrant for seed m={seed.mode_index_m}: K={K}"
         )
     eps = ComplexEigenvalue.from_complex(K * K / 2.0 - 1.0)
     trust = 5.0 * seed.eigenvalue.width_Gamma
     if abs(eps.value - seed.eigenvalue.value) > trust:
-        raise RootJumpError(
+        raise LeakySlabError(
             f"refined root moved {abs(eps.value - seed.eigenvalue.value):.3e} "
             f"from seed m={seed.mode_index_m}, beyond trust region {trust:.3e}"
         )
@@ -175,12 +177,16 @@ def _winding(zs: np.ndarray, cfg: SlabConfig, depth: int = 0) -> float:
     """Phase change of f along the polyline zs, from one kernel call; each
     step turning f by more than pi/2 is walked again in 16 sub-steps."""
     if depth > 24:
-        raise ConvergenceError(
+        raise LeakySlabError(
             "winding-number refinement stalled; the contour probably passes "
             f"through a root near {zs[0]}"
         )
     # principal sqrt: the fourth-quadrant branch wherever Re(eps) > -1
-    _, vals = _dispersion(np.sqrt(2.0 * (zs + 1.0)), cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, vals = _dispersion(np.sqrt(2.0 * (zs + 1.0)), cfg)
+    if not np.all(np.isfinite(vals)):
+        bad = zs[np.flatnonzero(~np.isfinite(vals))[0]]
+        raise LeakySlabError(f"the outgoing condition overflows on the counted box at eps = {bad}")
     dphi = np.angle(vals[1:] / vals[:-1])
     coarse = np.abs(dphi) > np.pi / 2
     return float(dphi[~coarse].sum()) + sum(
@@ -201,7 +207,9 @@ def count_leaky_modes(cfg: SlabConfig) -> int:
     envelope (a 3000-slab census, 1280 benchmark slabs, the reference slab
     and one whose seeds miss a root) this gives the same count as 2048
     samples per edge.  There a step turns arg f by 0.36 rad at the median
-    and 3.13 rad at most, and 150 of the 4282 walks refine a step.
+    and 3.13 rad at most, and 150 of the 4282 walks refine a step.  Where
+    f overflows on the boundary (from k0a ~ 1060 at U0 = 1.05 to ~ 2900 at
+    U0 = 4) the count raises LeakySlabError.
     """
     # the closed boundary through its five corners, in 4 * _SAMPLES_PER_EDGE steps
     edges = np.linspace(0.0, 4.0, 4 * _SAMPLES_PER_EDGE + 1)

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SlabConfig, _real_axis
-from .errors import PeakAmbiguityError
+from .core import LeakySlabError, SlabConfig, _real_axis
 from .scattering import Curve, _band_wavenumber
 
 # z samples per block of the factored wave-packet phase matrix
@@ -130,14 +129,14 @@ def _envelope_peak(z: np.ndarray, intensity: np.ndarray) -> float:
     """Peak position by parabolic interpolation through the three top samples."""
     i = int(np.argmax(intensity))
     if i == 0 or i == len(z) - 1:
-        raise PeakAmbiguityError("envelope peak sits on the search-window edge")
+        raise LeakySlabError("envelope peak sits on the search-window edge")
     # flag a second comparable local maximum well away from the main one
     interior = intensity[1:-1]
     is_max = (interior > intensity[:-2]) & (interior > intensity[2:])
     peaks = np.where(is_max)[0] + 1
     tall = peaks[intensity[peaks] >= 0.9 * intensity[i]]
     if np.any(np.abs(tall - i) > len(z) // 20):
-        raise PeakAmbiguityError("multimodal envelope: comparable secondary peak")
+        raise LeakySlabError("multimodal envelope: comparable secondary peak")
     a, b, c = intensity[i - 1], intensity[i], intensity[i + 1]
     return float(z[i] + 0.5 * (a - c) / (a - 2 * b + c) * (z[1] - z[0]))
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,9 +14,8 @@ from scipy.optimize import brentq
 
 import leakyslab
 from leakyslab import (
-    NonExponentialDecayError,
+    LeakySlabError,
     SlabConfig,
-    UnstableStepError,
     measure_decay,
     mode_profile,
     tapered_mode_column,
@@ -264,10 +264,10 @@ def test_non_exponential_flag(slab30, refined_modes, cfg30):
     col = tapered_mode_column(mode_profile(r24, slab30), cfg30) + 10 * tapered_mode_column(
         mode_profile(r40, slab30), cfg30
     )
-    with pytest.raises(NonExponentialDecayError) as info:
+    with pytest.raises(LeakySlabError, match="not single-exponential") as info:
         measure_decay(cfg30, col, 150.0)
-    assert info.value.rate > 0
-    assert info.value.r_squared < 0.99
+    r_squared = float(re.search(r"R\^2=([-+.\d]+)", str(info.value)).group(1))
+    assert r_squared < 0.99
 
 
 @pytest.mark.parametrize("how", ["step", "march"])
@@ -279,7 +279,7 @@ def test_instability_detector_flags_non_finite_column(cfg30, how):
     col = np.exp(-prop.x**2 / 200.0).astype(complex)
     col[cfg30.nx // 2] = np.nan
     done = 0
-    with pytest.raises(UnstableStepError, match="nan in one step"):
+    with pytest.raises(LeakySlabError, match="nan in one step"):
         if how == "step":
             for _ in range(5):
                 (col,) = prop.march(col, 1)

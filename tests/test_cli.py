@@ -617,8 +617,8 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    # two seeds of this slab collide on one root (RootJumpError), a numerical
-    # failure that must map to exit code 3 with nothing written
+    # Newton's iterate for m = 1 of this slab leaves the fourth quadrant, a
+    # numerical failure that must map to exit code 3 with nothing written
     out = tmp_path / "r.csv"
     code, stdout, err = run(
         ["resonances", "--k0a", "2", "--u0", "1.1", "--refine", "-o", str(out)], capsys

@@ -153,3 +153,18 @@ def test_every_public_name_is_used_by_the_library_or_the_benchmark():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(leakyslab.__all__) - used) == []
+
+
+def test_every_raise_is_a_value_error_or_a_leaky_slab_error():
+    # the failure contract: an invalid input raises ValueError (CLI exit 2),
+    # a numerical failure LeakySlabError (exit 3); a bare re-raise keeps the
+    # type it caught
+    root = Path(__file__).resolve().parents[1]
+    raised = []
+    for path in sorted((root / "src" / "leakyslab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((path.name, node.lineno, ast.unparse(exc)))
+    assert len(raised) > 50
+    assert [r for r in raised if r[2] not in ("ValueError", "LeakySlabError")] == []

@@ -1,7 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from leakyslab import mode_profile, propagate_mode
+from leakyslab import (
+    SlabConfig,
+    Wavenumbers,
+    eigenvalue_to_wavenumbers,
+    mode_profile,
+    propagate_mode,
+)
 from leakyslab.fields import FieldGrid
 
 
@@ -85,6 +93,25 @@ def test_numerical_log_derivative_matches_outgoing(profiles):
 def test_mode_profile_requires_refined_root(slab30, approx_modes):
     with pytest.raises(ValueError, match="refined"):
         mode_profile(approx_modes[0], slab30)
+
+
+def test_mode_profile_refuses_a_resonance_of_another_slab(refined_modes):
+    # m = 24 of the reference slab is no root on a slab of another half width
+    # or core index, so it gets no field labelled with that slab
+    r24 = next(r for r in refined_modes if r.mode_index_m == 24)
+    for other in (SlabConfig(30.5, 1.5), SlabConfig(30.0, 1.6)):
+        with pytest.raises(ValueError, match="not a root of this slab's outgoing condition"):
+            mode_profile(r24, other)
+
+
+def test_mode_profile_refuses_a_wavenumber_pair_that_does_not_match(slab30, refined_modes):
+    # a root's K with the Q of another core index passes the residual check,
+    # which takes Q from the kernel, and fails the derivative matching
+    r24 = next(r for r in refined_modes if r.mode_index_m == 24)
+    other_q = eigenvalue_to_wavenumbers(r24.eigenvalue, SlabConfig(30.0, 1.6)).Q
+    mixed = replace(r24, wavenumbers=Wavenumbers(K=r24.wavenumbers.K, Q=other_q))
+    with pytest.raises(ValueError, match="derivative matching failed"):
+        mode_profile(mixed, slab30)
 
 
 def test_propagation_z0_column_is_profile(profiles, slab30):

@@ -6,10 +6,8 @@ import pytest
 
 from leakyslab import (
     ComplexEigenvalue,
-    ConvergenceError,
     LeakySlabError,
     Resonance,
-    RootJumpError,
     SlabConfig,
     approximate_resonance,
     approximate_resonances,
@@ -136,14 +134,14 @@ def test_newton_stall_is_reported(slab30, approx_modes, monkeypatch):
     # |f| stays above the tightened residual bound
     monkeypatch.setattr(resonances, "_NEWTON_TOL", 0.0)
     monkeypatch.setattr(resonances, "_REFINED_RESIDUAL", 1e-30)
-    with pytest.raises(ConvergenceError, match="Newton stalled"):
+    with pytest.raises(LeakySlabError, match="Newton stalled"):
         refine_resonance(approx_modes[0], slab30)
 
 
 def test_newton_iteration_cap_is_reported(slab30, approx_modes, monkeypatch):
     # one step from the seed does not bring |f| down to the tolerance
     monkeypatch.setattr(resonances, "_NEWTON_MAX_ITER", 1)
-    with pytest.raises(ConvergenceError, match="no convergence after 1 iterations"):
+    with pytest.raises(LeakySlabError, match="no convergence after 1 iterations"):
         refine_resonance(approx_modes[0], slab30)
 
 
@@ -236,8 +234,16 @@ def test_count_through_a_root_is_reported(slab30, refined_modes):
     root = refined_modes[0]
     assert root.mode_index_m == 24
     eps = root.eigenvalue.value
-    with pytest.raises(ConvergenceError, match="winding-number refinement stalled"):
+    with pytest.raises(LeakySlabError, match="winding-number refinement stalled"):
         resonances._winding(_segment(eps - 0.01, eps + 0.01, 16), slab30)
+
+
+@pytest.mark.parametrize("k0a, u0", [(1500.0, 1.05), (3000.0, 1.5), (5000.0, 4.0)])
+def test_count_refuses_a_box_where_the_condition_overflows(k0a, u0):
+    # inside SlabConfig's domain, but |f| grows as e^{2A|Im Q|} on the box's
+    # lower edge and overflows there: a typed refusal, not a count of NaN
+    with pytest.raises(LeakySlabError, match="outgoing condition overflows on the counted box"):
+        count_leaky_modes(SlabConfig(k0a, u0))
 
 
 def test_refinement_rejects_guided_band_seed(slab30):
@@ -249,7 +255,12 @@ def test_refinement_rejects_guided_band_seed(slab30):
         residual=abs(siegert_residual(eps, slab30)),
         method="approximate",
     )
-    with pytest.raises((ConvergenceError, RootJumpError)):
+    # any of Newton's five failures, and nothing else
+    newton_failures = (
+        "no convergence after|slope vanished|Newton stalled"
+        "|left the fourth quadrant|beyond trust region"
+    )
+    with pytest.raises(LeakySlabError, match=newton_failures):
         refine_resonance(seed, slab30)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from leakyslab import shift
 from leakyslab import (
-    PeakAmbiguityError,
+    LeakySlabError,
     SlabConfig,
     approximate_resonances,
     longitudinal_shift,
@@ -199,10 +199,10 @@ def reference_packet_width(k_c: float, divisor: float = 20) -> float:
 
 
 def shift_or_refusal(*args, **kwargs):
-    """wavepacket_shift's value, or the message of its PeakAmbiguityError."""
+    """wavepacket_shift's value, or the message of its LeakySlabError."""
     try:
         return wavepacket_shift(*args, **kwargs)
-    except PeakAmbiguityError as exc:
+    except LeakySlabError as exc:
         return str(exc)
 
 
@@ -326,12 +326,12 @@ class TestEnvelopePeak:
 
         z = np.linspace(-10.0, 10.0, 401)
         intensity = np.exp(-((z + 5) ** 2)) + 0.95 * np.exp(-((z - 5) ** 2))
-        with pytest.raises(PeakAmbiguityError, match="multimodal"):
+        with pytest.raises(LeakySlabError, match="multimodal"):
             _envelope_peak(z, intensity)
 
     def test_edge_peak_is_flagged(self):
         from leakyslab.shift import _envelope_peak
 
         z = np.linspace(0.0, 1.0, 50)
-        with pytest.raises(PeakAmbiguityError, match="edge"):
+        with pytest.raises(LeakySlabError, match="edge"):
             _envelope_peak(z, np.exp(z))
