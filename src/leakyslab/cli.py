@@ -27,7 +27,7 @@ from . import __version__
 from .bpm import BpmConfig, Propagator, measure_decay, step_count, tapered_mode_column
 from .core import LeakySlabError, SlabConfig
 from .fbw import FbwLine, fourier_coefficient, lineshape
-from .fields import FieldGrid, default_render_grids, mode_profile, propagate_mode
+from .fields import FieldGrid, mode_profile, propagate_mode
 from .resonances import approximate_resonance, approximate_resonances, refine_all, refine_resonance
 from .scattering import Curve, transmission_sweep
 from .shift import shift_sweep, width_sweep
@@ -180,9 +180,12 @@ def cmd_mode_field(args) -> int:
     slab = _slab_from(args)
     res = refine_resonance(approximate_resonance(args.m, slab), slab)
     field = mode_profile(res, slab)
-    x_default, z_default = default_render_grids(slab)
-    x = parse_grid(args.x) if args.x else x_default
-    z = parse_grid(args.z) if args.z else z_default
+    # the default grids resolve the interior half-waves of every admissible
+    # mode: each half-wave pi/Q (Q <= sqrt(2)*U0) gets at least 444/(U0*A)
+    # x samples, 10 on the reference slab but fewer than 2 once U0*A > 222
+    A = slab.half_width_A
+    x = parse_grid(args.x) if args.x else np.linspace(-2 * A, 2 * A, 801)
+    z = parse_grid(args.z) if args.z else np.linspace(0.0, 200.0, 401)
     if len(x) * len(z) > MAX_POINTS:
         raise ValueError(f"{len(x)} x {len(z)} field points is more than MAX_POINTS = {MAX_POINTS}")
     grid = propagate_mode(field, x, z)

@@ -133,9 +133,3 @@ def propagate_mode(field: ModeField, x_grid, z_grid) -> FieldGrid:
     eps = field.resonance.eigenvalue.value
     amplitudes = field.evaluate(x)[:, None] * np.exp(-1j * eps * z)[None, :]
     return FieldGrid(x_grid=x, z_grid=z, amplitudes=amplitudes)
-
-
-def default_render_grids(cfg: SlabConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Grids resolving the interior half-waves of every admissible mode."""
-    A = cfg.half_width_A
-    return np.linspace(-2 * A, 2 * A, 801), np.linspace(0.0, 200.0, 401)

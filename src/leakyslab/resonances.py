@@ -43,7 +43,7 @@ _REFINED_RESIDUAL = 1e-10
 # it lies right of the branch point eps = -1
 _COUNT_BOX = (-0.999 - 0.15j, -0.001 - 0.15j, -0.001 + 0.05j, -0.999 + 0.05j)
 # samples per edge of the argument-principle count's one walk of the box;
-# steps turning arg f by more than pi/2 are refined (see count_leaky_modes)
+# steps where arg f or 2A*Q turns by more than pi/2 are refined (see count_leaky_modes)
 _SAMPLES_PER_EDGE = 256
 
 
@@ -175,7 +175,8 @@ def refine_all(seeds: list[Resonance], cfg: SlabConfig) -> list[Resonance]:
 
 def _winding(zs: np.ndarray, cfg: SlabConfig, depth: int = 0) -> float:
     """Phase change of f along the polyline zs, from one kernel call; each
-    step turning f by more than pi/2 is walked again in 16 sub-steps."""
+    step turning f by more than pi/2, or whose 2A|dQ| exceeds pi/2, is
+    walked again in 16 sub-steps."""
     if depth > 24:
         raise LeakySlabError(
             "winding-number refinement stalled; the contour probably passes "
@@ -183,12 +184,16 @@ def _winding(zs: np.ndarray, cfg: SlabConfig, depth: int = 0) -> float:
         )
     # principal sqrt: the fourth-quadrant branch wherever Re(eps) > -1
     with np.errstate(over="ignore", invalid="ignore"):
-        _, vals = _dispersion(np.sqrt(2.0 * (zs + 1.0)), cfg)
+        Q, vals = _dispersion(np.sqrt(2.0 * (zs + 1.0)), cfg)
     if not np.all(np.isfinite(vals)):
         bad = zs[np.flatnonzero(~np.isfinite(vals))[0]]
         raise LeakySlabError(f"the outgoing condition overflows on the counted box at eps = {bad}")
     dphi = np.angle(vals[1:] / vals[:-1])
-    coarse = np.abs(dphi) > np.pi / 2
+    # e^{-+2iQA} turns f by up to 2A|dQ| in one step, and np.angle reads a
+    # turn of 2*pi*k + delta as delta
+    coarse = (np.abs(dphi) > np.pi / 2) | (
+        2.0 * cfg.half_width_A * np.abs(np.diff(Q)) > np.pi / 2
+    )
     return float(dphi[~coarse].sum()) + sum(
         _winding(zs[i] + (zs[i + 1] - zs[i]) * np.linspace(0.0, 1.0, 17), cfg, depth + 1)
         for i in np.flatnonzero(coarse)
@@ -202,13 +207,14 @@ def count_leaky_modes(cfg: SlabConfig) -> int:
     The condition is analytic for Re(eps) > -1, so the winding number of
     f along the counterclockwise boundary counts the enclosed roots exactly.
     One walk samples the closed boundary at 256 points per edge in one
-    kernel call, and walks each step where arg f turns by more than pi/2
-    again in 16 sub-steps, recursively.  On 4282 slabs of the declared
+    kernel call, and walks each step again in 16 sub-steps, recursively,
+    where arg f turns by more than pi/2 or 2A|dQ| exceeds pi/2 (so that no
+    whole turn of e^{-+2iQA} goes unseen).  On 4282 slabs of the declared
     envelope (a 3000-slab census, 1280 benchmark slabs, the reference slab
     and one whose seeds miss a root) this gives the same count as 2048
-    samples per edge.  There a step turns arg f by 0.36 rad at the median
-    and 3.13 rad at most, and 150 of the 4282 walks refine a step.  Where
-    f overflows on the boundary (from k0a ~ 1060 at U0 = 1.05 to ~ 2900 at
+    samples per edge, and on 150 wide slabs (k0a log-uniform in [60, 1000],
+    U0 uniform in [1.05, 4]) the same count as 65536 samples per edge.  Where f
+    overflows on the boundary (from k0a ~ 1060 at U0 = 1.05 to ~ 2900 at
     U0 = 4) the count raises LeakySlabError.
     """
     # the closed boundary through its five corners, in 4 * _SAMPLES_PER_EDGE steps

@@ -7,11 +7,12 @@ conservation |r|^2 + |t|^2 = 1 follows from |f|^2 = 1 +
 (1/4)(Q/K - K/Q)^2 sin^2(2QA).
 
 The transmission phase phi is the quantity entering the wave-packet
-integrands: phi = arg t + 2*K*A - pi/2 = -arg f - pi/2.  Single-point calls
-return its principal value in (-pi/2, pi/2]; sweeps return the continuous
-branch, evaluated in closed form and shifted by a multiple of pi so that
-the first grid point carries its principal value.  T = |t|^2 comes from
-transmission_sweep, a one-point sweep included, with the same bits.
+integrands: phi = arg t + 2*K*A - pi/2 = -arg f - pi/2.  Sweeps return its
+continuous branch, evaluated in closed form and shifted by a multiple of pi
+so that the first grid point carries its principal value in (-pi/2, pi/2],
+so the principal phase at one energy is the one-point sweep
+unwrapped_phase([eps_R], cfg)[0].  T = |t|^2 comes from transmission_sweep,
+a one-point sweep included, with the same bits.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .core import SlabConfig, _real_axis
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
-    """Reflection/transmission amplitudes and transmission phase at one eps_R."""
+    """Reflection and transmission amplitudes at one eps_R."""
 
     r: complex
     t: complex
-    phase_phi: float
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,13 @@ def _sweep(eps_grid, cfg: SlabConfig):
 
 
 def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
-    """r, t and the principal-branch transmission phase at one eps_R.
+    """r and t at one eps_R; raises ValueError outside the radiation band (-1, 0).
 
-    Raises ValueError outside the radiation band (-1, 0).
+    The principal transmission phase at eps_R is the one-point sweep
+    unwrapped_phase([eps_R], cfg)[0].
     """
-    t, r, phi = _sweep([eps_R], cfg)
-    return ScatteringAmplitudes(r=complex(r[0]), t=complex(t[0]), phase_phi=float(phi[0]))
+    t, r, _ = _sweep([eps_R], cfg)
+    return ScatteringAmplitudes(r=complex(r[0]), t=complex(t[0]))
 
 
 def transmission_sweep(eps_grid, cfg: SlabConfig) -> Curve:

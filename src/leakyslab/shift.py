@@ -37,15 +37,9 @@ _X_OBSERVE = 3000.0
 
 @dataclass(frozen=True)
 class ShiftSample:
-    """Shift data at one eigenvalue, all lengths in units of 1/k0.
+    """The shift k0*delta_z at one eigenvalue, in units of 1/k0."""
 
-    z_t - z_in = k0_delta_z holds by construction.
-    """
-
-    eps_R: float
     k0_delta_z: float
-    z_in: float
-    z_t: float
 
 
 def phase_derivative(eps_R, cfg: SlabConfig):
@@ -61,12 +55,12 @@ def phase_derivative(eps_R, cfg: SlabConfig):
 
 
 def longitudinal_shift(eps_R: float, cfg: SlabConfig) -> ShiftSample:
-    """Entry/exit coordinates and shift of the transmitted (or reflected) wave.
+    """Shift k0*delta_z = (1/K)*dphi/dK of the transmitted (or reflected) wave.
 
-    z_in = -A/K, k0*delta_z = (1/K)*dphi/dK, z_t = z_in + k0*delta_z.
+    A one-point shift_sweep, whose row also holds the entry and exit points
+    z_in = -A/K and z_t = z_in + k0*delta_z.
     """
-    dz, z_in, z_t = shift_sweep([eps_R], cfg).values[0].tolist()
-    return ShiftSample(eps_R=eps_R, k0_delta_z=dz, z_in=z_in, z_t=z_t)
+    return ShiftSample(k0_delta_z=float(shift_sweep([eps_R], cfg).values[0, 0]))
 
 
 def shift_sweep(eps_grid, cfg: SlabConfig) -> Curve:

@@ -14,6 +14,7 @@ from leakyslab import (
     count_leaky_modes,
     eigenvalue_to_wavenumbers,
     mode_index_range,
+    refine_all,
     refine_resonance,
     siegert_residual,
 )
@@ -236,6 +237,22 @@ def test_count_through_a_root_is_reported(slab30, refined_modes):
     eps = root.eigenvalue.value
     with pytest.raises(LeakySlabError, match="winding-number refinement stalled"):
         resonances._winding(_segment(eps - 0.01, eps + 0.01, 16), slab30)
+
+
+@pytest.mark.parametrize(
+    "k0a, u0, roots",
+    [(748.878, 1.2252, 471), (856.515037, 1.908721, 455), (532.012506, 1.263947, 328)],
+)
+def test_count_on_a_wide_slab_equals_its_newton_roots(k0a, u0, roots):
+    # a step on the box turns e^{-+2iQA} by up to 2A|dQ|, several full turns
+    # on these slabs, which np.angle would read modulo 2 pi (the unguarded
+    # walk counted 150, -57 and 223); every seed refines, and the distinct
+    # roots inside the box are the oracle
+    cfg = SlabConfig(k0a, u0)
+    lo, hi = resonances._COUNT_BOX[0], resonances._COUNT_BOX[2]
+    eps = {r.eigenvalue.value for r in refine_all(approximate_resonances(cfg), cfg)}
+    inside = sum(lo.real < z.real < hi.real and lo.imag < z.imag < hi.imag for z in eps)
+    assert count_leaky_modes(cfg) == inside == roots
 
 
 @pytest.mark.parametrize("k0a, u0", [(1500.0, 1.05), (3000.0, 1.5), (5000.0, 4.0)])

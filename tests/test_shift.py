@@ -57,9 +57,9 @@ def test_no_contrast_limit_reduces_to_free_crossing():
 def test_shift_identity_exact(slab30):
     rng = np.random.default_rng(43)
     for eps in rng.uniform(-0.99, -0.01, 50):
-        s = longitudinal_shift(eps, slab30)
-        assert s.z_t - s.z_in == pytest.approx(s.k0_delta_z, rel=0, abs=1e-10)
-        assert s.z_in == pytest.approx(-slab30.half_width_A / math.sqrt(2 * (eps + 1)))
+        k0_delta_z, z_in, z_t = shift_sweep([eps], slab30).values[0]
+        assert z_t - z_in == pytest.approx(k0_delta_z, rel=0, abs=1e-10)
+        assert z_in == pytest.approx(-slab30.half_width_A / math.sqrt(2 * (eps + 1)))
 
 
 def test_phase_derivative_peaks_at_resonance_center(slab30, refined_modes):
