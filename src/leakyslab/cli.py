@@ -178,17 +178,19 @@ def cmd_fbw(args) -> int:
 
 def cmd_mode_field(args) -> int:
     slab = _slab_from(args)
-    res = refine_resonance(approximate_resonance(args.m, slab), slab)
-    field = mode_profile(res, slab)
-    # the default grids resolve the interior half-waves of every admissible
-    # mode: each half-wave pi/Q (Q <= sqrt(2)*U0) gets at least 444/(U0*A)
-    # x samples, 10 on the reference slab but fewer than 2 once U0*A > 222
-    A = slab.half_width_A
+    seed = approximate_resonance(args.m, slab)
+    # the default x grid, spacing A/200, gives each interior half-wave pi/Q
+    # (Q <= sqrt(2)*U0) at least 100*pi/(sqrt(2)*U0*A) samples: 9.9 on the
+    # reference slab, and fewer than 2 once U0*A > 100*pi/sqrt(2) = 222.1
+    A, U0 = slab.half_width_A, slab.core_index_U0
+    if not args.x and U0 * A > 100 * math.pi / math.sqrt(2.0):
+        raise ValueError(f"the default --x grid -2A:2A:801 gives an interior half-wave fewer "
+                         f"than 2 samples once U0*k0a > 222.1 (here {U0 * A:g}); give --x")
     x = parse_grid(args.x) if args.x else np.linspace(-2 * A, 2 * A, 801)
     z = parse_grid(args.z) if args.z else np.linspace(0.0, 200.0, 401)
     if len(x) * len(z) > MAX_POINTS:
         raise ValueError(f"{len(x)} x {len(z)} field points is more than MAX_POINTS = {MAX_POINTS}")
-    grid = propagate_mode(field, x, z)
+    grid = propagate_mode(mode_profile(refine_resonance(seed, slab), slab), x, z)
     meta = {
         "k0a": args.k0a,
         "u0": args.u0,

@@ -21,9 +21,9 @@ Dispersion kernel: Q and the outgoing condition
 f(K) = cos(2QA) - i*g*sin(2QA), g = (K**2 + Q**2)/(2*K*Q), the denominator
 of the transmission amplitude t = e^{-2iKA}/f; its zeros with K in the
 fourth quadrant are the leaky modes.  ``_dispersion`` gives Q and f at any
-K but the pole K = 0, where it raises ValueError; ``_real_axis`` gives t, r,
-the phase phi = -arg f - pi/2 and dphi/dK on the radiation band.  Every
-module takes these quantities from here.
+K but the pole K = 0, where it raises ValueError; on the radiation band
+``_real_axis`` evaluates what t, r, phi and dphi/dK share, and each is formed
+only where read.  Every module takes these quantities from here.
 
 Failures: an invalid input (a slab outside the domain, an inadmissible mode
 index, a bad grid) raises ValueError, CLI exit code 2; a numerical failure
@@ -159,29 +159,34 @@ def _dispersion(K, cfg: SlabConfig):
 
 
 def _real_axis(K, A, U0):
-    """t, r, the continuous phase phi and dphi/dK at real K > 0.
-
-    One evaluation of Q, s = sin 2QA, c = cos 2QA and g = (K/Q + Q/K)/2
-    serves all four, broadcasting over K and A.  With f = c - i*g*s,
-    t = e^{-2iKA}/f and r = t*(i/2)(Q/K - K/Q)*s; conj(f) =
-    e^{2iQA}(1 + d s^2 + i d s c), d = g - 1 = (Q - K)^2/(2KQ) >= 0 (so
-    written because g - 1 cancels for weak contrast), and Q' = U0*K/Q give
-
-        phi = -arg f - pi/2 = 2QA - pi/2 + arctan(d s c / (1 + d s^2)),
-        dphi/dK = (2A Q' g + g' c s) / |f|^2,
-
-    both regular in K: 1 + d s^2 >= 1 and |f|^2 = c^2 + g^2 s^2 >= 1.
-    """
+    """Q, theta = 2QA, s = sin theta, c = cos theta and g = (K/Q + Q/K)/2 at
+    real K > 0, broadcasting over K and A: the one evaluation that t, r, phi
+    and dphi/dK share, each formed below only where it is read."""
     Q = _interior_wavenumber(K, U0)
-    s = np.sin(2.0 * Q * A)
-    c = np.cos(2.0 * Q * A)
-    g = 0.5 * (K / Q + Q / K)
+    theta = 2.0 * Q * A
+    return Q, theta, np.sin(theta), np.cos(theta), 0.5 * (K / Q + Q / K)
+
+
+def _transmission(K, A, U0):
+    """t = e^{-2iKA}/f, f = c - i*g*s, and the continuous phase phi = -arg f
+    - pi/2 = 2QA - pi/2 + arctan(d s c / (1 + d s^2)), from conj(f) =
+    e^{2iQA}(1 + d s^2 + i d s c), d = g - 1 = (Q - K)^2/(2KQ) >= 0 (so
+    written because g - 1 cancels for weak contrast); 1 + d s^2 >= 1."""
+    Q, theta, s, c, g = _real_axis(K, A, U0)
     t = np.exp(-2j * K * A) / (c - 1j * g * s)
-    r = t * 0.5j * (Q / K - K / Q) * s
     d = (Q - K) ** 2 / (2.0 * K * Q)
-    phi = 2.0 * Q * A - math.pi / 2.0 + np.arctan(d * s * c / (1.0 + d * s * s))
+    return t, theta - math.pi / 2.0 + np.arctan(d * s * c / (1.0 + d * s * s))
+
+
+def _reflection(K, A, U0, t):
+    """r = t*(i/2)(Q/K - K/Q)*s from the transmitted t at the same K."""
+    Q, _, s, _, _ = _real_axis(K, A, U0)
+    return t * 0.5j * (Q / K - K / Q) * s
+
+
+def _phase_derivative(K, A, U0):
+    """dphi/dK = (2A Q' g + g' c s)/|f|^2, Q' = U0*K/Q; |f|^2 = c^2 + g^2 s^2 >= 1."""
+    Q, _, s, c, g = _real_axis(K, A, U0)
     dQ = U0 * K / Q
     dg = 0.5 * (Q - K * dQ) * (1.0 / (Q * Q) - 1.0 / (K * K))
-    dphi = (2.0 * A * dQ * g + dg * c * s) / (c * c + g * g * s * s)
-    return t, r, phi, dphi
-
+    return (2.0 * A * dQ * g + dg * c * s) / (c * c + g * g * s * s)

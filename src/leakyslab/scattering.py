@@ -1,8 +1,8 @@
 """Real-energy scattering off the slab: r/t and the transmission phase.
 
-t, r and the phase come from the real-axis evaluation of the core
-dispersion kernel, ``_real_axis``: t = e^{-2iKA}/f and
-r = t*(i/2)(Q/K - K/Q)*sin(2QA), with f(K) the outgoing condition.  Flux
+t = e^{-2iKA}/f, with f(K) the outgoing condition, and the phase come from
+the core dispersion kernel; r = t*(i/2)(Q/K - K/Q)*sin(2QA) is formed only
+in transfer_amplitudes, so no sweep pays for it.  Flux
 conservation |r|^2 + |t|^2 = 1 follows from |f|^2 = 1 +
 (1/4)(Q/K - K/Q)^2 sin^2(2QA).
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SlabConfig, _real_axis
+from .core import SlabConfig, _reflection, _transmission
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _band_wavenumber(eps_R) -> np.ndarray:
 
 
 def _sweep(eps_grid, cfg: SlabConfig):
-    """t, r and the continuous phase phi over a non-empty 1-D eps grid.
+    """K, t and the continuous phase phi over a non-empty 1-D eps grid.
 
     phi is shifted by a multiple of pi so that its first point carries its
     principal value.
@@ -88,8 +88,8 @@ def _sweep(eps_grid, cfg: SlabConfig):
     K = _band_wavenumber(e)
     if e.ndim != 1 or len(e) == 0:
         raise ValueError("eps_grid must be a non-empty 1-D array")
-    t, r, phi, _ = _real_axis(K, cfg.half_width_A, cfg.core_index_U0)
-    return t, r, phi - np.pi * np.round(phi[0] / np.pi)
+    t, phi = _transmission(K, cfg.half_width_A, cfg.core_index_U0)
+    return K, t, phi - np.pi * np.round(phi[0] / np.pi)
 
 
 def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
@@ -98,13 +98,14 @@ def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
     The principal transmission phase at eps_R is the one-point sweep
     unwrapped_phase([eps_R], cfg)[0].
     """
-    t, r, _ = _sweep([eps_R], cfg)
+    K, t, _ = _sweep([eps_R], cfg)
+    r = _reflection(K, cfg.half_width_A, cfg.core_index_U0, t)
     return ScatteringAmplitudes(r=complex(r[0]), t=complex(t[0]))
 
 
 def transmission_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     """T(eps) and the unwrapped phase phi(eps) over an increasing grid."""
-    t, _, phi = _sweep(eps_grid, cfg)
+    _, t, phi = _sweep(eps_grid, cfg)
     return Curve(
         abscissa=eps_grid,
         values=np.column_stack([np.abs(t) ** 2, phi]),

@@ -3,8 +3,9 @@
 delta_z is the axial interval between the packet peak entering the left
 face and leaving the right face, k0*delta_z = (1/K) * dphi/dK.  It contains
 the free crossing of the slab: with no index contrast dphi/dK -> 2A and the
-shift relative to free propagation vanishes.  dphi/dK and the transmitted
-amplitude t of the synthesis below come from the core dispersion kernel.
+shift relative to free propagation vanishes.  dphi/dK comes from the core
+dispersion kernel, formed without t, r or the phase; the transmitted
+amplitude t of the synthesis below comes from the kernel too.
 
 A wave-packet synthesis (quadrature over the transmitted spectrum, peak
 tracking at a distant observation plane) provides an independent
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LeakySlabError, SlabConfig, _real_axis
+from .core import LeakySlabError, SlabConfig, _phase_derivative, _transmission
 from .scattering import Curve, _band_wavenumber
 
 # z samples per block of the factored wave-packet phase matrix
@@ -45,12 +46,11 @@ class ShiftSample:
 def phase_derivative(eps_R, cfg: SlabConfig):
     """Analytic dphi/dK on the radiation band; scalar or array input.
 
-    Taken from the real-axis evaluation of the core dispersion kernel,
-    dphi/dK = (2A Q' g + g' c s)/|f|^2; regular across the transparency
-    points sin(2QA) = 0.
+    The core kernel's dphi/dK = (2A Q' g + g' c s)/|f|^2, formed without
+    t, r or the phase; regular across the transparency points sin(2QA) = 0.
     """
     K = _band_wavenumber(eps_R)
-    out = _real_axis(K, cfg.half_width_A, cfg.core_index_U0)[3]
+    out = _phase_derivative(K, cfg.half_width_A, cfg.core_index_U0)
     return float(out) if np.isscalar(eps_R) else out
 
 
@@ -67,7 +67,7 @@ def shift_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     """k0*delta_z (plus entry/exit points) over an eigenvalue grid."""
     e = np.asarray(eps_grid, dtype=float)
     K = _band_wavenumber(e)
-    dz = _real_axis(K, cfg.half_width_A, cfg.core_index_U0)[3] / K
+    dz = _phase_derivative(K, cfg.half_width_A, cfg.core_index_U0) / K
     z_in = -cfg.half_width_A / K
     return Curve(
         abscissa=e,
@@ -85,7 +85,7 @@ def width_sweep(eps_R: float, halfwidth_grid, core_index_U0: float) -> Curve:
     # the narrowest and the widest slab validate the whole grid
     for A in (As.min(), As.max()):
         SlabConfig(half_width_A=A, core_index_U0=core_index_U0)
-    dz = _real_axis(K, As, core_index_U0)[3] / K
+    dz = _phase_derivative(K, As, core_index_U0) / K
     return Curve(abscissa=As, values=dz, labels=("k0a", "k0_delta_z"))
 
 
@@ -184,7 +184,7 @@ def wavepacket_shift(
 
     k, w = _gauss_legendre_composite(Kc - 6.0 * sig, Kc + 6.0 * sig, panels, nodes_per_panel)
     f = np.exp(-((k - Kc) ** 2) / (2.0 * sig * sig))
-    t = _real_axis(k, cfg.half_width_A, cfg.core_index_U0)[0]
+    t = _transmission(k, cfg.half_width_A, cfg.core_index_U0)[0]
 
     z0 = _X_OBSERVE / Kc
     half_window = 8.0 / (Kc * sig) + 300.0

@@ -258,6 +258,26 @@ def test_mode_field_builds_only_the_seed_and_its_refinement(capsys, monkeypatch)
     assert out == "" and built == []
 
 
+def test_mode_field_refuses_its_default_x_grid_where_it_undersamples(capsys):
+    # the default x spacing A/200 gives the shortest interior half-wave,
+    # pi/Q >= pi/(sqrt(2)*U0), fewer than 2 samples once U0*k0a > 222.1
+    wide = ["mode-field", "--k0a", "300", "--u0", "1.5", "--m", "300"]
+    code, out, err = run(wide, capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the default --x grid -2A:2A:801 gives an interior half-wave fewer than "
+        "2 samples once U0*k0a > 222.1 (here 450); give --x\n"
+    ), err
+    code, out, _ = run([*wide, "--x", "-600:600:5", "--z", "0:1:2"], capsys)
+    assert code == 0 and len(parse_csv(out)[1]) == 5 * 2
+    # on either side of the threshold, U0*k0a = 222.0 and 222.15
+    code, out, _ = run(["mode-field", "--k0a", "148", "--u0", "1.5", "--m", "150",
+                        "--z", "0:1:2"], capsys)
+    assert code == 0 and len(parse_csv(out)[1]) == 801 * 2
+    code, _, err = run(["mode-field", "--k0a", "148.1", "--u0", "1.5", "--m", "150"], capsys)
+    assert code == 2 and "(here 222.15); give --x" in err, err
+
+
 def test_propagate_requires_initial_condition(tmp_path, capsys):
     base = ["propagate", "--k0a", "30", "--u0", "1.5"]
     out_path = tmp_path / "curve.csv"

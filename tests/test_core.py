@@ -14,7 +14,14 @@ from leakyslab import (
     eigenvalue_to_wavenumbers,
     mode_index_range,
 )
-from leakyslab.core import K0A_MAX, U0_MAX, _real_axis
+from leakyslab.core import (
+    K0A_MAX,
+    U0_MAX,
+    _phase_derivative,
+    _real_axis,
+    _reflection,
+    _transmission,
+)
 
 
 def invert(wn):
@@ -115,7 +122,9 @@ def test_the_slab_domain_keeps_the_kernel_finite_and_the_indices_few():
     K = np.sqrt(2.0 * (eps + 1.0))
     for k0a, u0 in itertools.product((5e-324, 1.0, K0A_MAX), (1.0 + 2.0**-52, 1.5, U0_MAX)):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            values = _real_axis(K, k0a, u0)
+            t, phi = _transmission(K, k0a, u0)
+            values = (*_real_axis(K, k0a, u0), t, phi, _reflection(K, k0a, u0, t),
+                      _phase_derivative(K, k0a, u0))
         assert all(np.all(np.isfinite(v)) for v in values), (k0a, u0)
         indices = mode_index_range(SlabConfig(k0a, u0))
         assert len(indices) < 1_000_000 and indices.stop < 2**40, (k0a, u0)

@@ -12,11 +12,12 @@ from leakyslab import (
     phase_derivative,
     refine_all,
     shift_sweep,
+    transmission_sweep,
     unwrapped_phase,
     wavepacket_shift,
     width_sweep,
 )
-from leakyslab.core import _real_axis
+from leakyslab.core import _phase_derivative, _transmission
 
 
 def fd_phase_derivative(eps_R: float, cfg: SlabConfig, h: float = 1e-6) -> float:
@@ -94,6 +95,21 @@ def test_width_sweep_equals_per_width_phase_derivative():
         [phase_derivative(eps, SlabConfig(half_width_A=a, core_index_U0=u0)) / K for a in widths]
     )
     assert np.array_equal(width_sweep(eps, widths, u0).values, per_width)
+
+
+def test_the_split_kernel_routes_keep_one_set_of_bits(slab30):
+    # dphi/dK and the phase come from separate kernel routes: a wrapper and
+    # the sweep that reads the same route, and a one-point and a long call,
+    # give the same bits
+    grid = np.linspace(-0.999, -0.001, 4096)
+    dz = shift_sweep(grid, slab30).values[:, 0]
+    dphi = phase_derivative(grid, slab30)
+    assert (dphi / np.sqrt(2 * (grid + 1))).tobytes() == dz.tobytes()
+    one_point = [longitudinal_shift(float(e), slab30).k0_delta_z for e in grid]
+    assert np.array(one_point).tobytes() == dz.tobytes()
+    assert np.array([phase_derivative(float(e), slab30) for e in grid]).tobytes() == dphi.tobytes()
+    phi = transmission_sweep(grid, slab30).values[:, 1]
+    assert unwrapped_phase(grid, slab30).tobytes() == phi.tobytes()
 
 
 def test_width_sweep_spot_value_large_slab():
@@ -259,7 +275,7 @@ def test_packet_centroid_equals_the_weighted_group_delay(slab30, refined_modes):
                 continue
             k, w = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, 8)
             g = np.exp(-((k - k_c) ** 2) / (2 * sig * sig))
-            t, _, _, dphi = _real_axis(k, A, U0)
+            t, dphi = _transmission(k, A, U0)[0], _phase_derivative(k, A, U0)
             # wavepacket_shift's z window, nz = 4001
             half_window = 8 / (k_c * sig) + 300
             z = np.linspace(x_observe / k_c - half_window, x_observe / k_c + half_window, 4001)
@@ -290,7 +306,7 @@ class TestFactoredSynthesis:
         sig = k_c / 20
         k, w = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, 48)
         f = np.exp(-((k - k_c) ** 2) / (2 * sig * sig))
-        t = _real_axis(k, slab30.half_width_A, slab30.core_index_U0)[0]
+        t = _transmission(k, slab30.half_width_A, slab30.core_index_U0)[0]
         weights = np.column_stack([w * f * t, w * f])
         x_observe = 3000.0
         half_window = 8 / (k_c * sig) + 300
