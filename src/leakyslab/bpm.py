@@ -229,13 +229,15 @@ class Propagator:
 
         With Im eta >= 0 no substep can raise the norm of a finite column; a
         whole-grid norm that grows by more than 1% in one substep, or is not
-        finite, aborts with LeakySlabError.  The column's length is checked
-        when march is called.  The march continues from the yielded arrays: do
-        not modify them.
+        finite, aborts with LeakySlabError.  The column's length and nsteps
+        (an integer >= 0) are checked when march is called.  The march
+        continues from the yielded arrays: do not modify them.
         """
         column = np.asarray(column, dtype=complex)
         if column.shape != self.x.shape:
             raise ValueError(f"column length {column.shape} does not match nx={self.cfg.nx}")
+        if not isinstance(nsteps, (int, np.integer)) or nsteps < 0:
+            raise ValueError(f"nsteps must be an integer >= 0, got {nsteps!r}")
         return self._steps(column, nsteps)
 
     def _steps(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:

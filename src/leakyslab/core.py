@@ -20,10 +20,11 @@ Leaky modes live on the branch with K in the closed fourth quadrant
 Dispersion kernel: Q and the outgoing condition
 f(K) = cos(2QA) - i*g*sin(2QA), g = (K**2 + Q**2)/(2*K*Q), the denominator
 of the transmission amplitude t = e^{-2iKA}/f; its zeros with K in the
-fourth quadrant are the leaky modes.  ``_dispersion`` gives Q and f at any
-K but the pole K = 0, where it raises ValueError; on the radiation band
-``_real_axis`` evaluates what t, r, phi and dphi/dK share, and each is formed
-only where read.  Every module takes these quantities from here.
+fourth quadrant are the leaky modes.  ``_kernel`` evaluates Q, 2QA, its
+sine and cosine and g once at any K; f (``_dispersion``, which refuses the
+pole K = 0 with ValueError) and, on the radiation band, t, r, phi and
+dphi/dK are each formed from it only where read.  Every module takes these
+quantities from here.
 
 Failures: an invalid input (a slab outside the domain, an inadmissible mode
 index, a bad grid) raises ValueError, CLI exit code 2; a numerical failure
@@ -149,22 +150,22 @@ def _dispersion(K, cfg: SlabConfig):
     elementwise with numpy; a real K on the radiation band gives a real Q.
     """
     lib = cmath if isinstance(K, complex) else np
-    A = cfg.half_width_A
-    Q = _interior_wavenumber(K, cfg.core_index_U0, lib)
     if lib is cmath and K == 0:
         raise ValueError("K = 0 is a pole of the outgoing condition")
-    if lib is cmath and Q == 0:
-        return Q, 1.0 - 1j * A * K
-    return Q, lib.cos(2 * Q * A) - 0.5j * (K / Q + Q / K) * lib.sin(2 * Q * A)
+    try:
+        Q, _, s, c, g = _kernel(K, cfg.half_width_A, cfg.core_index_U0, lib)
+    except ZeroDivisionError:  # g divides by Q = 0
+        return 0j, 1.0 - 1j * cfg.half_width_A * K
+    return Q, c - 1j * g * s
 
 
-def _real_axis(K, A, U0):
+def _kernel(K, A, U0, lib=np):
     """Q, theta = 2QA, s = sin theta, c = cos theta and g = (K/Q + Q/K)/2 at
-    real K > 0, broadcasting over K and A: the one evaluation that t, r, phi
-    and dphi/dK share, each formed below only where it is read."""
-    Q = _interior_wavenumber(K, U0)
+    any K, with numpy (broadcasting over K and A) or cmath: the one evaluation
+    that f, t, r, phi and dphi/dK share, each formed only where it is read."""
+    Q = _interior_wavenumber(K, U0, lib)
     theta = 2.0 * Q * A
-    return Q, theta, np.sin(theta), np.cos(theta), 0.5 * (K / Q + Q / K)
+    return Q, theta, lib.sin(theta), lib.cos(theta), 0.5 * (K / Q + Q / K)
 
 
 def _transmission(K, A, U0):
@@ -172,7 +173,7 @@ def _transmission(K, A, U0):
     - pi/2 = 2QA - pi/2 + arctan(d s c / (1 + d s^2)), from conj(f) =
     e^{2iQA}(1 + d s^2 + i d s c), d = g - 1 = (Q - K)^2/(2KQ) >= 0 (so
     written because g - 1 cancels for weak contrast); 1 + d s^2 >= 1."""
-    Q, theta, s, c, g = _real_axis(K, A, U0)
+    Q, theta, s, c, g = _kernel(K, A, U0)
     t = np.exp(-2j * K * A) / (c - 1j * g * s)
     d = (Q - K) ** 2 / (2.0 * K * Q)
     return t, theta - math.pi / 2.0 + np.arctan(d * s * c / (1.0 + d * s * s))
@@ -180,13 +181,13 @@ def _transmission(K, A, U0):
 
 def _reflection(K, A, U0, t):
     """r = t*(i/2)(Q/K - K/Q)*s from the transmitted t at the same K."""
-    Q, _, s, _, _ = _real_axis(K, A, U0)
+    Q, _, s, _, _ = _kernel(K, A, U0)
     return t * 0.5j * (Q / K - K / Q) * s
 
 
 def _phase_derivative(K, A, U0):
     """dphi/dK = (2A Q' g + g' c s)/|f|^2, Q' = U0*K/Q; |f|^2 = c^2 + g^2 s^2 >= 1."""
-    Q, _, s, c, g = _real_axis(K, A, U0)
+    Q, _, s, c, g = _kernel(K, A, U0)
     dQ = U0 * K / Q
     dg = 0.5 * (Q - K * dQ) * (1.0 / (Q * Q) - 1.0 / (K * K))
     return (2.0 * A * dQ * g + dg * c * s) / (c * c + g * g * s * s)

@@ -3,7 +3,8 @@
 A mode is outgoing on both sides: A_I*e^{-iKx} for x < -A, B*e^{iQx} +
 C*e^{-iQx} inside, D*e^{+iKx} for x > A.  With Im K < 0 the exterior grows
 exponentially while e^{-i*eps*z} attenuates the whole profile axially, so
-|E(x, z)|^2 = e^{-Gamma*z} |phi(x)|^2 exactly.
+|E(x, z)|^2 = e^{-Gamma*z} |phi(x)|^2 exactly.  ``mode_profile`` takes Q and
+f from one kernel call, which certifies the whole match (A_I = +-D, the parity).
 """
 
 from __future__ import annotations
@@ -87,40 +88,31 @@ def mode_profile(res: Resonance, cfg: SlabConfig) -> ModeField:
     """Solve the outgoing four-amplitude matching for a refined eigenvalue.
 
     Construction: set D_III = 1, obtain B, C from the right interface and
-    A_I from left-interface continuity; the leftover derivative mismatch at
-    x = -A is the matching residual and vanishes with the quantization
-    condition.  Raises ValueError for an unrefined seed, for a resonance
-    whose K is not a root of cfg's outgoing condition (|f| above the refined
-    residual bound: a resonance of another slab), or a failed matching.
+    A_I from left-interface continuity.  The derivative jump left at x = -A
+    is 2iK*e^{iKA}*f*D_III, so one kernel call certifies the whole match: at
+    a root (|f| within the refined residual bound) A_I = +-D_III, the mode's
+    parity.  Raises ValueError for an unrefined seed, for a resonance whose
+    K is not a root of cfg's outgoing condition (a resonance of another
+    slab), or whose Q is not exactly the kernel's Q at that K.
     """
     if res.method != REFINED:
         raise ValueError("mode_profile requires a refined resonance")
-    A = cfg.half_width_A
-    K = res.wavenumbers.K
-    residual = abs(_dispersion(K, cfg)[1])
-    if not residual <= _REFINED_RESIDUAL:
+    A, K = cfg.half_width_A, res.wavenumbers.K
+    Q, f = _dispersion(K, cfg)
+    if not abs(f) <= _REFINED_RESIDUAL:
         raise ValueError(
-            f"the resonance is not a root of this slab's outgoing condition: |f| = {residual:.3e}"
+            f"the resonance is not a root of this slab's outgoing condition: |f| = {abs(f):.3e}"
         )
-    Q = res.wavenumbers.Q
+    if Q != res.wavenumbers.Q:
+        raise ValueError(f"the resonance's Q = {res.wavenumbers.Q} is not this slab's Q = {Q}")
     d = 1.0 + 0.0j
     b = 0.5 * d * np.exp(1j * K * A) * (1.0 + K / Q) * np.exp(-1j * Q * A)
     c = 0.5 * d * np.exp(1j * K * A) * (1.0 - K / Q) * np.exp(1j * Q * A)
     a_i = (b * np.exp(-1j * Q * A) + c * np.exp(1j * Q * A)) * np.exp(-1j * K * A)
-
-    # leftover matching condition: interior derivative vs outgoing -iK*A_I at -A
-    lhs = 1j * Q * (b * np.exp(-1j * Q * A) - c * np.exp(1j * Q * A))
-    rhs = -1j * K * a_i * np.exp(1j * K * A)
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    if rel > 1e-8:
-        raise ValueError(f"derivative matching failed at x=-A: relative jump {rel:.3e}")
-
-    field = ModeField(
-        resonance=res, slab=cfg, coefficients=(complex(a_i), complex(b), complex(c), complex(d))
-    )
+    # normalize to max |phi| = 1 over the core, where phi = B e^{iQx} + C e^{-iQx}
     xs = np.linspace(-A, A, _NORM_GRID)
-    scale = np.max(np.abs(field.evaluate(xs)))
-    coeffs = tuple(z / scale for z in field.coefficients)
+    scale = np.max(np.abs(b * np.exp(1j * Q * xs) + c * np.exp(-1j * Q * xs)))
+    coeffs = tuple(complex(z) / scale for z in (a_i, b, c, d))
     return ModeField(resonance=res, slab=cfg, coefficients=coeffs)
 
 

@@ -353,6 +353,17 @@ def test_march_validates_column_length(cfg30):
         measure_decay(cfg30, np.ones(17), 20 * cfg30.dz)
 
 
+def test_march_refuses_a_step_count_that_is_not_a_non_negative_integer(cfg30):
+    # refused when march is called, as BpmConfig refuses a non-integer nx
+    prop = Propagator(cfg30)
+    col = np.zeros(cfg30.nx, dtype=complex)
+    for nsteps in (2.5, 2.0, "2", -1, np.int64(-3)):
+        with pytest.raises(ValueError, match="nsteps must be an integer >= 0"):
+            prop.march(col, nsteps)
+    assert list(prop.march(col, 0)) == []
+    assert len(list(prop.march(col, np.int64(2)))) == 2
+
+
 def test_config_validation(slab30):
     with pytest.raises(ValueError, match="nx"):
         replace(BpmConfig.for_slab(slab30), nx=257)

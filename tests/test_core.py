@@ -17,8 +17,8 @@ from leakyslab import (
 from leakyslab.core import (
     K0A_MAX,
     U0_MAX,
+    _kernel,
     _phase_derivative,
-    _real_axis,
     _reflection,
     _transmission,
 )
@@ -123,7 +123,7 @@ def test_the_slab_domain_keeps_the_kernel_finite_and_the_indices_few():
     for k0a, u0 in itertools.product((5e-324, 1.0, K0A_MAX), (1.0 + 2.0**-52, 1.5, U0_MAX)):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             t, phi = _transmission(K, k0a, u0)
-            values = (*_real_axis(K, k0a, u0), t, phi, _reflection(K, k0a, u0, t),
+            values = (*_kernel(K, k0a, u0), t, phi, _reflection(K, k0a, u0, t),
                       _phase_derivative(K, k0a, u0))
         assert all(np.all(np.isfinite(v)) for v in values), (k0a, u0)
         indices = mode_index_range(SlabConfig(k0a, u0))

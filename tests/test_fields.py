@@ -1,15 +1,20 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from leakyslab import (
+    LeakySlabError,
     SlabConfig,
     Wavenumbers,
+    approximate_resonances,
     eigenvalue_to_wavenumbers,
     mode_profile,
     propagate_mode,
+    refine_resonance,
 )
+from leakyslab.core import _dispersion
 from leakyslab.fields import FieldGrid
 
 
@@ -106,12 +111,62 @@ def test_mode_profile_refuses_a_resonance_of_another_slab(refined_modes):
 
 def test_mode_profile_refuses_a_wavenumber_pair_that_does_not_match(slab30, refined_modes):
     # a root's K with the Q of another core index passes the residual check,
-    # which takes Q from the kernel, and fails the derivative matching
+    # which takes Q from the kernel, and fails the check of its stored Q
     r24 = next(r for r in refined_modes if r.mode_index_m == 24)
     other_q = eigenvalue_to_wavenumbers(r24.eigenvalue, SlabConfig(30.0, 1.6)).Q
     mixed = replace(r24, wavenumbers=Wavenumbers(K=r24.wavenumbers.K, Q=other_q))
-    with pytest.raises(ValueError, match="derivative matching failed"):
+    with pytest.raises(ValueError, match="is not this slab's Q"):
         mode_profile(mixed, slab30)
+
+
+@pytest.fixture(scope="module")
+def envelope_roots(slab30, refined_modes):
+    """(slab, resonance) for every refined root of the reference slab and of
+    100 envelope slabs (k0a log-uniform in [5, 60], U0 uniform in [1.05, 2]);
+    a seed whose refinement fails is left out."""
+    rng = np.random.default_rng(2027)
+    slabs = [
+        SlabConfig(math.exp(rng.uniform(math.log(5.0), math.log(60.0))), rng.uniform(1.05, 2.0))
+        for _ in range(100)
+    ]
+    roots = [(slab30, r) for r in refined_modes]
+    for cfg in slabs:
+        for seed in approximate_resonances(cfg):
+            try:
+                roots.append((cfg, refine_resonance(seed, cfg)))
+            except LeakySlabError:
+                pass
+    assert len(roots) >= 700
+    return roots
+
+
+def test_a_root_field_has_the_parity_of_a_symmetric_well(envelope_roots):
+    # at a root of f the left amplitude is the mode's parity, A_I = +-D_III,
+    # and the derivative jump left at x = -A is 2iK e^{iKA} f D_III, whose
+    # relative size is 2|f|: mode_profile re-derives no interface match,
+    # since the one kernel call that certifies |f| already bounds it
+    for cfg, res in envelope_roots:
+        field = mode_profile(res, cfg)
+        a_i, _, _, d = field.coefficients
+        assert min(abs(a_i / d - 1.0), abs(a_i / d + 1.0)) <= 1e-9, (cfg, res)
+        f = _dispersion(res.wavenumbers.K, cfg)[1]
+        assert abs(_interface_jumps(field)[1] - 2.0 * abs(f)) <= 1e-11, (cfg, res)
+
+
+def test_mode_profile_refuses_a_q_one_ulp_off_the_kernel(envelope_roots):
+    # Newton stores the Q of the kernel call that accepted its K, exactly;
+    # mode_profile takes its Q from its own kernel call and refuses a
+    # resonance that carries any other
+    for cfg, res in envelope_roots:
+        K, Q = res.wavenumbers.K, res.wavenumbers.Q
+        assert Q == _dispersion(K, cfg)[0], (cfg, res)
+        for moved in (
+            complex(np.nextafter(Q.real, math.inf), Q.imag),
+            complex(Q.real, np.nextafter(Q.imag, -math.inf)),
+        ):
+            off = replace(res, wavenumbers=Wavenumbers(K=K, Q=moved))
+            with pytest.raises(ValueError, match="is not this slab's Q"):
+                mode_profile(off, cfg)
 
 
 def test_propagation_z0_column_is_profile(profiles, slab30):
