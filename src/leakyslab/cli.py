@@ -2,8 +2,11 @@
 
 Every table, and the field snapshots of ``propagate --save-field``, is
 written as CSV: ``#``-prefixed metadata lines recording the exact flags,
-then a header row.  Identical flags produce byte-identical files.  No
-plotting here: the tool emits data for external renderers.
+then a header row.  Identical flags produce byte-identical files.  A table
+is written block by block as it is formatted, and a write that fails
+part-way removes the regular file it was writing (a device, pipe or link
+named by ``-o`` is left in place).  No plotting here: the tool emits data
+for external renderers.
 
 ``propagate`` and ``decay`` launch the tapered leaky mode ``--m`` on
 ``BpmConfig.for_slab``'s grid; the header records its ``nx``, ``dz`` and
@@ -15,9 +18,12 @@ Exit codes: 0 success, 2 validation problem or unwritable output, 3 numerical fa
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -34,11 +40,16 @@ from .shift import shift_sweep, width_sweep
 
 # most points in one grid or mode-field rectangle (at most 4096 and 321,201
 # in the README and the benchmark); a larger count is refused before
-# anything of its size is allocated
+# anything of its size is allocated.  Tables are written block by block, so
+# it bounds no text: it bounds the complex field grid, 16 B a point, and the
+# run time, about 0.6 us of repr a cell
 MAX_POINTS = 10**6
 # snapshots propagate --save-field keeps: the distinct steps
 # round(linspace(0, nsteps, SNAPSHOTS)), or every step of a shorter march
 SNAPSHOTS = 11
+# rows in one written block of a table, and cells listed at once: the text
+# held at once, whatever the table's length
+_BLOCK = 4096
 # the field components a grid table writes, by their --component name
 _COMPONENTS = {
     "re": lambda a: a.real,
@@ -71,29 +82,55 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def _cells(values):
-    """One repr per value in C order, cast to float first; lazy until iterated."""
-    yield from map(repr, np.asarray(values, dtype=float).ravel().tolist())
+    """One repr per value in C order, cast to float first; lazy until
+    iterated, and listed _BLOCK values at a time."""
+    flat = np.asarray(values, dtype=float).ravel()
+    for i in range(0, len(flat), _BLOCK):
+        yield from map(repr, flat[i:i + _BLOCK].tolist())
 
 
-def _write(path: str | None, text: str) -> Path | None:
-    """Write text to stdout, or to path; returns the file written, or None."""
+def _discard(path: Path | None) -> None:
+    """Remove a partly written file, if any; a failure to remove it does not
+    replace the error being raised."""
+    if path is not None:
+        with contextlib.suppress(OSError):
+            path.unlink(missing_ok=True)
+
+
+def _write(path: str | None, blocks) -> Path | None:
+    """Write each text block to stdout, or to path, as it is formed.  Returns
+    path if it names a regular file itself, else None (stdout, a device, a
+    pipe or a symlink); a write that raises part-way removes that regular
+    file, and only it, then re-raises."""
     if path is None:
-        sys.stdout.write(text)
-        return
+        sys.stdout.writelines(blocks)
+        return None
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text)
-    return p
+    regular = None
+    try:
+        with p.open("w") as file:
+            st = os.fstat(file.fileno())
+            if stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.lstat(p)):
+                regular = p
+            file.writelines(blocks)
+    except BaseException:
+        _discard(regular)
+        raise
+    return regular
 
 
-def _csv(command: str, meta: dict, names, columns) -> str:
-    """'#' lines naming the command and the sorted flags, a header row, then
-    one row per index of the columns of already-formatted cells."""
+def _csv(command: str, meta: dict, names, columns):
+    """Yield '#' lines naming the command and the sorted flags and a header
+    row, then one row per index of the columns of already-formatted cells,
+    _BLOCK rows to a text block."""
     lines = [f"# leakyslab {command} v{__version__}"]
     lines.extend(f"# {key}={meta[key]}" for key in sorted(meta))
     lines.append(",".join(names))
-    lines.extend(map(",".join, zip(*columns)))
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    rows = map(",".join, zip(*columns))
+    while block := "\n".join(itertools.islice(rows, _BLOCK)):
+        yield block + "\n"
 
 
 def _emit(args, command: str, meta: dict, table) -> int:
@@ -244,8 +281,8 @@ def cmd_propagate(args) -> int:
             z_grid=np.array(list(snaps)) * cfg.dz,
             amplitudes=np.column_stack(list(snaps.values())),
         )
-        field_text = _csv("propagate-field", meta, *_grid_table(grid_out, "re", "im"))
-        field_path = _write(args.save_field, field_text)
+        field_path = _write(args.save_field,
+                            _csv("propagate-field", meta, *_grid_table(grid_out, "re", "im")))
     curve = Curve(
         abscissa=np.arange(nsteps + 1) * cfg.dz,
         values=np.asarray(powers),
@@ -253,9 +290,8 @@ def cmd_propagate(args) -> int:
     )
     try:
         return _emit(args, "propagate", meta, _curve_table(curve))
-    except OSError:
-        if field_path is not None:
-            field_path.unlink()
+    except BaseException:
+        _discard(field_path)
         raise
 
 

@@ -23,9 +23,10 @@ from leakyslab import (
     refine_resonance,
     tapered_mode_column,
 )
-from leakyslab import resonances
+from leakyslab import cli, resonances
 from leakyslab.bpm import MAX_STEPS, BpmConfig, Propagator, step_count
 from leakyslab.cli import (
+    _BLOCK,
     MAX_POINTS,
     SNAPSHOTS,
     _csv,
@@ -402,6 +403,115 @@ def test_oversized_counts_are_refused(tmp_path, capsys):
         assert peak < 8 * MAX_POINTS, (argv, peak)
 
 
+def test_tables_are_written_without_the_whole_text_in_memory(tmp_path, capsys):
+    # each table is written block by block as it is formatted: the default
+    # mode-field table (801 x 401 rows, 12.2 MB) peaks below 16 MB, its
+    # complex grid alone 5.1 MB, and the 4097 x 11 rows of --save-field
+    # below 8 MB (bounds fixed before the first run)
+    slab = ["--k0a", "30", "--u0", "1.5", "--m", "24"]
+    for argv, bound in (
+        (["mode-field", *slab], 16e6),
+        (["propagate", *slab, "--z-max", "200", "--save-field", str(tmp_path / "field.csv")], 8e6),
+    ):
+        argv = [*argv, "-o", str(tmp_path / "out.csv")]
+        main(argv)  # warm-up, so that imports and caches are not counted
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == ""
+        assert peak < bound, (argv, peak)
+
+
+def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the block stream of the n-th table written fails after its first
+    # block, so that the file is open and holds the header: exit 2, one
+    # error line, and no file left, propagate's first one included
+    real_csv = cli._csv
+
+    def failing_csv(n, error):
+        written = []
+
+        def _csv(*table):
+            written.append(table[0])
+            blocks = real_csv(*table)
+            yield next(blocks)
+            if len(written) == n:
+                raise error
+            yield from blocks
+
+        return _csv
+
+    slab = ["--k0a", "30", "--u0", "1.5"]
+    out_path, field = tmp_path / "sub" / "out.csv", tmp_path / "sub" / "field.csv"
+    propagate = ["propagate", *slab, "--m", "24", "--z-max", "1", "--save-field", str(field)]
+    for argv, n in (
+        (["resonances", *slab], 1),
+        (["transmission", *slab, "--eps", "-0.9:-0.1:5"], 1),
+        (["mode-field", *slab, "--m", "24", "--x", "-60:60:5", "--z", "0:1:3"], 1),
+        (propagate, 1),
+        (propagate, 2),
+    ):
+        argv = [*argv, "-o", str(out_path)]
+        monkeypatch.setattr(cli, "_csv", failing_csv(n, OSError("disk full")))
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", "error: disk full\n"), argv
+        assert not out_path.exists() and not field.exists(), argv
+        # an interrupt is not caught, but leaves no file either
+        monkeypatch.setattr(cli, "_csv", failing_csv(n, KeyboardInterrupt()))
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert not out_path.exists() and not field.exists(), argv
+    monkeypatch.setattr(cli, "_csv", real_csv)
+    assert main(propagate + ["-o", str(out_path)]) == 0
+    assert out_path.exists() and field.exists()
+
+
+def test_a_failed_write_removes_only_a_regular_file(tmp_path, capsys, monkeypatch):
+    # a device (os.devnull) or a symlink named by -o or --save-field is never
+    # removed, and a removal that fails does not replace the write's error;
+    # Path.unlink only records its calls here, so nothing is removed
+    real_csv = cli._csv
+
+    def failing_csv(*table):
+        blocks = real_csv(*table)
+        yield next(blocks)
+        raise OSError("disk full")
+
+    def recorded_unlink(path, missing_ok=False):
+        unlinked.append(str(path))
+        raise PermissionError("not permitted")
+
+    target = tmp_path / "target.csv"
+    target.write_text("kept\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    slab = ["--k0a", "30", "--u0", "1.5", "--m", "24"]
+    mode_field = ["mode-field", *slab, "--x", "-60:60:5", "--z", "0:1:3", "-o"]
+    propagate = ["propagate", *slab, "--z-max", "1", "--save-field"]
+    monkeypatch.setattr(Path, "unlink", recorded_unlink)
+    for argv, path, expect in (
+        ([*mode_field, os.devnull], os.devnull, []),
+        ([*mode_field, str(link)], str(link), []),
+        ([*mode_field, str(tmp_path / "out.csv")], str(tmp_path / "out.csv"), [str(tmp_path / "out.csv")]),
+    ):
+        unlinked = []
+        monkeypatch.setattr(cli, "_csv", failing_csv)
+        assert run(argv, capsys) == (2, "", "error: disk full\n"), argv
+        assert unlinked == expect, argv
+    # the field went to a device or a link, then the curve failed
+    monkeypatch.setattr(cli, "_csv", lambda command, *rest: (
+        failing_csv(command, *rest) if command == "propagate" else real_csv(command, *rest)))
+    for field in (os.devnull, str(link)):
+        unlinked = []
+        argv = [*propagate, field, "-o", str(tmp_path / "out.csv")]
+        assert run(argv, capsys) == (2, "", "error: disk full\n"), argv
+        assert unlinked == [str(tmp_path / "out.csv")], argv
+    assert link.is_symlink() and target.exists()
+
+
 DOMAIN = "is outside the slab domain 0 < k0a <= 1e+06, 1 < U0 <= 4"
 
 
@@ -663,14 +773,20 @@ def csv_body(text):
 def test_curve_writers_match_per_element_repr():
     abscissa = np.array([-1e16, -0.0, 5e-324, 1 / 3, 2.0])
     real = np.array(AWKWARD)
-    curve = Curve(abscissa=abscissa, values=np.column_stack([real, real[::-1]]), labels=("x", "a", "b"))
-    names = ["x", "a", "b"]
-    columns = [abscissa, real, real[::-1]]
-    meta = {"k": 1.5}
-    text = _csv("probe", meta, *_curve_table(curve))
-    assert text.startswith(f"# leakyslab probe v{__version__}\n# k=1.5\n")
-    rows = [",".join(repr(float(col[i])) for col in columns) for i in range(5)]
-    assert csv_body(text) == [",".join(names)] + rows
+    # and a curve of 2 blocks and one row, so that a row lost or repeated at
+    # a block boundary would show
+    long = np.arange(2 * _BLOCK + 1) / 3
+    for abscissa, real in ((abscissa, real), (long, np.sqrt(long))):
+        curve = Curve(abscissa=abscissa, values=np.column_stack([real, real[::-1]]), labels=("x", "a", "b"))
+        names = ["x", "a", "b"]
+        columns = [abscissa, real, real[::-1]]
+        meta = {"k": 1.5}
+        blocks = list(_csv("probe", meta, *_curve_table(curve)))
+        assert len(blocks) == 1 + -(-len(abscissa) // _BLOCK)
+        text = "".join(blocks)
+        assert text.startswith(f"# leakyslab probe v{__version__}\n# k=1.5\n")
+        rows = [",".join(repr(float(col[i])) for col in columns) for i in range(len(abscissa))]
+        assert csv_body(text) == [",".join(names)] + rows
 
 
 def test_grid_writers_match_per_element_repr():
@@ -679,17 +795,24 @@ def test_grid_writers_match_per_element_repr():
     z = np.array([0.0, 1 / 3, 1.0, 1e16, 1e16])
     real = np.array(AWKWARD * 3).reshape(3, 5)
     amps = real + 1j * real[::-1, ::-1]
-    grid = FieldGrid(x_grid=x, z_grid=z, amplitudes=amps)
-    values = {"re": amps.real, "im": amps.imag, "abs2": np.abs(amps) ** 2}
-    # one component, as mode-field writes, and re and im, as --save-field writes
-    for components in (("re",), ("im",), ("abs2",), ("re", "im")):
-        rows = [
-            ",".join(repr(float(v)) for v in (x[i], z[j], *(values[c][i, j] for c in components)))
-            for i in range(3)
-            for j in range(5)
-        ]
-        text = _csv("probe", {}, *_grid_table(grid, *components))
-        assert csv_body(text) == [",".join(["x", "z", *(f"{c}_E" for c in components)])] + rows
+    # and 2 x (block + 1), whose blocks end one row before and one row after
+    # the change of x, so that a row lost or repeated there would show
+    long_z = np.arange(_BLOCK + 1) / 3
+    long_amps = np.sqrt(np.arange(2 * len(long_z))).reshape(2, -1) * (1 - 1j / 7)
+    for x, z, amps in ((x, z, amps), (x[:2], long_z, long_amps)):
+        grid = FieldGrid(x_grid=x, z_grid=z, amplitudes=amps)
+        values = {"re": amps.real, "im": amps.imag, "abs2": np.abs(amps) ** 2}
+        # one component, as mode-field writes, and re and im, as --save-field writes
+        for components in (("re",), ("im",), ("abs2",), ("re", "im")):
+            rows = [
+                ",".join(repr(float(v)) for v in (x[i], z[j], *(values[c][i, j] for c in components)))
+                for i in range(len(x))
+                for j in range(len(z))
+            ]
+            blocks = list(_csv("probe", {}, *_grid_table(grid, *components)))
+            assert len(blocks) == 1 + -(-len(rows) // _BLOCK)
+            text = "".join(blocks)
+            assert csv_body(text) == [",".join(["x", "z", *(f"{c}_E" for c in components)])] + rows
 
 
 def header(command, meta):
