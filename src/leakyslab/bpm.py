@@ -26,15 +26,31 @@ taken as eta * (edge node), with the ratio eta = E_edge / E_inner read from
 the substep's input column.  eta is clamped to an outgoing or evanescent
 wave (Im eta >= 0), which makes every substep a contraction in
 sum n|E|^2 dx; a field that stays clear of both edges keeps its norm.  The
-boundary only touches the two corners of the matrix, so each substep's
-Dirichlet matrix N + a_k dz S is LU-factored once (LAPACK zgttrf) and each
-substep is one factored solve (zgttrs) plus a rank-2
-Sherman-Morrison-Woodbury update for the two corners.  Used as an
-initial-value cross-check on the modal decay rates: a leaky mode's core
-power falls as exp(-Gamma z), and measure_decay fits that rate to a column
-marched as given, up to the last sample its fit window reads.
+boundary only touches the corners of the matrix, so each substep's
+Dirichlet matrix N + a_k dz S is LU-factored once (LAPACK zgttrf), on the
+first march that needs it, and each substep is one factored solve (zgttrs)
+plus a Sherman-Morrison-Woodbury update for the transparent corners: rank 2
+for the two edges of the whole grid, rank 1 for the one edge of the half
+grid below.  Used as an initial-value cross-check on the modal decay
+rates: a leaky mode's core power falls as exp(-Gamma z), and measure_decay
+fits that rate to a column marched as given, up to the last sample its fit
+window reads.
 
-scipy is imported when the first Propagator is built, not with this module,
+The slab is symmetric, and so is the operator (its cell fractions are
+computed on x >= 0 and mirrored).  A column that is exactly even, or
+exactly odd with a zero centre node, therefore stays so: Propagator.march
+marches only its x >= 0 half and yields each column as the mirror image of
+that half.  The half grid's first row closes on the mirror image of its
+neighbour.  On an odd nx an even column's centre row reads its neighbour
+twice (du[0] = 2 off; halved, the row is symmetric again, the centre node
+carrying half its cell in N and S), and an odd column drops the centre
+node, a Dirichlet row.  On an even nx the first row's diagonal takes
+main +- off.  Only the x = X edge is transparent there, and the norm
+counts the centre node once and every other node twice.  Any other column
+marches the whole grid.  tapered_mode_column samples x >= 0 and mirrors it
+with the mode's parity, so a launched mode is exactly even or odd.
+
+scipy is imported when a Propagator first marches, not with this module,
 so ``import leakyslab`` does not load ``scipy.linalg``.
 """
 
@@ -137,13 +153,16 @@ def _window(x: np.ndarray, half: float) -> slice:
 class _Substep:
     """One substep (N + a dz S) E' = (N + b dz S) E, its boundary read from E;
     the corner update is a 2 x 2 solve against A^{-1} e_0 and A^{-1} e_{-1},
-    A = N + a dz S on Dirichlet edges."""
+    A = N + a dz S on Dirichlet edges.  A first row that is not a transparent
+    edge (lo_edge false: the half grid's mirror closure) takes eta_lo = 0,
+    and a zero eta_lo skips the first corner's update."""
 
-    def __init__(self, n, dz_s_main, dz_s_off, a, b):
+    def __init__(self, n, dz_s_main, dz_s_off, a, b, lo_edge):
         from scipy.linalg.lapack import zgttrf, zgttrs
 
         off = a * dz_s_off
         self._rhs = (b * dz_s_off, n + b * dz_s_main)
+        self._lo_edge = lo_edge
         # a dz and b dz times the ghost node's coupling -1/(2 dx^2), times eta at each edge
         self._corner, self._rhs_corner = a * dz_s_off[0], b * dz_s_off[0]
         *lu, info = zgttrf(off, n + a * dz_s_main, off)
@@ -168,7 +187,7 @@ class _Substep:
     def __call__(self, column: np.ndarray) -> np.ndarray:
         off_r, main_r = self._rhs
         g00, g01, g10, g11 = self._g_corners
-        eta_lo = _ghost_ratio(column[0], column[1])
+        eta_lo = _ghost_ratio(column[0], column[1]) if self._lo_edge else 0j
         eta_hi = _ghost_ratio(column[-1], column[-2])
         rhs = main_r * column
         rhs[:-1] += off_r * column[1:]
@@ -184,9 +203,21 @@ class _Substep:
         if det == 0:
             raise ValueError("BPM substep matrix is singular (corner update)")
         r0, r1 = lo * complex(out[0]), hi * complex(out[-1])
-        out[self._lo_reach] -= (m11 * r0 - m01 * r1) / det * self._g_lo
+        if eta_lo:
+            out[self._lo_reach] -= (m11 * r0 - m01 * r1) / det * self._g_lo
         out[self._hi_reach] -= (m00 * r1 - m10 * r0) / det * self._g_hi
         return out
+
+
+def _mirrored(half: np.ndarray, nx: int, sign: float = 1.0) -> np.ndarray:
+    """The nx nodes whose last len(half) are half and whose first len(half)
+    are sign times its mirror image; a centre node neither covers is 0."""
+    m = len(half)
+    full = np.empty(nx, dtype=half.dtype)
+    full[nx - m :] = half
+    full[:m] = half[::-1] if sign > 0 else -half[::-1]
+    full[m : nx - m] = 0.0
+    return full
 
 
 class Propagator:
@@ -197,8 +228,10 @@ class Propagator:
     n^2 = 1 + f (U0^2 - 1), which makes the operator second order in dx at
     the slab edges (Hadley, J. Lightwave Technol. 20, 1210, 2002).  N is
     diag(mean n) and the potential term of S takes the mean n^2.
-    Building the first Propagator imports scipy's LAPACK wrappers.
-    ``core`` (|x| <= A) is a contiguous slice of the grid.
+    The fractions are computed on x >= 0 and mirrored, so N and S are
+    exactly symmetric even where linspace's nodes are not.  The first
+    march imports scipy's LAPACK wrappers.  ``core`` (|x| <= A) is a
+    contiguous slice of the grid.
     """
 
     def __init__(self, cfg: BpmConfig):
@@ -206,17 +239,19 @@ class Propagator:
         self.x = cfg.x
         self.dx = self.x[1] - self.x[0]
         a, u0 = cfg.slab.half_width_A, cfg.slab.core_index_U0
-        # core length of each cell: its part left of +A minus its part left of -A
-        f = np.clip((a - self.x) / self.dx + 0.5, 0.0, 1.0) - np.clip(
-            (-a - self.x) / self.dx + 0.5, 0.0, 1.0
+        # core length of each cell on x >= 0, mirrored: its part left of +A minus
+        # its part left of -A
+        right = self.x[cfg.nx // 2 :]
+        f = np.clip((a - right) / self.dx + 0.5, 0.0, 1.0) - np.clip(
+            (-a - right) / self.dx + 0.5, 0.0, 1.0
         )
+        f = _mirrored(f, cfg.nx)
         self.n = n = 1.0 + f * (u0 - 1.0)
         self.n0 = n0 = 1.0
         # S = N (H + n0) on Dirichlet edges: real symmetric tridiagonal
         self._s_main = 1.0 / (self.dx * self.dx) - (1.0 + f * (u0 * u0 - 1.0)) + n0 * n
         self._s_off = -0.5 / (self.dx * self.dx) * np.ones(cfg.nx - 1)
-        dz_s_main, dz_s_off = cfg.dz * self._s_main, cfg.dz * self._s_off
-        self._substeps = tuple(_Substep(n, dz_s_main, dz_s_off, a_k, b_k) for a_k, b_k in _PADE_22)
+        self._grids = {}
         self.core = _window(self.x, a)
 
     def norm(self, column: np.ndarray, where: slice = slice(None)) -> float:
@@ -227,7 +262,10 @@ class Propagator:
     def march(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
         """Yield the column after each of nsteps dz steps.
 
-        With Im eta >= 0 no substep can raise the norm of a finite column; a
+        A column that is exactly even, or exactly odd with a zero centre
+        node, is marched on x >= 0 and yielded as the mirror image of that
+        half; any other column is marched on the whole grid.  With
+        Im eta >= 0 no substep can raise the norm of a finite column; a
         whole-grid norm that grows by more than 1% in one substep, or is not
         finite, aborts with LeakySlabError.  The column's length and nsteps
         (an integer >= 0) are checked when march is called.  The march
@@ -240,18 +278,64 @@ class Propagator:
             raise ValueError(f"nsteps must be an integer >= 0, got {nsteps!r}")
         return self._steps(column, nsteps)
 
+    def _parity(self, column: np.ndarray) -> float | None:
+        """1 for an exactly even column, -1 for an exactly odd one with a
+        zero centre node, None for any other."""
+        nx = self.cfg.nx
+        right, mirror = column[(nx + 1) // 2 :], column[nx // 2 - 1 :: -1]
+        if np.array_equal(right, mirror):
+            return 1.0
+        if np.array_equal(right, -mirror) and (nx % 2 == 0 or column[nx // 2] == 0):
+            return -1.0
+        return None
+
+    def _grid(self, sign: float | None):
+        """(first node, norm weights, substeps) of the grid a column of
+        parity sign marches on: the whole grid for None, else x >= 0 closed
+        on its mirror image.  Factored on the first march that needs it."""
+        if sign not in self._grids:
+            nx = self.cfg.nx
+            # an odd column's centre node on an odd grid is 0: a Dirichlet row
+            lo = 0 if sign is None else nx // 2 + (nx % 2 == 1 and sign < 0)
+            n, s_main, s_off = self.n[lo:].copy(), self._s_main[lo:].copy(), self._s_off[lo:]
+            weight = n
+            if sign is not None:
+                if nx % 2 == 0:
+                    # the node beyond the first row is sign times it
+                    s_main[0] += sign * self._s_off[lo - 1]
+                elif sign > 0:
+                    # the centre row reads its neighbour twice (du[0] = 2 off);
+                    # halved, it is symmetric: the centre carries half its cell
+                    n[0] /= 2
+                    s_main[0] /= 2
+                # every other node stands for itself and its mirror image
+                weight = 2 * n
+            dz = self.cfg.dz
+            substeps = tuple(
+                _Substep(n, dz * s_main, dz * s_off, a_k, b_k, sign is None) for a_k, b_k in _PADE_22
+            )
+            self._grids[sign] = (lo, weight, substeps)
+        return self._grids[sign]
+
     def _steps(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
-        before = self.norm(column)
+        sign = self._parity(column)
+        lo, weight, substeps = self._grid(sign)
+        column = column[lo:]
+
+        def norm(c):
+            return float(np.vdot(c, weight * c).real * self.dx)
+
+        before = norm(column)
         for _ in range(nsteps):
-            for substep in self._substeps:
+            for substep in substeps:
                 column = substep(column)
-                after = self.norm(column)
+                after = norm(column)
                 if not after <= 1.01 * before:
                     raise LeakySlabError(
                         f"norm went from {before:.6g} to {after:.6g} in one step"
                     )
                 before = after
-            yield column
+            yield column if sign is None else _mirrored(column, self.cfg.nx, sign)
 
     def core_power(self, column: np.ndarray) -> float:
         """Weighted power sum n|E|^2 dx over the core |x| <= A."""
@@ -282,18 +366,25 @@ def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     """Sample a leaky-mode profile, windowed to suppress the unbounded tail.
 
     Unity up to 2A, smooth cosine-squared roll-off, zero beyond 3A; peak
-    amplitude normalized to 1.  Raises ValueError for a mode of another slab
-    than cfg's.
+    amplitude normalized to 1.  The profile is sampled on x >= 0 and
+    mirrored with the mode's parity, the sign of A_I/D that mode_profile
+    certifies, so the column is exactly even or odd (an odd mode's centre
+    node is 0 when nx is odd).  Raises ValueError for a mode of another
+    slab than cfg's.
     """
     if mode.slab != cfg.slab:
         raise ValueError(f"the mode's slab {mode.slab} is not the grid's {cfg.slab}")
-    x = cfg.x
+    x = cfg.x[cfg.nx // 2 :]
     a = cfg.slab.half_width_A
+    a_i, _, _, d = mode.coefficients
+    parity = 1.0 if (a_i / d).real > 0 else -1.0
     column = mode.evaluate(x)
-    r = (np.abs(x) - _TAPER_INNER * a) / ((_TAPER_OUTER - _TAPER_INNER) * a)
+    if parity < 0 and cfg.nx % 2:
+        column[0] = 0.0
+    r = (x - _TAPER_INNER * a) / ((_TAPER_OUTER - _TAPER_INNER) * a)
     window = np.where(r >= 1, 0.0, np.cos(0.5 * np.pi * np.clip(r, 0, 1)) ** 2)
     column = column * window
-    return column / np.max(np.abs(column))
+    return _mirrored(column / np.max(np.abs(column)), cfg.nx, parity)
 
 
 def measure_decay(cfg: BpmConfig, init: np.ndarray, z_max: float) -> float:

@@ -578,3 +578,46 @@ def test_coupled_corners_match_banded_solve():
             ref = banded_step(cfg, col)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
             col = out
+    # an exactly even and an exactly odd packet march on x >= 0, closed on
+    # the mirror image (odd nx: the centre row reads its neighbour twice, or
+    # the centre node is dropped; even nx: main +- off on the first row), and
+    # the x = X corner's update reaches the closure row; each step is the
+    # whole band's solve, and each column yielded is exactly mirrored
+    for nx in (513, 514):
+        cfg = BpmConfig(SlabConfig(1.0, 1.5), nx, 10.0)
+        prop = Propagator(cfg)
+        half = packet(prop, 2.5, 5.0, var=0.05)
+        for sign in (1.0, -1.0):
+            col = half + sign * half[::-1]
+            assert np.array_equal(col, sign * col[::-1])
+            for out in prop.march(col, 100):
+                ref = banded_step(cfg, col)
+                assert np.array_equal(out, sign * out[::-1]), (nx, sign)
+                assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), (nx, sign)
+                col = out
+            for substep in prop._grid(sign)[2]:
+                assert substep._hi_reach.start == 0, (nx, sign)
+
+
+def test_tapered_mode_columns_and_the_operator_are_exactly_mirrored(slab30, refined_modes):
+    # every reference mode's launch is exactly even or odd, with the parity
+    # A_I/D of its profile, on an odd and an even grid; an odd mode's centre
+    # node is exactly 0 on the odd grid
+    for cfg in (BpmConfig.for_slab(slab30), BpmConfig(slab30, 4096, 0.8)):
+        for res in refined_modes:
+            mode = mode_profile(res, slab30)
+            a_i, _, _, d = mode.coefficients
+            sign = 1.0 if (a_i / d).real > 0 else -1.0
+            col = tapered_mode_column(mode, cfg)
+            assert np.array_equal(col, sign * col[::-1]), (cfg.nx, res.mode_index_m)
+            if sign < 0 and cfg.nx % 2:
+                assert col[cfg.nx // 2] == 0, res.mode_index_m
+    assert len(refined_modes) == 17
+    # N and S are exactly symmetric where linspace's nodes are not (x + x[::-1]
+    # is nonzero in 1684 and 1662 entries of these grids; node by node, the
+    # second grid's cell fractions differ between mirror nodes in 2 entries)
+    for slab, asymmetric in ((SlabConfig(17.3, 1.2), 1684), (SlabConfig(33.3, 1.2), 1662)):
+        prop = Propagator(BpmConfig.for_slab(slab))
+        assert np.count_nonzero(prop.x + prop.x[::-1]) == asymmetric
+        assert np.array_equal(prop.n, prop.n[::-1])
+        assert np.array_equal(prop._s_main, prop._s_main[::-1])
