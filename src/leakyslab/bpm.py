@@ -145,11 +145,6 @@ def _ghost_ratio(edge: complex, inner: complex) -> complex:
     return eta if cmath.isfinite(eta) else 0j
 
 
-def _window(x: np.ndarray, half: float) -> slice:
-    """The contiguous slice of the increasing grid x where |x| <= half."""
-    return slice(int(np.searchsorted(x, -half, "left")), int(np.searchsorted(x, half, "right")))
-
-
 class _Substep:
     """One substep (N + a dz S) E' = (N + b dz S) E, its boundary read from E;
     the corner update is a 2 x 2 solve against A^{-1} e_0 and A^{-1} e_{-1},
@@ -231,7 +226,7 @@ class Propagator:
     The fractions are computed on x >= 0 and mirrored, so N and S are
     exactly symmetric even where linspace's nodes are not.  The first
     march imports scipy's LAPACK wrappers.  ``core`` (|x| <= A) is a
-    contiguous slice of the grid.
+    contiguous slice of the grid, mirror-symmetric like N and S.
     """
 
     def __init__(self, cfg: BpmConfig):
@@ -252,7 +247,9 @@ class Propagator:
         self._s_main = 1.0 / (self.dx * self.dx) - (1.0 + f * (u0 * u0 - 1.0)) + n0 * n
         self._s_off = -0.5 / (self.dx * self.dx) * np.ones(cfg.nx - 1)
         self._grids = {}
-        self.core = _window(self.x, a)
+        # the core |x| <= A, its right end found on x >= 0 and mirrored
+        hi = cfg.nx // 2 + int(np.searchsorted(right, a, "right"))
+        self.core = slice(cfg.nx - hi, hi)
 
     def norm(self, column: np.ndarray, where: slice = slice(None)) -> float:
         """Weighted power sum n|E|^2 dx (the step's invariant), optionally over a slice."""

@@ -163,12 +163,12 @@ def _slab_from(args) -> SlabConfig:
 
 def cmd_resonances(args) -> int:
     slab = _slab_from(args)
-    modes = approximate_resonances(slab)
+    seeds = approximate_resonances(slab)
+    modes = refine_all(seeds, slab) if args.refine else seeds
     meta = {"k0a": args.k0a, "u0": args.u0, "refine": args.refine}
     if not modes:
-        raise ValueError("no admissible mode index for this slab (empty interval)")
-    if args.refine:
-        modes = refine_all(modes, slab)
+        raise ValueError("no leaky mode for this slab (every admissible index is anti-bound)"
+                         if seeds else "no admissible mode index for this slab (empty interval)")
     names = ("m", "eps_R", "half_width_Gamma", "residual", "method")
     rows = [
         (r.mode_index_m, r.eigenvalue.eps_R, r.eigenvalue.half_width_Gamma, r.residual, r.method)

@@ -6,15 +6,22 @@ amplitude, equivalently the purely outgoing matching determinant):
 
     f(eps) = cos(2*Q*A) - i * (K^2 + Q^2)/(2*K*Q) * sin(2*Q*A)
 
-whose zeros with K in the fourth quadrant are the leaky modes.  A winding
-number counter over a rectangle in the eps plane provides an independent
-root count.  Both evaluate f through the dispersion kernel of ``core``: a
-seed takes Q and |f| from one kernel call at its K, and a refined Resonance
-from the call at which Newton accepts its root.
+whose zeros with K in the fourth quadrant are the leaky modes.  As
+g +- 1 = (Q +- K)^2/(2KQ), f = 0 is e^{4iQA} = ((Q + K)/(Q - K))^2, whose
+logarithm is one equation per mode index m,
+F_m(K) = 2AQ + i*Log((Q + K)/(Q - K)) - m*pi = 0.  Newton runs on the
+seed's own F_m, so no index converges to another's root.  A root
+K = -i*kappa is anti-bound, not leaky: the index is refused by name, and
+refine_all leaves it out, so a refined spectrum can hold fewer indices at
+the bottom (there the CLI's mode-field, propagate and decay --m exit 3).
+A winding number counter over a rectangle in the eps plane provides an
+independent root count.  The seeds, the count and a refined Resonance (one
+call at its root) evaluate f through ``core``'s dispersion kernel.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,17 +33,17 @@ from .core import (
     SlabConfig,
     Wavenumbers,
     _dispersion,
+    _interior_wavenumber,
     eigenvalue_to_wavenumbers,
 )
 
 APPROXIMATE = "approximate"
 REFINED = "refined"
 
-# complex-plane step of the central difference in Newton's derivative
-_DERIVATIVE_STEP = 1e-6
-# Newton stops once |f| <= _NEWTON_TOL, or fails after _NEWTON_MAX_ITER steps
-_NEWTON_TOL = 1e-12
+# Newton fails after _NEWTON_MAX_ITER steps without a stop (see refine_resonance)
 _NEWTON_MAX_ITER = 100
+# a root with |Re K| <= _ANTI_BOUND*|K| lies on the imaginary axis
+_ANTI_BOUND = 1e-8
 # largest |f| a refined resonance may carry
 _REFINED_RESIDUAL = 1e-10
 # the counted box -0.999 < eps_R < -0.001, -0.15 < eps_I < 0.05, counterclockwise;
@@ -120,57 +127,52 @@ def siegert_residual(eps: ComplexEigenvalue, cfg: SlabConfig) -> complex:
 
 
 def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
-    """Newton-polish a seed to an exact root of the outgoing condition.
+    """Newton-solve the seed's F_m(K) = 0 (see the module docstring).
 
-    The iteration runs in the exterior wavenumber K (analytic away from
-    K = 0, unlike eps near the band edge); the derivative is a central
-    difference with a small complex-plane step.  An iterate is accepted
-    where |f| <= _NEWTON_TOL or the step to it was below 1e-14.  Raises
-    LeakySlabError for an exhausted iteration budget, a vanishing slope, a
-    stall (an accepted iterate with |f| > _REFINED_RESIDUAL), a root outside
-    the fourth quadrant, or a refined eigenvalue more than 5*Gamma_seed from
-    the seed, which signals a collision with a neighbouring mode.  The result
-    keeps the accepted iterate's K, and Q and |f| from the kernel call that
-    accepted it.
+    The slope is analytic: F_m' = 2AQ' + i*[(Q' + 1)/(Q + K) - (Q' - 1)/(Q - K)]
+    with Q' = U0*K/Q.  Newton stops on a step below 4 ulp of |K|, or on one
+    below 1e-10*|K| that fails to halve the step before it (the rounding
+    floor); the kernel is then called once, at that K, for Q and |f|.  A root
+    with |Re K| <= _ANTI_BOUND*|K| and Im K < 0 is anti-bound.  Raises
+    LeakySlabError for an exhausted iteration budget, an anti-bound root
+    (naming the index), a stall (|f| > _REFINED_RESIDUAL) or any other root
+    outside the open fourth quadrant.
     """
-    K, step = complex(seed.wavenumbers.K), math.inf
-    h = _DERIVATIVE_STEP
-    for n in range(_NEWTON_MAX_ITER + 1):
-        Q, f = _dispersion(K, cfg)
-        if abs(f) <= _NEWTON_TOL or abs(step) < 1e-14:
-            break
-        if n == _NEWTON_MAX_ITER:
-            raise LeakySlabError(
-                f"no convergence after {_NEWTON_MAX_ITER} iterations for seed m={seed.mode_index_m}"
-            )
-        slope = (_dispersion(K + h, cfg)[1] - _dispersion(K - h, cfg)[1]) / (2 * h)
-        if slope == 0:
-            raise LeakySlabError(
-                f"Newton's slope vanished at K={K} for seed m={seed.mode_index_m}"
-            )
-        step = f / slope
-        K = K - step
-    if abs(f) > _REFINED_RESIDUAL:
-        raise LeakySlabError(
-            f"Newton stalled at |f|={abs(f):.3e} for seed m={seed.mode_index_m}"
-        )
-    if K.real < 0 or K.imag > 0:
-        raise LeakySlabError(
-            f"iterate left the fourth quadrant for seed m={seed.mode_index_m}: K={K}"
-        )
-    eps = ComplexEigenvalue.from_complex(K * K / 2.0 - 1.0)
-    trust = 5.0 * seed.eigenvalue.width_Gamma
-    if abs(eps.value - seed.eigenvalue.value) > trust:
-        raise LeakySlabError(
-            f"refined root moved {abs(eps.value - seed.eigenvalue.value):.3e} "
-            f"from seed m={seed.mode_index_m}, beyond trust region {trust:.3e}"
-        )
-    return Resonance(seed.mode_index_m, eps, Wavenumbers(K=K, Q=Q), abs(f), REFINED)
+    res = _refine(seed, cfg)
+    if res is None:
+        raise LeakySlabError(f"mode index m={seed.mode_index_m} is anti-bound, no leaky mode")
+    return res
 
 
 def refine_all(seeds: list[Resonance], cfg: SlabConfig) -> list[Resonance]:
-    """Refine every seed; independent per mode."""
-    return [refine_resonance(s, cfg) for s in seeds]
+    """Refine every seed, independent per mode; an anti-bound index is left out."""
+    return [res for res in (_refine(seed, cfg) for seed in seeds) if res is not None]
+
+
+def _refine(seed: Resonance, cfg: SlabConfig) -> Resonance | None:
+    """refine_resonance, with None for an anti-bound root."""
+    A, U0, m = cfg.half_width_A, cfg.core_index_U0, seed.mode_index_m
+    K, last = complex(seed.wavenumbers.K), math.inf
+    for _ in range(_NEWTON_MAX_ITER):
+        Q = _interior_wavenumber(K, U0, cmath)
+        dQ = U0 * K / Q
+        F = 2.0 * A * Q + 1j * cmath.log((Q + K) / (Q - K)) - m * math.pi
+        step = F / (2.0 * A * dQ + 1j * ((dQ + 1.0) / (Q + K) - (dQ - 1.0) / (Q - K)))
+        K -= step
+        if abs(step) <= 4.0 * math.ulp(abs(K)) or last / 2.0 <= abs(step) < 1e-10 * abs(K):
+            break
+        last = abs(step)
+    else:
+        raise LeakySlabError(f"no convergence after {_NEWTON_MAX_ITER} iterations for seed m={m}")
+    if abs(K.real) <= _ANTI_BOUND * abs(K) and K.imag < 0:
+        return None
+    Q, f = _dispersion(K, cfg)
+    if abs(f) > _REFINED_RESIDUAL:
+        raise LeakySlabError(f"Newton stalled at |f|={abs(f):.3e} for seed m={m}")
+    if K.real < 0 or K.imag > 0:
+        raise LeakySlabError(f"iterate left the fourth quadrant for seed m={m}: K={K}")
+    eps = ComplexEigenvalue.from_complex(K * K / 2.0 - 1.0)
+    return Resonance(m, eps, Wavenumbers(K=K, Q=Q), abs(f), REFINED)
 
 
 def _winding(zs: np.ndarray, cfg: SlabConfig, depth: int = 0) -> float:

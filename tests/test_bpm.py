@@ -621,3 +621,10 @@ def test_tapered_mode_columns_and_the_operator_are_exactly_mirrored(slab30, refi
         assert np.count_nonzero(prop.x + prop.x[::-1]) == asymmetric
         assert np.array_equal(prop.n, prop.n[::-1])
         assert np.array_equal(prop._s_main, prop._s_main[::-1])
+    # so is the core window |x| <= A where linspace rounds -A and +A unequally
+    # (on (5.1, 1.5) x[1536] = -5.1 but x[2560] = 5.100000000000001)
+    for k0a in (5.1, 20.15):
+        prop = Propagator(BpmConfig.for_slab(SlabConfig(k0a, 1.5)))
+        assert (prop.core.start, prop.core.stop) == (1537, 2560), k0a
+        assert prop.core.start == prop.cfg.nx - prop.core.stop
+        assert np.all(np.abs(prop.x[prop.core]) <= k0a)

@@ -579,15 +579,17 @@ def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "command, code",
     [
-        # Newton's central difference is exactly zero on these weak slabs
+        # on these weak slabs m = 1 lands at K = -0.183 - 1.427i, outside the
+        # fourth quadrant, and m = 2 stalls at |f| ~ 1e-9
         ("resonances --k0a 5 --u0 1.00001 --refine", 3),
         ("resonances --k0a 30 --u0 1.00000001 --refine", 3),
         # the field overflows at x = +-1e300
         ("mode-field --k0a 30 --u0 1.5 --m 40 --x -1e300:1e300:3 --z 0:1:2", 2),
         # finite endpoints, overflowing span
         ("fbw --e0 1e308 --gamma 1e308 --grid -1e308:1e308:5", 2),
-        # no admissible index
+        # no admissible index, and no index with a leaky root (m = 1 is anti-bound)
         ("resonances --k0a 0.1 --u0 1.5", 2),
+        ("resonances --k0a 2 --u0 1.1 --refine", 2),
         # slabs outside SlabConfig's domain: mode-index bounds whose rounding
         # errors reach about one index, too many indices, bounds that overflow
         ("resonances --k0a 30 --u0 1e14", 2),
@@ -747,11 +749,11 @@ def test_nan_grid_is_a_validation_error(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    # Newton's iterate for m = 1 of this slab leaves the fourth quadrant, a
-    # numerical failure that must map to exit code 3 with nothing written
+    # m = 1, this slab's one index, has an anti-bound root and no leaky mode:
+    # a numerical failure that must map to exit code 3 with nothing written
     out = tmp_path / "r.csv"
     code, stdout, err = run(
-        ["resonances", "--k0a", "2", "--u0", "1.1", "--refine", "-o", str(out)], capsys
+        ["mode-field", "--k0a", "2", "--u0", "1.1", "--m", "1", "-o", str(out)], capsys
     )
     assert code == 3
     assert err.startswith("numerical failure: ")

@@ -131,9 +131,8 @@ def test_refinement_m24(slab30, approx_modes):
 
 
 def test_newton_stall_is_reported(slab30, approx_modes, monkeypatch):
-    # no |f| is small enough to stop on, so the steps shrink below 1e-14 while
-    # |f| stays above the tightened residual bound
-    monkeypatch.setattr(resonances, "_NEWTON_TOL", 0.0)
+    # Newton stops on its step size alone, so a root at the rounding floor
+    # still carries an |f| above the tightened residual bound
     monkeypatch.setattr(resonances, "_REFINED_RESIDUAL", 1e-30)
     with pytest.raises(LeakySlabError, match="Newton stalled"):
         refine_resonance(approx_modes[0], slab30)
@@ -172,8 +171,8 @@ def test_residual_is_the_condition_at_the_stored_wavenumber(slab30):
 
 
 def test_newton_evaluates_the_kernel_once_per_wavenumber(slab30, monkeypatch):
-    # the accepted K is not evaluated again: its Q and |f| come from the call
-    # that accepted it, so no refinement passes the same K to the kernel twice
+    # Newton steps on F_m alone, and the kernel is called once, at the K it
+    # stops on: a refined resonance's Q and |f| come from that one call
     rng = np.random.default_rng(2024)
     slabs = [slab30] + [
         SlabConfig(math.exp(rng.uniform(math.log(5.0), math.log(60.0))), rng.uniform(1.05, 2.0))
@@ -188,11 +187,12 @@ def test_newton_evaluates_the_kernel_once_per_wavenumber(slab30, monkeypatch):
     for cfg, seed in seeds:
         calls.clear()
         try:
-            refine_resonance(seed, cfg)
-            refined += 1
+            res = refine_resonance(seed, cfg)
         except LeakySlabError:
-            pass
-        assert len(calls) >= 3 and len(set(calls)) == len(calls), (cfg, seed.mode_index_m)
+            assert len(calls) <= 1, (cfg, seed.mode_index_m)
+            continue
+        assert calls == [res.wavenumbers.K], (cfg, seed.mode_index_m)
+        refined += 1
     assert refined >= 100
 
 
@@ -255,6 +255,33 @@ def test_count_on_a_wide_slab_equals_its_newton_roots(k0a, u0, roots):
     assert count_leaky_modes(cfg) == inside == roots
 
 
+@pytest.mark.parametrize(
+    "k0a, u0, roots",
+    [
+        # Newton on f itself, which knows no index, gives m = 1 and m = 2 the
+        # same eps on the first slab, returns an imaginary-axis root for m = 2
+        # on the second and leaves the fourth quadrant from m = 5 on the third
+        (8.750027, 1.004797, 6),
+        (5.005434, 1.155824, 3),
+        (9.149782, 1.285056, 5),
+    ],
+)
+def test_each_index_refines_to_its_own_leaky_root_or_is_left_out(k0a, u0, roots):
+    # F_m's root for the lowest index is anti-bound (K = -i*kappa) on these
+    # slabs: refine_resonance refuses it by name and refine_all leaves it out
+    cfg = SlabConfig(k0a, u0)
+    seeds = approximate_resonances(cfg)
+    m_min = seeds[0].mode_index_m
+    with pytest.raises(LeakySlabError, match=f"m={m_min} is anti-bound"):
+        refine_resonance(seeds[0], cfg)
+    refined = refine_all(seeds, cfg)
+    assert [r.mode_index_m for r in refined] == list(range(m_min + 1, m_min + 1 + roots))
+    Ks = [r.wavenumbers.K for r in refined]
+    for i, K in enumerate(Ks):
+        assert K.real > resonances._ANTI_BOUND * abs(K) and K.imag < 0, (i, K)
+        assert all(abs(K - other) > 1e-6 * abs(K) for other in Ks[:i]), (i, K)
+
+
 @pytest.mark.parametrize("k0a, u0", [(1500.0, 1.05), (3000.0, 1.5), (5000.0, 4.0)])
 def test_count_refuses_a_box_where_the_condition_overflows(k0a, u0):
     # inside SlabConfig's domain, but |f| grows as e^{2A|Im Q|} on the box's
@@ -272,10 +299,9 @@ def test_refinement_rejects_guided_band_seed(slab30):
         residual=abs(siegert_residual(eps, slab30)),
         method="approximate",
     )
-    # any of Newton's five failures, and nothing else
+    # any of Newton's four failures, and nothing else
     newton_failures = (
-        "no convergence after|slope vanished|Newton stalled"
-        "|left the fourth quadrant|beyond trust region"
+        "no convergence after|Newton stalled|is anti-bound|left the fourth quadrant"
     )
     with pytest.raises(LeakySlabError, match=newton_failures):
         refine_resonance(seed, slab30)
