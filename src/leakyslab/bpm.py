@@ -247,7 +247,6 @@ class Propagator:
         self._s_main = 1.0 / (self.dx * self.dx) - (1.0 + f * (u0 * u0 - 1.0)) + n0 * n
         self._s_off = -0.5 / (self.dx * self.dx) * np.ones(cfg.nx - 1)
         self._grids = {}
-        # the core |x| <= A, its right end found on x >= 0 and mirrored
         hi = cfg.nx // 2 + int(np.searchsorted(right, a, "right"))
         self.core = slice(cfg.nx - hi, hi)
 

@@ -8,15 +8,12 @@ amplitude, equivalently the purely outgoing matching determinant):
 
 whose zeros with K in the fourth quadrant are the leaky modes.  As
 g +- 1 = (Q +- K)^2/(2KQ), f = 0 is e^{4iQA} = ((Q + K)/(Q - K))^2, whose
-logarithm is one equation per mode index m,
-F_m(K) = 2AQ + i*Log((Q + K)/(Q - K)) - m*pi = 0.  Newton runs on the
-seed's own F_m, so no index converges to another's root.  A root
-K = -i*kappa is anti-bound, not leaky: the index is refused by name, and
-refine_all leaves it out, so a refined spectrum can hold fewer indices at
-the bottom (there the CLI's mode-field, propagate and decay --m exit 3).
-A winding number counter over a rectangle in the eps plane provides an
-independent root count.  The seeds, the count and a refined Resonance (one
-call at its root) evaluate f through ``core``'s dispersion kernel.
+logarithm F_m(K) = 2AQ + i*Log((Q + K)/(Q - K)) - m*pi = 0 is one equation
+per mode index m; Newton solves the seed's own.  A root K = -i*kappa is
+anti-bound, not leaky: refine_all leaves its index out, so a refined
+spectrum can lack its lowest indices (mode-field, propagate and decay --m
+exit 3 on them).  A winding number count over a rectangle in the eps plane
+checks the roots independently; both evaluate f through ``core``'s kernel.
 """
 
 from __future__ import annotations
@@ -129,17 +126,16 @@ def siegert_residual(eps: ComplexEigenvalue, cfg: SlabConfig) -> complex:
 def refine_resonance(seed: Resonance, cfg: SlabConfig) -> Resonance:
     """Newton-solve the seed's F_m(K) = 0 (see the module docstring).
 
-    The slope is analytic: F_m' = 2AQ' + i*[(Q' + 1)/(Q + K) - (Q' - 1)/(Q - K)]
-    with Q' = U0*K/Q.  Newton stops on a step below 4 ulp of |K|, or on one
-    below 1e-10*|K| that fails to halve the step before it (the rounding
-    floor); the kernel is then called once, at that K, for Q and |f|.  A root
-    with |Re K| <= _ANTI_BOUND*|K| and Im K < 0 is anti-bound.  Raises
-    LeakySlabError for an exhausted iteration budget, an anti-bound root
-    (naming the index), a stall (|f| > _REFINED_RESIDUAL) or any other root
-    outside the open fourth quadrant.
+    The slope is analytic: F_m' = 2AQ' + i*[(Q' + 1)/(Q + K) - (Q' - 1)/(Q - K)],
+    Q' = U0*K/Q.  At the rounding floor (a step below 4 ulp of |K|, or below
+    1e-10*|K| and not half the last) one kernel call certifies K by |f|; where
+    f's rounding, ~ulp(2QA)*|g|, fails the bound, Newton steps on
+    f/sqrt(g^2 - 1), F_m to first order, while it is within 16 ulp of 2AQ.
+    A certified root with |Re K| <= _ANTI_BOUND*|K| and Im K < 0 is
+    anti-bound: LeakySlabError names the index.  So does any other failure:
+    a stall, _NEWTON_MAX_ITER steps, or a root outside the fourth quadrant.
     """
-    res = _refine(seed, cfg)
-    if res is None:
+    if (res := _refine(seed, cfg)) is None:
         raise LeakySlabError(f"mode index m={seed.mode_index_m} is anti-bound, no leaky mode")
     return res
 
@@ -152,23 +148,29 @@ def refine_all(seeds: list[Resonance], cfg: SlabConfig) -> list[Resonance]:
 def _refine(seed: Resonance, cfg: SlabConfig) -> Resonance | None:
     """refine_resonance, with None for an anti-bound root."""
     A, U0, m = cfg.half_width_A, cfg.core_index_U0, seed.mode_index_m
-    K, last = complex(seed.wavenumbers.K), math.inf
+    K, last, f = complex(seed.wavenumbers.K), math.inf, None
     for _ in range(_NEWTON_MAX_ITER):
         Q = _interior_wavenumber(K, U0, cmath)
         dQ = U0 * K / Q
         F = 2.0 * A * Q + 1j * cmath.log((Q + K) / (Q - K)) - m * math.pi
+        if f is not None:  # f/sqrt(g^2 - 1), F_m to first order, unless off F_m's floor
+            F = 1j * (-1) ** m * 2.0 * K * Q * f / (Q * Q - K * K)
+            if abs(F) > 16.0 * math.ulp(2.0 * A * abs(Q)):
+                break
         step = F / (2.0 * A * dQ + 1j * ((dQ + 1.0) / (Q + K) - (dQ - 1.0) / (Q - K)))
         K -= step
-        if abs(step) <= 4.0 * math.ulp(abs(K)) or last / 2.0 <= abs(step) < 1e-10 * abs(K):
-            break
+        floor = abs(step) <= 4.0 * math.ulp(abs(K)) or last / 2.0 <= abs(step) < 1e-10 * abs(K)
+        if f is not None or floor:
+            Q, f = _dispersion(K, cfg)
+            if abs(f) <= _REFINED_RESIDUAL:
+                break
         last = abs(step)
-    else:
+    if f is None:
         raise LeakySlabError(f"no convergence after {_NEWTON_MAX_ITER} iterations for seed m={m}")
-    if abs(K.real) <= _ANTI_BOUND * abs(K) and K.imag < 0:
-        return None
-    Q, f = _dispersion(K, cfg)
     if abs(f) > _REFINED_RESIDUAL:
         raise LeakySlabError(f"Newton stalled at |f|={abs(f):.3e} for seed m={m}")
+    if abs(K.real) <= _ANTI_BOUND * abs(K) and K.imag < 0:
+        return None
     if K.real < 0 or K.imag > 0:
         raise LeakySlabError(f"iterate left the fourth quadrant for seed m={m}: K={K}")
     eps = ComplexEigenvalue.from_complex(K * K / 2.0 - 1.0)

@@ -579,8 +579,9 @@ def test_a_slab_whose_mode_indices_overflow_is_refused(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "command, code",
     [
-        # on these weak slabs m = 1 lands at K = -0.183 - 1.427i, outside the
-        # fourth quadrant, and m = 2 stalls at |f| ~ 1e-9
+        # weak slabs: on (5, 1.00001) m = 1 lands at K = -0.183 - 1.427i,
+        # outside the fourth quadrant; on (30, 1.00000001) m = 2 stalls at
+        # |f| ~ 1e-9
         ("resonances --k0a 5 --u0 1.00001 --refine", 3),
         ("resonances --k0a 30 --u0 1.00000001 --refine", 3),
         # the field overflows at x = +-1e300

@@ -131,8 +131,8 @@ def test_refinement_m24(slab30, approx_modes):
 
 
 def test_newton_stall_is_reported(slab30, approx_modes, monkeypatch):
-    # Newton stops on its step size alone, so a root at the rounding floor
-    # still carries an |f| above the tightened residual bound
+    # no |f| passes the tightened residual bound, so the steps on f spend the
+    # iteration budget and the refusal names the stall
     monkeypatch.setattr(resonances, "_REFINED_RESIDUAL", 1e-30)
     with pytest.raises(LeakySlabError, match="Newton stalled"):
         refine_resonance(approx_modes[0], slab30)
@@ -171,8 +171,10 @@ def test_residual_is_the_condition_at_the_stored_wavenumber(slab30):
 
 
 def test_newton_evaluates_the_kernel_once_per_wavenumber(slab30, monkeypatch):
-    # Newton steps on F_m alone, and the kernel is called once, at the K it
-    # stops on: a refined resonance's Q and |f| come from that one call
+    # on these slabs |f| at F_m's rounding floor passes the residual bound, so
+    # Newton steps on F_m alone and calls the kernel once, at the K it stops
+    # on: a refined resonance's Q and |f| come from that one call, and a
+    # refusal (anti-bound or outside the quadrant) makes at most that call
     rng = np.random.default_rng(2024)
     slabs = [slab30] + [
         SlabConfig(math.exp(rng.uniform(math.log(5.0), math.log(60.0))), rng.uniform(1.05, 2.0))
@@ -194,6 +196,33 @@ def test_newton_evaluates_the_kernel_once_per_wavenumber(slab30, monkeypatch):
         assert calls == [res.wavenumbers.K], (cfg, seed.mode_index_m)
         refined += 1
     assert refined >= 100
+
+
+@pytest.mark.parametrize(
+    "k0a, u0, m",
+    [
+        # at F_m's rounding floor Newton's iterates alternate between two K
+        # whose |f| read 8.8e-12 and 1.01e-10, and it stops on the second
+        (2327.206451351756, 4.0, 7274),
+        # F_m rounds to exactly 0 where |f| = 6.8e-9, about ulp(2QA)*|g|
+        (4145.840020845426, 4.0, 12930),
+    ],
+)
+def test_a_root_whose_f_rounds_above_the_bound_is_certified_by_steps_on_f(
+    k0a, u0, m, monkeypatch
+):
+    cfg = SlabConfig(k0a, u0)
+    seed = approximate_resonance(m, cfg)
+    calls = []
+    monkeypatch.setattr(
+        resonances, "_dispersion", lambda K, cfg: calls.append(K) or _dispersion(K, cfg)
+    )
+    res = refine_resonance(seed, cfg)
+    K = res.wavenumbers.K
+    assert res.residual <= 1e-10
+    assert len(calls) >= 2 and calls[-1] == K
+    # the steps on f move K only within f's rounding, about ulp(2QA)/|2AQ'|
+    assert abs(K - calls[0]) <= 1e-9 * abs(K)
 
 
 def test_all_refined_roots_distinct_and_separated(refined_modes, approx_modes):
