@@ -22,8 +22,9 @@ f(K) = cos(2QA) - i*g*sin(2QA), g = (K**2 + Q**2)/(2*K*Q), the denominator
 of the transmission amplitude t = e^{-2iKA}/f; its zeros with K in the
 fourth quadrant are the leaky modes.  ``_kernel`` evaluates Q, 2QA, its
 sine and cosine and g once at any K; f (``_dispersion``, which refuses the
-pole K = 0 with ValueError) and, on the radiation band, t, r, phi and
-dphi/dK are each formed from it only where read.  Every module takes these
+pole K = 0 with ValueError) and, on the radiation band, t, r, phi,
+T = 1/|f|^2 (in real arithmetic, without t) and dphi/dK are each formed
+from it only where read.  Every module takes these
 quantities from here.
 
 Failures: an invalid input (a slab outside the domain, an inadmissible mode
@@ -55,7 +56,7 @@ class SlabConfig:
 
     The accepted domain 0 < half_width_A <= K0A_MAX = 1e6,
     1 < core_index_U0 <= U0_MAX = 4 is fixed by a digit budget: one ulp of
-    the phase 2QA, which t, r, phi and dphi/dK all carry, is at most
+    the phase 2QA, which t, r, phi, T and dphi/dK all carry, is at most
     2^-29 rad.  As Q <= sqrt(2)*U0 on the radiation band, that holds while
     2*sqrt(2)*U0*A < 2^24.  U0_MAX = 4 admits glass, polymer and silicon
     (3.5) cores, and K0A_MAX is the decade below 2^24/(8*sqrt(2)) ~ 1.5e6,
@@ -162,21 +163,37 @@ def _dispersion(K, cfg: SlabConfig):
 def _kernel(K, A, U0, lib=np):
     """Q, theta = 2QA, s = sin theta, c = cos theta and g = (K/Q + Q/K)/2 at
     any K, with numpy (broadcasting over K and A) or cmath: the one evaluation
-    that f, t, r, phi and dphi/dK share, each formed only where it is read."""
+    that f, t, r, phi, T and dphi/dK share, each formed only where it is read."""
     Q = _interior_wavenumber(K, U0, lib)
     theta = 2.0 * Q * A
     return Q, theta, lib.sin(theta), lib.cos(theta), 0.5 * (K / Q + Q / K)
 
 
 def _transmission(K, A, U0):
-    """t = e^{-2iKA}/f, f = c - i*g*s, and the continuous phase phi = -arg f
-    - pi/2 = 2QA - pi/2 + arctan(d s c / (1 + d s^2)), from conj(f) =
-    e^{2iQA}(1 + d s^2 + i d s c), d = g - 1 = (Q - K)^2/(2KQ) >= 0 (so
-    written because g - 1 cancels for weak contrast); 1 + d s^2 >= 1."""
-    Q, theta, s, c, g = _kernel(K, A, U0)
-    t = np.exp(-2j * K * A) / (c - 1j * g * s)
-    d = (Q - K) ** 2 / (2.0 * K * Q)
-    return t, theta - math.pi / 2.0 + np.arctan(d * s * c / (1.0 + d * s * s))
+    """t = e^{-2iKA}/f, f = c - i*g*s; read only where the complex amplitude
+    is (transfer_amplitudes, the wave packet)."""
+    _, _, s, c, g = _kernel(K, A, U0)
+    return np.exp(-2j * K * A) / (c - 1j * g * s)
+
+
+def _phase_terms(K, A, U0):
+    """theta = 2QA, s, c and d = g - 1 = (Q - K)^2/(2KQ) >= 0, the real terms
+    of the phase and of T (d so written because g - 1 cancels for weak
+    contrast)."""
+    Q, theta, s, c, _ = _kernel(K, A, U0)
+    return theta, s, c, (Q - K) ** 2 / (2.0 * K * Q)
+
+
+def _phase(theta, s, c, d):
+    """The continuous phase phi = -arg f - pi/2 = 2QA - pi/2 + arctan(d s c /
+    (1 + d s^2)), from conj(f) = e^{2iQA}(1 + d s^2 + i d s c); 1 + d s^2 >= 1."""
+    return theta - math.pi / 2.0 + np.arctan(d * s * c / (1.0 + d * s * s))
+
+
+def _transmittance(s, d):
+    """T = |t|^2 = 1/|f|^2 = 1/(1 + d(d+2) s^2), as |f|^2 = c^2 + g^2 s^2 =
+    1 + (g^2 - 1) s^2 and g^2 - 1 = d(d + 2); real arithmetic, no t."""
+    return 1.0 / (1.0 + d * (d + 2.0) * s * s)
 
 
 def _reflection(K, A, U0, t):

@@ -1,8 +1,8 @@
 """Real-energy scattering off the slab: r/t and the transmission phase.
 
-t = e^{-2iKA}/f, with f(K) the outgoing condition, and the phase come from
-the core dispersion kernel; r = t*(i/2)(Q/K - K/Q)*sin(2QA) is formed only
-in transfer_amplitudes, so no sweep pays for it.  Flux
+t = e^{-2iKA}/f, with f(K) the outgoing condition, T and the phase come
+from the core dispersion kernel; t and r = t*(i/2)(Q/K - K/Q)*sin(2QA) are
+formed only in transfer_amplitudes, so no sweep pays for them.  Flux
 conservation |r|^2 + |t|^2 = 1 follows from |f|^2 = 1 +
 (1/4)(Q/K - K/Q)^2 sin^2(2QA).
 
@@ -11,8 +11,10 @@ integrands: phi = arg t + 2*K*A - pi/2 = -arg f - pi/2.  Sweeps return its
 continuous branch, evaluated in closed form and shifted by a multiple of pi
 so that the first grid point carries its principal value in (-pi/2, pi/2],
 so the principal phase at one energy is the one-point sweep
-unwrapped_phase([eps_R], cfg)[0].  T = |t|^2 comes from transmission_sweep,
-a one-point sweep included, with the same bits.
+unwrapped_phase([eps_R], cfg)[0].  transmission_sweep forms T = 1/|f|^2 =
+1/(1 + d(d+2) sin^2(2QA)), d = (Q - K)^2/(2KQ), in real arithmetic, without
+t; it equals |t|^2 to rounding, and a one-point sweep gives the long
+sweep's bits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SlabConfig, _reflection, _transmission
+from .core import SlabConfig, _phase, _phase_terms, _reflection, _transmission, _transmittance
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,8 @@ def _band_wavenumber(eps_R) -> np.ndarray:
 
 
 def _sweep(eps_grid, cfg: SlabConfig):
-    """K, t and the continuous phase phi over a non-empty 1-D eps grid.
+    """s = sin(2QA), d = g - 1 and the continuous phase phi over a non-empty
+    1-D eps grid.
 
     phi is shifted by a multiple of pi so that its first point carries its
     principal value.
@@ -88,8 +91,9 @@ def _sweep(eps_grid, cfg: SlabConfig):
     K = _band_wavenumber(e)
     if e.ndim != 1 or len(e) == 0:
         raise ValueError("eps_grid must be a non-empty 1-D array")
-    t, phi = _transmission(K, cfg.half_width_A, cfg.core_index_U0)
-    return K, t, phi - np.pi * np.round(phi[0] / np.pi)
+    theta, s, c, d = _phase_terms(K, cfg.half_width_A, cfg.core_index_U0)
+    phi = _phase(theta, s, c, d)
+    return s, d, phi - np.pi * np.round(phi[0] / np.pi)
 
 
 def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
@@ -98,17 +102,18 @@ def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
     The principal transmission phase at eps_R is the one-point sweep
     unwrapped_phase([eps_R], cfg)[0].
     """
-    K, t, _ = _sweep([eps_R], cfg)
+    K = _band_wavenumber([eps_R])
+    t = _transmission(K, cfg.half_width_A, cfg.core_index_U0)
     r = _reflection(K, cfg.half_width_A, cfg.core_index_U0, t)
     return ScatteringAmplitudes(r=complex(r[0]), t=complex(t[0]))
 
 
 def transmission_sweep(eps_grid, cfg: SlabConfig) -> Curve:
     """T(eps) and the unwrapped phase phi(eps) over an increasing grid."""
-    _, t, phi = _sweep(eps_grid, cfg)
+    s, d, phi = _sweep(eps_grid, cfg)
     return Curve(
         abscissa=eps_grid,
-        values=np.column_stack([np.abs(t) ** 2, phi]),
+        values=np.column_stack([_transmittance(s, d), phi]),
         labels=("eps_R", "T", "phi"),
     )
 

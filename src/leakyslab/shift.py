@@ -10,11 +10,12 @@ amplitude t of the synthesis below comes from the kernel too.
 A wave-packet synthesis (quadrature over the transmitted spectrum, peak
 tracking at a distant observation plane) provides an independent
 measurement that converges to the stationary-phase value as the spectral
-width shrinks.  Its z grid is uniform, so with z = z_b + j*dz (z_b the
-first sample of a block of _Z_BLOCK) the phase factors as
-exp(i(k x - eps z)) = exp(i(k x - eps z_b)) * exp(-i eps j dz): one block
-matrix serves every block, and one matrix product yields all nz samples
-from about (_Z_BLOCK + nz/_Z_BLOCK)*nk complex exponentials, not nz*nk.
+width shrinks.  Its z grid is uniform, so with z = z_0 + (b*_Z_BLOCK + j)*dz
+the phase factors as exp(i(k x - eps z)) = exp(i(k x - eps z_0)) *
+exp(-i eps _Z_BLOCK dz)^b * exp(-i eps dz)^j: one block matrix serves every
+block, and one matrix product yields all nz samples.  Both tables are
+powers of one exponential per node, formed by doubling, so the synthesis
+takes 3*nk complex exponentials, not nz*nk.
 The spectrum is integrated on nk = 400 nodes by default, 50 panels of 8
 Gauss-Legendre nodes: the shift stays within 1.13e-8 relative of 50 panels
 of 48 nodes on the slabs, modes and widths tests/test_shift.py declares.
@@ -22,6 +23,7 @@ of 48 nodes on the slabs, modes and widths tests/test_shift.py declares.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,9 +91,19 @@ def width_sweep(eps_R: float, halfwidth_grid, core_index_U0: float) -> Curve:
     return Curve(abscissa=As, values=dz, labels=("k0a", "k0_delta_z"))
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(order: int):
+    """Gauss-Legendre nodes/weights on [-1, 1], formed once per order on first
+    use (not at import, which would load numpy.polynomial into every CLI
+    process) and returned read-only, since every caller shares them."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def _gauss_legendre_composite(lo: float, hi: float, panels: int, order: int):
     """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _legendre_rule(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -100,23 +112,47 @@ def _gauss_legendre_composite(lo: float, hi: float, panels: int, order: int):
     return nodes, weights
 
 
+def _powers(base, n: int, first=1.0):
+    """first * base**j for j = 0..n-1 along a new leading axis, by doubling.
+
+    Rows m..2m-1 are rows 0..m-1 times base**m, and base**m is squared from
+    base**(m/2), so row j is a product of at most ceil(log2 n) + 1 factors
+    and its rounding error grows like j, as the phase error of exp(i*j*a)
+    does.  first broadcasts against base.
+    """
+    out = np.empty((n, *np.broadcast_shapes(np.shape(first), base.shape)), dtype=complex)
+    out[0] = first
+    m, square = 1, base
+    while m < n:
+        step = min(m, n - m)
+        np.multiply(out[:step], square, out=out[m : m + step])
+        m += step
+        if m < n:
+            square = square * square
+    return out
+
+
 def _packet_intensities(k, weights, x_observe: float, z: np.ndarray) -> np.ndarray:
     """|sum_k w_k exp(i(k x_observe - eps_k z))|^2 on a uniform z grid.
 
-    weights is (nk, ncol); the result is (len(z), ncol).  Evaluated block by
-    block as exp(-i eps_k j dz) @ (w_k exp(i(k x_observe - eps_k z_b))), so
-    no len(z) x nk array is formed.
+    weights is (nk, ncol); the result is (len(z), ncol).  With z = z_0 +
+    (b*_Z_BLOCK + j)*dz the phase factors as exp(-i eps_k j dz) times
+    exp(i(k x_observe - eps_k z_0)) * exp(-i eps_k _Z_BLOCK dz)**b: both
+    tables are powers of one exponential per node (_powers), the weights are
+    folded into the first row of the block table, and one matrix product
+    gives every sample.  No len(z) x nk array is formed.
     """
     nz = len(z)
     block = min(_Z_BLOCK, nz)
+    nb = -(-nz // block)
     dz = (z[-1] - z[0]) / (nz - 1)
     eps_k = k * k / 2.0 - 1.0
-    offsets = np.exp(-1j * np.outer(np.arange(block) * dz, eps_k))
-    z_b = z[::block]
-    carriers = np.exp(1j * (k[:, None] * x_observe - eps_k[:, None] * z_b[None, :]))
-    rhs = (carriers[:, :, None] * weights[:, None, :]).reshape(len(k), -1)
-    amp = (offsets @ rhs).reshape(block, len(z_b), -1).transpose(1, 0, 2)
-    return np.abs(amp.reshape(block * len(z_b), -1)[:nz]) ** 2
+    offsets = _powers(np.exp(-1j * (eps_k * dz)), block)
+    start = np.exp(1j * (k * x_observe - eps_k * z[0]))
+    blocks = _powers(np.exp(-1j * (eps_k * (block * dz))), nb, start * weights.T)
+    amp = blocks.reshape(-1, len(k)) @ offsets.T
+    intensity = (amp.real**2 + amp.imag**2).reshape(nb, -1, block)
+    return intensity.transpose(0, 2, 1).reshape(nb * block, -1)[:nz]
 
 
 def _envelope_peak(z: np.ndarray, intensity: np.ndarray) -> float:
@@ -156,10 +192,10 @@ def wavepacket_shift(
     Converges to longitudinal_shift(eps_center) as sigma_K -> 0.
 
     Every one of the nz samples is synthesized, through the factored phase
-    matrix of _packet_intensities: (_Z_BLOCK + nz/_Z_BLOCK)*nk complex
-    exponentials and one matrix product, nk = panels*nodes_per_panel.
+    matrix of _packet_intensities: 3*nk complex exponentials, whose powers
+    fill both tables, and one matrix product, nk = panels*nodes_per_panel.
     The default 50 x 8 = 400 nodes give the shift of 50 x 48 to 1.13e-8
-    relative (largest on the k0a = 60, U0 = 2 slab at K_c/20; 8.1e-11 on the
+    relative (largest on the k0a = 60, U0 = 2 slab at K_c/20; 9.7e-12 on the
     reference slab's 17 modes at K_c/20 and K_c/40).  panels,
     nodes_per_panel and nz must be integers.
     """
@@ -184,7 +220,7 @@ def wavepacket_shift(
 
     k, w = _gauss_legendre_composite(Kc - 6.0 * sig, Kc + 6.0 * sig, panels, nodes_per_panel)
     f = np.exp(-((k - Kc) ** 2) / (2.0 * sig * sig))
-    t = _transmission(k, cfg.half_width_A, cfg.core_index_U0)[0]
+    t = _transmission(k, cfg.half_width_A, cfg.core_index_U0)
 
     z0 = _X_OBSERVE / Kc
     half_window = 8.0 / (Kc * sig) + 300.0

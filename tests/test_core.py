@@ -18,9 +18,12 @@ from leakyslab.core import (
     K0A_MAX,
     U0_MAX,
     _kernel,
+    _phase,
     _phase_derivative,
+    _phase_terms,
     _reflection,
     _transmission,
+    _transmittance,
 )
 
 
@@ -122,9 +125,10 @@ def test_the_slab_domain_keeps_the_kernel_finite_and_the_indices_few():
     K = np.sqrt(2.0 * (eps + 1.0))
     for k0a, u0 in itertools.product((5e-324, 1.0, K0A_MAX), (1.0 + 2.0**-52, 1.5, U0_MAX)):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            t, phi = _transmission(K, k0a, u0)
-            values = (*_kernel(K, k0a, u0), t, phi, _reflection(K, k0a, u0, t),
-                      _phase_derivative(K, k0a, u0))
+            t = _transmission(K, k0a, u0)
+            theta, s, c, d = _phase_terms(K, k0a, u0)
+            values = (*_kernel(K, k0a, u0), t, d, _phase(theta, s, c, d), _transmittance(s, d),
+                      _reflection(K, k0a, u0, t), _phase_derivative(K, k0a, u0))
         assert all(np.all(np.isfinite(v)) for v in values), (k0a, u0)
         indices = mode_index_range(SlabConfig(k0a, u0))
         assert len(indices) < 1_000_000 and indices.stop < 2**40, (k0a, u0)

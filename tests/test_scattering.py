@@ -142,6 +142,22 @@ def test_single_point_transmission_equals_the_sweep(slab30):
     assert [transmission_sweep([e], slab30).values[0, 0] for e in grid] == T.tolist()
 
 
+# T = 1/(1 + d(d+2)s^2) and |t|^2 = |e^{-2iKA}|^2/(c^2 + g^2 s^2) round
+# differently (c^2 + s^2 and |e^{-2iKA}|^2 are 1 only to a few ulps), as does
+# 1 - |r|^2; the bound, about 36 ulps of 1, was fixed before the first run.
+SWEEP_T_BOUND = 4e-15
+
+
+@pytest.mark.parametrize("k0a_u0", [(5, 1.05), (60, 2), (5, 2), (60, 1.05), (30, 1.5)])
+def test_sweep_transmittance_matches_the_amplitudes(k0a_u0):
+    slab = SlabConfig(*k0a_u0)
+    grid = np.linspace(-0.999, -0.001, 4096)
+    T = transmission_sweep(grid, slab).values[:, 0]
+    amps = [transfer_amplitudes(float(e), slab) for e in grid]
+    assert np.all(np.abs(T - np.array([abs(a.t) ** 2 for a in amps])) <= SWEEP_T_BOUND)
+    assert np.all(np.abs(T - np.array([1 - abs(a.r) ** 2 for a in amps])) <= SWEEP_T_BOUND)
+
+
 def test_phase_equals_closed_form_mod_pi(slab30):
     rng = np.random.default_rng(17)
     for eps in rng.uniform(-0.999, -0.001, 300):

@@ -275,7 +275,7 @@ def test_packet_centroid_equals_the_weighted_group_delay(slab30, refined_modes):
                 continue
             k, w = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, 8)
             g = np.exp(-((k - k_c) ** 2) / (2 * sig * sig))
-            t, dphi = _transmission(k, A, U0)[0], _phase_derivative(k, A, U0)
+            t, dphi = _transmission(k, A, U0), _phase_derivative(k, A, U0)
             # wavepacket_shift's z window, nz = 4001
             half_window = 8 / (k_c * sig) + 300
             z = np.linspace(x_observe / k_c - half_window, x_observe / k_c + half_window, 4001)
@@ -306,7 +306,7 @@ class TestFactoredSynthesis:
         sig = k_c / 20
         k, w = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, 48)
         f = np.exp(-((k - k_c) ** 2) / (2 * sig * sig))
-        t = _transmission(k, slab30.half_width_A, slab30.core_index_U0)[0]
+        t = _transmission(k, slab30.half_width_A, slab30.core_index_U0)
         weights = np.column_stack([w * f * t, w * f])
         x_observe = 3000.0
         half_window = 8 / (k_c * sig) + 300
@@ -316,6 +316,28 @@ class TestFactoredSynthesis:
         want = dense_packet_intensities(k, weights, x_observe, z)
         assert got.shape == want.shape == (nz, 2)
         assert np.all(np.abs(got - want) <= 1e-10 * want.max(axis=0))
+
+    # Row j of a doubled table carries base's rounding j times and at most
+    # ceil(log2 n) + 1 complex products; exp(-i j a) carries the rounding of
+    # j*a.  With u = 2^-53, base = exp(-i a) within 1.5u and a product or a
+    # square within 2.3u, the two differ by at most (j(|a| + 4) + 16)u; the
+    # bound doubles that and was fixed before the first run.
+    @pytest.mark.parametrize("order", [8, 48])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64])
+    def test_doubled_power_tables_match_direct_exponentials(self, refined_modes, order, n):
+        r28 = next(r for r in refined_modes if r.mode_index_m == 28)
+        k_c = math.sqrt(2 * (r28.eigenvalue.eps_R + 1))
+        sig = k_c / 20
+        k, _ = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, order)
+        eps_k = k * k / 2 - 1
+        # wavepacket_shift's z step, nz = 4001
+        dz = 2 * (8 / (k_c * sig) + 300) / 4000
+        j = np.arange(n)[:, None]
+        for a in (eps_k * dz, eps_k * (shift._Z_BLOCK * dz)):
+            table = shift._powers(np.exp(-1j * a), n)
+            assert table.shape == (n, len(k))
+            bound = 2 * (j * (np.abs(a) + 4) + 16) * 2.0**-53
+            assert np.all(np.abs(table - np.exp(-1j * (j * a))) <= bound)
 
     @pytest.mark.parametrize("m", [24, 32, 40])
     def test_shift_matches_dense_phase_matrix(self, slab30, refined_modes, monkeypatch, m):
