@@ -40,15 +40,16 @@ from .shift import shift_sweep, width_sweep
 
 # most points in one grid or mode-field rectangle (at most 4096 and 321,201
 # in the README and the benchmark); a larger count is refused before
-# anything of its size is allocated.  Tables are written block by block, so
-# it bounds no text: it bounds the complex field grid, 16 B a point, and the
-# run time, about 0.6 us of repr a cell
+# anything of its size is allocated.  Tables, and mode-field's field grid,
+# are formed and written block by block, so it bounds neither text nor a
+# held grid: it bounds the run time, about 0.6 us of repr a cell
 MAX_POINTS = 10**6
 # snapshots propagate --save-field keeps: the distinct steps
 # round(linspace(0, nsteps, SNAPSHOTS)), or every step of a shorter march
 SNAPSHOTS = 11
-# rows in one written block of a table, and cells listed at once: the text
-# held at once, whatever the table's length
+# rows in one written block of a table, cells listed at once and points in
+# one block of mode-field's grid: what is held at once, whatever the
+# table's length
 _BLOCK = 4096
 # the field components a grid table writes, by their --component name
 _COMPONENTS = {
@@ -120,41 +121,49 @@ def _write(path: str | None, blocks) -> Path | None:
     return regular
 
 
-def _csv(command: str, meta: dict, names, columns):
+def _csv(command: str, meta: dict, names, rows):
     """Yield '#' lines naming the command and the sorted flags and a header
-    row, then one row per index of the columns of already-formatted cells,
-    _BLOCK rows to a text block."""
+    row, then each row of already-formatted cells, _BLOCK rows to a text
+    block."""
     lines = [f"# leakyslab {command} v{__version__}"]
     lines.extend(f"# {key}={meta[key]}" for key in sorted(meta))
     lines.append(",".join(names))
     yield "\n".join(lines) + "\n"
-    rows = map(",".join, zip(*columns))
+    rows = map(",".join, rows)
     while block := "\n".join(itertools.islice(rows, _BLOCK)):
         yield block + "\n"
 
 
 def _emit(args, command: str, meta: dict, table) -> int:
-    """Write table = (names, columns) as CSV to -o (or stdout).  Returns exit code 0."""
+    """Write table = (names, rows) as CSV to -o (or stdout).  Returns exit code 0."""
     _write(args.output, _csv(command, meta, *table))
     return 0
 
 
 def _curve_table(curve: Curve):
-    """A curve's column names and cells: the abscissa, then each value column."""
+    """A curve's column names and rows of cells: the abscissa, then each value column."""
     values = curve.values.reshape(len(curve.abscissa), -1).T
-    return curve.labels, map(_cells, [curve.abscissa, *values])
+    return curve.labels, zip(*map(_cells, [curve.abscissa, *values]))
 
 
-def _grid_table(grid: FieldGrid, *components: str):
-    """One (x, z, *components) row per grid point, z varying fastest, each
-    label formatted once."""
-    xs, zs = list(_cells(grid.x_grid)), list(_cells(grid.z_grid))
-    columns = (
-        itertools.chain.from_iterable(itertools.repeat(x, len(zs)) for x in xs),
-        itertools.chain.from_iterable(itertools.repeat(zs, len(xs))),
-        *(_cells(_COMPONENTS[c](grid.amplitudes)) for c in components),
-    )
-    return ("x", "z", *(f"{c}_E" for c in components)), columns
+def _grid_table(blocks, *components: str):
+    """One (x, z, *components) row per point of each FieldGrid in blocks, a
+    block of whole x rows on one z grid, taken in turn and formed only as
+    its rows are read; z varies fastest, and each label is formatted once."""
+    zs = []
+
+    def rows(grid):
+        if not zs:
+            zs.extend(_cells(grid.z_grid))
+        xs = list(_cells(grid.x_grid))
+        return zip(
+            itertools.chain.from_iterable(itertools.repeat(x, len(zs)) for x in xs),
+            itertools.chain.from_iterable(itertools.repeat(zs, len(xs))),
+            *(_cells(_COMPONENTS[c](grid.amplitudes)) for c in components),
+        )
+
+    names = ("x", "z", *(f"{c}_E" for c in components))
+    return names, itertools.chain.from_iterable(map(rows, blocks))
 
 
 def _slab_from(args) -> SlabConfig:
@@ -174,7 +183,7 @@ def cmd_resonances(args) -> int:
         (r.mode_index_m, r.eigenvalue.eps_R, r.eigenvalue.half_width_Gamma, r.residual, r.method)
         for r in modes
     ]
-    return _emit(args, "resonances", meta, (names, [map(str, col) for col in zip(*rows)]))
+    return _emit(args, "resonances", meta, (names, (map(str, row) for row in rows)))
 
 
 def cmd_transmission(args) -> int:
@@ -227,7 +236,7 @@ def cmd_mode_field(args) -> int:
     z = parse_grid(args.z) if args.z else np.linspace(0.0, 200.0, 401)
     if len(x) * len(z) > MAX_POINTS:
         raise ValueError(f"{len(x)} x {len(z)} field points is more than MAX_POINTS = {MAX_POINTS}")
-    grid = propagate_mode(mode_profile(refine_resonance(seed, slab), slab), x, z)
+    field = mode_profile(refine_resonance(seed, slab), slab)
     meta = {
         "k0a": args.k0a,
         "u0": args.u0,
@@ -236,7 +245,16 @@ def cmd_mode_field(args) -> int:
         "x": args.x or "default",
         "z": args.z or "default",
     }
-    return _emit(args, "mode-field", meta, _grid_table(grid, args.component))
+    # the grid is formed a block of whole x rows at a time.  Each block is
+    # first formed and checked by FieldGrid with the row before it, so that
+    # the x step between blocks is checked too, and a refused field writes
+    # no header; the written blocks are then formed again
+    rows = max(1, _BLOCK // len(z))
+    starts = range(0, len(x), rows)
+    for i in starts:
+        propagate_mode(field, x[max(i - 1, 0):i + rows], z)
+    blocks = (propagate_mode(field, x[i:i + rows], z) for i in starts)
+    return _emit(args, "mode-field", meta, _grid_table(blocks, args.component))
 
 
 def _bpm_setup(args):
@@ -282,7 +300,7 @@ def cmd_propagate(args) -> int:
             amplitudes=np.column_stack(list(snaps.values())),
         )
         field_path = _write(args.save_field,
-                            _csv("propagate-field", meta, *_grid_table(grid_out, "re", "im")))
+                            _csv("propagate-field", meta, *_grid_table([grid_out], "re", "im")))
     curve = Curve(
         abscissa=np.arange(nsteps + 1) * cfg.dz,
         values=np.asarray(powers),
@@ -300,7 +318,7 @@ def cmd_decay(args) -> int:
     rate = measure_decay(cfg, column, args.z_max)
     names = ("m", "measured_rate", "width_Gamma_refined")
     row = (args.m, rate, res.eigenvalue.width_Gamma)
-    return _emit(args, "decay", meta, (names, [[str(v)] for v in row]))
+    return _emit(args, "decay", meta, (names, [map(str, row)]))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -169,10 +169,9 @@ def _kernel(K, A, U0, lib=np):
     return Q, theta, lib.sin(theta), lib.cos(theta), 0.5 * (K / Q + Q / K)
 
 
-def _transmission(K, A, U0):
-    """t = e^{-2iKA}/f, f = c - i*g*s; read only where the complex amplitude
-    is (transfer_amplitudes, the wave packet)."""
-    _, _, s, c, g = _kernel(K, A, U0)
+def _transmission(K, A, s, c, g):
+    """t = e^{-2iKA}/f, f = c - i*g*s, from the kernel's s, c and g at K; read
+    only where the complex amplitude is (transfer_amplitudes, the wave packet)."""
     return np.exp(-2j * K * A) / (c - 1j * g * s)
 
 
@@ -196,9 +195,9 @@ def _transmittance(s, d):
     return 1.0 / (1.0 + d * (d + 2.0) * s * s)
 
 
-def _reflection(K, A, U0, t):
-    """r = t*(i/2)(Q/K - K/Q)*s from the transmitted t at the same K."""
-    Q, _, s, _, _ = _kernel(K, A, U0)
+def _reflection(K, Q, s, t):
+    """r = t*(i/2)(Q/K - K/Q)*s from the kernel's Q and s and the transmitted
+    t at the same K."""
     return t * 0.5j * (Q / K - K / Q) * s
 
 

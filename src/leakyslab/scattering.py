@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SlabConfig, _phase, _phase_terms, _reflection, _transmission, _transmittance
+from .core import (SlabConfig, _kernel, _phase, _phase_terms, _reflection, _transmission,
+                   _transmittance)
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,9 @@ def transfer_amplitudes(eps_R: float, cfg: SlabConfig) -> ScatteringAmplitudes:
     unwrapped_phase([eps_R], cfg)[0].
     """
     K = _band_wavenumber([eps_R])
-    t = _transmission(K, cfg.half_width_A, cfg.core_index_U0)
-    r = _reflection(K, cfg.half_width_A, cfg.core_index_U0, t)
+    Q, _, s, c, g = _kernel(K, cfg.half_width_A, cfg.core_index_U0)
+    t = _transmission(K, cfg.half_width_A, s, c, g)
+    r = _reflection(K, Q, s, t)
     return ScatteringAmplitudes(r=complex(r[0]), t=complex(t[0]))
 
 

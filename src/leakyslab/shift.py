@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LeakySlabError, SlabConfig, _phase_derivative, _transmission
+from .core import LeakySlabError, SlabConfig, _kernel, _phase_derivative, _transmission
 from .scattering import Curve, _band_wavenumber
 
 # z samples per block of the factored wave-packet phase matrix
@@ -220,7 +220,8 @@ def wavepacket_shift(
 
     k, w = _gauss_legendre_composite(Kc - 6.0 * sig, Kc + 6.0 * sig, panels, nodes_per_panel)
     f = np.exp(-((k - Kc) ** 2) / (2.0 * sig * sig))
-    t = _transmission(k, cfg.half_width_A, cfg.core_index_U0)
+    _, _, s, c, g = _kernel(k, cfg.half_width_A, cfg.core_index_U0)
+    t = _transmission(k, cfg.half_width_A, s, c, g)
 
     z0 = _X_OBSERVE / Kc
     half_window = 8.0 / (Kc * sig) + 300.0

@@ -19,6 +19,7 @@ from leakyslab import (
     approximate_resonances,
     measure_decay,
     mode_profile,
+    propagate_mode,
     refine_all,
     refine_resonance,
     tapered_mode_column,
@@ -407,10 +408,13 @@ def test_tables_are_written_without_the_whole_text_in_memory(tmp_path, capsys):
     # each table is written block by block as it is formatted: the default
     # mode-field table (801 x 401 rows, 12.2 MB) peaks below 16 MB, its
     # complex grid alone 5.1 MB, and the 4097 x 11 rows of --save-field
-    # below 8 MB (bounds fixed before the first run)
+    # below 8 MB; and mode-field's grid is formed a block at a time, so a
+    # 1000 x 1000 rectangle, whose complex grid alone would take 16 MB, peaks
+    # below 4 MB (bounds fixed before the first run)
     slab = ["--k0a", "30", "--u0", "1.5", "--m", "24"]
     for argv, bound in (
         (["mode-field", *slab], 16e6),
+        (["mode-field", *slab, "--x", "-60:60:1000", "--z", "0:200:1000"], 4e6),
         (["propagate", *slab, "--z-max", "200", "--save-field", str(tmp_path / "field.csv")], 8e6),
     ):
         argv = [*argv, "-o", str(tmp_path / "out.csv")]
@@ -616,6 +620,47 @@ def test_no_cli_input_ends_in_a_traceback(tmp_path, capsys, command, code):
     assert out == "" and not out_path.exists()
 
 
+def test_a_refused_field_writes_nothing_to_stdout(capsys):
+    # every block of mode-field's grid is checked before the header goes
+    # out: a field that overflows at x = 1e300 only, and an x repeated only
+    # across two blocks of 10 rows (1.0 at rows 9 and 10 of 20), leave
+    # stdout empty as they leave no -o file
+    repeated = f"1:{1.0 + 18 * 2.0**-52!r}:20"
+    assert len(parse_grid(repeated)) - len(np.unique(parse_grid(repeated))) == 1
+    for command, err in (
+        ("--m 40 --x -1:1e300:3 --z 0:1:2", "error: amplitudes must be finite\n"),
+        (f"--m 30 --x {repeated} --z 0:1:401", "error: grids must be increasing\n"),
+    ):
+        argv = ["mode-field", "--k0a", "30", "--u0", "1.5", *command.split()]
+        assert run(argv, capsys) == (2, "", err), command
+
+
+@pytest.mark.parametrize(
+    "x, z",
+    [
+        # the default 801 x 401 grid, blocks of 10 rows; 37 x rows, not a
+        # multiple of 10; and 4097 z > _BLOCK points, blocks of one row
+        (None, None),
+        ("-60:60:37", None),
+        ("-60:60:3", "0:50:4097"),
+    ],
+)
+def test_mode_field_blocks_write_the_whole_grid_table(capsys, x, z):
+    slab = SlabConfig(30.0, 1.5)
+    field = mode_profile(refine_resonance(approximate_resonance(24, slab), slab), slab)
+    xs = parse_grid(x) if x else np.linspace(-60.0, 60.0, 801)
+    zs = parse_grid(z) if z else np.linspace(0.0, 200.0, 401)
+    grid = propagate_mode(field, xs, zs)
+    flags = ["--x", x] * bool(x) + ["--z", z] * bool(z)
+    for component in ("re", "im", "abs2"):
+        meta = {"k0a": 30.0, "u0": 1.5, "m": 24, "component": component,
+                "x": x or "default", "z": z or "default"}
+        want = "".join(_csv("mode-field", meta, *_grid_table([grid], component)))
+        argv = ["mode-field", "--k0a", "30", "--u0", "1.5", "--m", "24", *flags,
+                "--component", component]
+        assert run(argv, capsys) == (0, want, ""), (x, z, component)
+
+
 def test_propagate_mode_power_decays(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code = main(
@@ -812,7 +857,7 @@ def test_grid_writers_match_per_element_repr():
                 for i in range(len(x))
                 for j in range(len(z))
             ]
-            blocks = list(_csv("probe", {}, *_grid_table(grid, *components)))
+            blocks = list(_csv("probe", {}, *_grid_table([grid], *components)))
             assert len(blocks) == 1 + -(-len(rows) // _BLOCK)
             text = "".join(blocks)
             assert csv_body(text) == [",".join(["x", "z", *(f"{c}_E" for c in components)])] + rows

@@ -13,6 +13,8 @@ from leakyslab import (
     unwrapped_phase,
     width_sweep,
 )
+from leakyslab import core, scattering
+from leakyslab.core import _kernel
 
 
 def half_wave_center(m: int, cfg: SlabConfig) -> float:
@@ -156,6 +158,23 @@ def test_sweep_transmittance_matches_the_amplitudes(k0a_u0):
     amps = [transfer_amplitudes(float(e), slab) for e in grid]
     assert np.all(np.abs(T - np.array([abs(a.t) ** 2 for a in amps])) <= SWEEP_T_BOUND)
     assert np.all(np.abs(T - np.array([1 - abs(a.r) ** 2 for a in amps])) <= SWEEP_T_BOUND)
+
+
+def test_transfer_amplitudes_evaluates_the_kernel_once(slab30, monkeypatch):
+    # r and t come from one kernel call, whether it is made in scattering or
+    # through a core function
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _kernel(*args)
+
+    monkeypatch.setattr(core, "_kernel", counted)
+    monkeypatch.setattr(scattering, "_kernel", counted)
+    for eps in (-0.999, -0.5, -0.001):
+        calls.clear()
+        transfer_amplitudes(eps, slab30)
+        assert len(calls) == 1, eps
 
 
 def test_phase_equals_closed_form_mod_pi(slab30):

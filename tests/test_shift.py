@@ -17,7 +17,7 @@ from leakyslab import (
     wavepacket_shift,
     width_sweep,
 )
-from leakyslab.core import _phase_derivative, _transmission
+from leakyslab.core import _kernel, _phase_derivative, _transmission
 
 
 def fd_phase_derivative(eps_R: float, cfg: SlabConfig, h: float = 1e-6) -> float:
@@ -275,7 +275,8 @@ def test_packet_centroid_equals_the_weighted_group_delay(slab30, refined_modes):
                 continue
             k, w = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, 8)
             g = np.exp(-((k - k_c) ** 2) / (2 * sig * sig))
-            t, dphi = _transmission(k, A, U0), _phase_derivative(k, A, U0)
+            t = _transmission(k, A, *_kernel(k, A, U0)[2:])
+            dphi = _phase_derivative(k, A, U0)
             # wavepacket_shift's z window, nz = 4001
             half_window = 8 / (k_c * sig) + 300
             z = np.linspace(x_observe / k_c - half_window, x_observe / k_c + half_window, 4001)
@@ -306,7 +307,8 @@ class TestFactoredSynthesis:
         sig = k_c / 20
         k, w = shift._gauss_legendre_composite(k_c - 6 * sig, k_c + 6 * sig, 50, 48)
         f = np.exp(-((k - k_c) ** 2) / (2 * sig * sig))
-        t = _transmission(k, slab30.half_width_A, slab30.core_index_U0)
+        A, U0 = slab30.half_width_A, slab30.core_index_U0
+        t = _transmission(k, A, *_kernel(k, A, U0)[2:])
         weights = np.column_stack([w * f * t, w * f])
         x_observe = 3000.0
         half_window = 8 / (k_c * sig) + 300
