@@ -19,36 +19,34 @@ b_k = i/(-3 +- i sqrt3); each is unitary on a real spectrum, so the step is
 unconditionally stable.  An eigenstate of H with eigenvalue eps is
 multiplied by R(-i dz mu), mu = eps + n0.  With n0 = 1, mu = K^2/2, whose
 real part lies in (0, 1) over the whole radiation band; n0 = U0 would add
-U0 - 1 to it.  Each substep carries Hadley's transparent boundary
-condition (Opt. Lett. 16, 624, 1991) at both edges: outside the core a
-leaky field is one outgoing exponential, so the node beyond the grid is
-taken as eta * (edge node), with the ratio eta = E_edge / E_inner read from
-the substep's input column.  eta is clamped to an outgoing or evanescent
-wave (Im eta >= 0), which makes every substep a contraction in
-sum n|E|^2 dx; a field that stays clear of both edges keeps its norm.  The
-boundary only touches the corners of the matrix, so each substep's
-Dirichlet matrix N + a_k dz S is LU-factored once (LAPACK zgttrf), on the
-first march that needs it, and each substep is one factored solve (zgttrs)
-plus a Sherman-Morrison-Woodbury update for the transparent corners: rank 2
-for the two edges of the whole grid, rank 1 for the one edge of the half
-grid below.  Used as an initial-value cross-check on the modal decay
-rates: a leaky mode's core power falls as exp(-Gamma z), and measure_decay
-fits that rate to a column marched as given, up to the last sample its fit
-window reads.
+U0 - 1 to it.
 
 The slab is symmetric, and so is the operator (its cell fractions are
-computed on x >= 0 and mirrored).  A column that is exactly even, or
-exactly odd with a zero centre node, therefore stays so: Propagator.march
-marches only its x >= 0 half and yields each column as the mirror image of
-that half.  The half grid's first row closes on the mirror image of its
-neighbour.  On an odd nx an even column's centre row reads its neighbour
-twice (du[0] = 2 off; halved, the row is symmetric again, the centre node
-carrying half its cell in N and S), and an odd column drops the centre
-node, a Dirichlet row.  On an even nx the first row's diagonal takes
-main +- off.  Only the x = X edge is transparent there, and the norm
-counts the centre node once and every other node twice.  Any other column
-marches the whole grid.  tapered_mode_column samples x >= 0 and mirrors it
-with the mode's parity, so a launched mode is exactly even or odd.
+computed on x >= 0 and mirrored), so a column that is exactly even, or
+exactly odd with a zero centre node, stays so.  Propagator.march takes
+only such a column: it marches its x >= 0 half and yields each column as
+the mirror image of that half.  nx is odd, so the grid has a centre node.
+An even column's centre row reads its neighbour twice (du[0] = 2 off;
+halved, the row is symmetric again, the centre node carrying half its
+cell in N and S), and an odd column drops the centre node, a Dirichlet
+row.  The norm counts the centre node once and every other node twice.
+tapered_mode_column samples x >= 0 and mirrors it with the mode's parity,
+so a launched mode is exactly even or odd.
+
+Each substep carries Hadley's transparent boundary condition (Opt. Lett.
+16, 624, 1991) at x = X; the x = -X edge is its mirror image.  Outside
+the core a leaky field is one outgoing exponential, so the node beyond the
+grid is taken as eta * (edge node), with the ratio eta = E_edge / E_inner
+read from the substep's input column.  eta is clamped to an outgoing or
+evanescent wave (Im eta >= 0), which makes every substep a contraction in
+sum n|E|^2 dx; a field that stays clear of the edges keeps its norm.  The
+boundary only touches the last corner of the matrix, so each substep's
+Dirichlet matrix N + a_k dz S is LU-factored once (LAPACK zgttrf), on the
+first march that needs it, and each substep is one factored solve (zgttrs)
+plus a rank-1 Sherman-Morrison update for the transparent corner.  Used as
+an initial-value cross-check on the modal decay rates: a leaky mode's core
+power falls as exp(-Gamma z), and measure_decay fits that rate to a column
+marched as given, up to the last sample its fit window reads.
 
 scipy is imported when a Propagator first marches, not with this module,
 so ``import leakyslab`` does not load ``scipy.linalg``.
@@ -87,8 +85,9 @@ class BpmConfig:
     """The slab a propagation cross-checks, and the grid it is marched on.
 
     The transverse domain is [-X, X], X = 4A, with nx points, so both edges
-    lie in the uniform cladding, as the transparent boundary needs.  The
-    slab's half width A also bounds the power-monitor window.
+    lie in the uniform cladding, as the transparent boundary needs.  nx is
+    odd, so the grid has a centre node, on which a column's parity turns.
+    The slab's half width A also bounds the power-monitor window.
     """
 
     slab: SlabConfig
@@ -102,6 +101,8 @@ class BpmConfig:
             raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.nx < 513:
             raise ValueError(f"nx must be >= 513, got {self.nx}")
+        if self.nx % 2 == 0:
+            raise ValueError(f"nx must be odd, so that the grid has a centre node, got {self.nx}")
 
     @property
     def transverse_halfwidth_X(self) -> float:
@@ -146,61 +147,50 @@ def _ghost_ratio(edge: complex, inner: complex) -> complex:
 
 
 class _Substep:
-    """One substep (N + a dz S) E' = (N + b dz S) E, its boundary read from E;
-    the corner update is a 2 x 2 solve against A^{-1} e_0 and A^{-1} e_{-1},
-    A = N + a dz S on Dirichlet edges.  A first row that is not a transparent
-    edge (lo_edge false: the half grid's mirror closure) takes eta_lo = 0,
-    and a zero eta_lo skips the first corner's update."""
+    """One substep (N + a dz S) E' = (N + b dz S) E on the half grid, its
+    x = X boundary read from E; the corner update is a Sherman-Morrison
+    solve against A^{-1} e_{-1}, A = N + a dz S on Dirichlet edges."""
 
-    def __init__(self, n, dz_s_main, dz_s_off, a, b, lo_edge):
+    def __init__(self, n, dz_s_main, dz_s_off, a, b):
         from scipy.linalg.lapack import zgttrf, zgttrs
 
         off = a * dz_s_off
         self._rhs = (b * dz_s_off, n + b * dz_s_main)
-        self._lo_edge = lo_edge
-        # a dz and b dz times the ghost node's coupling -1/(2 dx^2), times eta at each edge
+        # a dz and b dz times the ghost node's coupling -1/(2 dx^2), times eta at the edge
         self._corner, self._rhs_corner = a * dz_s_off[0], b * dz_s_off[0]
         *lu, info = zgttrf(off, n + a * dz_s_main, off)
         if info:
             raise ValueError(f"BPM substep matrix is singular (zgttrf info={info})")
         self._lu = lu
         self._gttrs = zgttrs
-        # G = A^{-1} [e_0, e_-1]; each column falls off geometrically away
-        # from its edge, and the corner update only touches its reach: the
-        # entries above eps^2 of its edge value (a few hundred nodes on the
-        # default grid)
-        ends = np.zeros((len(n), 2), dtype=complex)
-        ends[0, 0] = ends[-1, 1] = 1.0
-        g, _ = zgttrs(*lu, ends)
+        # g = A^{-1} e_-1 falls off geometrically away from the edge, and the
+        # corner update only touches its reach: the entries above eps^2 of its
+        # edge value (a few hundred nodes on the default grid)
+        end = np.zeros(len(n), dtype=complex)
+        end[-1] = 1.0
+        g, _ = zgttrs(*lu, end)
         mag, tiny = np.abs(g), np.finfo(float).eps ** 2
-        self._lo_reach = slice(0, int(np.flatnonzero(mag[:, 0] > tiny * mag[0, 0])[-1]) + 1)
-        self._hi_reach = slice(int(np.flatnonzero(mag[:, 1] > tiny * mag[-1, 1])[0]), len(n))
-        self._g_lo = g[self._lo_reach, 0].copy()
-        self._g_hi = g[self._hi_reach, 1].copy()
-        self._g_corners = tuple(complex(v) for v in (g[0, 0], g[0, 1], g[-1, 0], g[-1, 1]))
+        self._reach = slice(int(np.flatnonzero(mag > tiny * mag[-1])[0]), len(n))
+        self._g = g[self._reach].copy()
+        # a Python complex, so that the update divides by 1 + c g_-1 in
+        # Python's complex arithmetic, not numpy's, which rounds differently
+        self._g_corner = complex(g[-1])
 
     def __call__(self, column: np.ndarray) -> np.ndarray:
         off_r, main_r = self._rhs
-        g00, g01, g10, g11 = self._g_corners
-        eta_lo = _ghost_ratio(column[0], column[1]) if self._lo_edge else 0j
-        eta_hi = _ghost_ratio(column[-1], column[-2])
+        eta = _ghost_ratio(column[-1], column[-2])
         rhs = main_r * column
         rhs[:-1] += off_r * column[1:]
         rhs[1:] += off_r * column[:-1]
-        rhs[0] += self._rhs_corner * eta_lo * column[0]
-        rhs[-1] += self._rhs_corner * eta_hi * column[-1]
+        rhs[-1] += self._rhs_corner * eta * column[-1]
         out, _ = self._gttrs(*self._lu, rhs, overwrite_b=1)
-        # (A + lo e_0 e_0^T + hi e_-1 e_-1^T)^{-1} by Sherman-Morrison-Woodbury:
-        # out -= G M^{-1} diag(lo, hi) [out_0, out_-1], M = I + diag(lo, hi) G_corners
-        lo, hi = self._corner * eta_lo, self._corner * eta_hi
-        m00, m01, m10, m11 = 1.0 + lo * g00, lo * g01, hi * g10, 1.0 + hi * g11
-        det = m00 * m11 - m01 * m10
+        # (A + c e_-1 e_-1^T)^{-1} by Sherman-Morrison:
+        # out -= g c out_-1 / (1 + c g_-1)
+        c = self._corner * eta
+        det = 1.0 + c * self._g_corner
         if det == 0:
             raise ValueError("BPM substep matrix is singular (corner update)")
-        r0, r1 = lo * complex(out[0]), hi * complex(out[-1])
-        if eta_lo:
-            out[self._lo_reach] -= (m11 * r0 - m01 * r1) / det * self._g_lo
-        out[self._hi_reach] -= (m00 * r1 - m10 * r0) / det * self._g_hi
+        out[self._reach] -= c * complex(out[-1]) / det * self._g
         return out
 
 
@@ -258,63 +248,54 @@ class Propagator:
     def march(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
         """Yield the column after each of nsteps dz steps.
 
-        A column that is exactly even, or exactly odd with a zero centre
-        node, is marched on x >= 0 and yielded as the mirror image of that
-        half; any other column is marched on the whole grid.  With
-        Im eta >= 0 no substep can raise the norm of a finite column; a
-        whole-grid norm that grows by more than 1% in one substep, or is not
-        finite, aborts with LeakySlabError.  The column's length and nsteps
-        (an integer >= 0) are checked when march is called.  The march
-        continues from the yielded arrays: do not modify them.
+        The column must be exactly even, or exactly odd with a zero centre
+        node; it is marched on x >= 0 and yielded as the mirror image of
+        that half.  With Im eta >= 0 no substep can raise the norm of a
+        finite column; a whole-grid norm that grows by more than 1% in one
+        substep, or is not finite, aborts with LeakySlabError.  The column's
+        length and parity and nsteps (an integer >= 0) are checked when
+        march is called.  The march continues from the yielded arrays: do
+        not modify them.
         """
         column = np.asarray(column, dtype=complex)
         if column.shape != self.x.shape:
             raise ValueError(f"column length {column.shape} does not match nx={self.cfg.nx}")
         if not isinstance(nsteps, (int, np.integer)) or nsteps < 0:
             raise ValueError(f"nsteps must be an integer >= 0, got {nsteps!r}")
-        return self._steps(column, nsteps)
+        return self._steps(column, self._parity(column), nsteps)
 
-    def _parity(self, column: np.ndarray) -> float | None:
+    def _parity(self, column: np.ndarray) -> float:
         """1 for an exactly even column, -1 for an exactly odd one with a
-        zero centre node, None for any other."""
+        zero centre node; ValueError for any other."""
         nx = self.cfg.nx
-        right, mirror = column[(nx + 1) // 2 :], column[nx // 2 - 1 :: -1]
+        right, mirror = column[nx // 2 + 1 :], column[nx // 2 - 1 :: -1]
         if np.array_equal(right, mirror):
             return 1.0
-        if np.array_equal(right, -mirror) and (nx % 2 == 0 or column[nx // 2] == 0):
+        if np.array_equal(right, -mirror) and column[nx // 2] == 0:
             return -1.0
-        return None
+        raise ValueError("the column is neither exactly even nor exactly odd with a zero centre "
+                         "node; sample it on x >= 0 and mirror it, as tapered_mode_column does")
 
-    def _grid(self, sign: float | None):
-        """(first node, norm weights, substeps) of the grid a column of
-        parity sign marches on: the whole grid for None, else x >= 0 closed
-        on its mirror image.  Factored on the first march that needs it."""
+    def _grid(self, sign: float):
+        """(first node, norm weights, substeps) of x >= 0 closed on its
+        mirror image with parity sign, factored on the first march of that
+        parity."""
         if sign not in self._grids:
-            nx = self.cfg.nx
-            # an odd column's centre node on an odd grid is 0: a Dirichlet row
-            lo = 0 if sign is None else nx // 2 + (nx % 2 == 1 and sign < 0)
+            # an odd column's centre node is 0: a Dirichlet row
+            lo = self.cfg.nx // 2 + (sign < 0)
             n, s_main, s_off = self.n[lo:].copy(), self._s_main[lo:].copy(), self._s_off[lo:]
-            weight = n
-            if sign is not None:
-                if nx % 2 == 0:
-                    # the node beyond the first row is sign times it
-                    s_main[0] += sign * self._s_off[lo - 1]
-                elif sign > 0:
-                    # the centre row reads its neighbour twice (du[0] = 2 off);
-                    # halved, it is symmetric: the centre carries half its cell
-                    n[0] /= 2
-                    s_main[0] /= 2
-                # every other node stands for itself and its mirror image
-                weight = 2 * n
+            if sign > 0:
+                # the centre row reads its neighbour twice (du[0] = 2 off);
+                # halved, it is symmetric: the centre carries half its cell
+                n[0] /= 2
+                s_main[0] /= 2
             dz = self.cfg.dz
-            substeps = tuple(
-                _Substep(n, dz * s_main, dz * s_off, a_k, b_k, sign is None) for a_k, b_k in _PADE_22
-            )
-            self._grids[sign] = (lo, weight, substeps)
+            substeps = tuple(_Substep(n, dz * s_main, dz * s_off, a_k, b_k) for a_k, b_k in _PADE_22)
+            # every node but the centre stands for itself and its mirror image
+            self._grids[sign] = (lo, 2 * n, substeps)
         return self._grids[sign]
 
-    def _steps(self, column: np.ndarray, nsteps: int) -> Iterator[np.ndarray]:
-        sign = self._parity(column)
+    def _steps(self, column: np.ndarray, sign: float, nsteps: int) -> Iterator[np.ndarray]:
         lo, weight, substeps = self._grid(sign)
         column = column[lo:]
 
@@ -331,7 +312,7 @@ class Propagator:
                         f"norm went from {before:.6g} to {after:.6g} in one step"
                     )
                 before = after
-            yield column if sign is None else _mirrored(column, self.cfg.nx, sign)
+            yield _mirrored(column, self.cfg.nx, sign)
 
     def core_power(self, column: np.ndarray) -> float:
         """Weighted power sum n|E|^2 dx over the core |x| <= A."""
@@ -365,8 +346,7 @@ def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     amplitude normalized to 1.  The profile is sampled on x >= 0 and
     mirrored with the mode's parity, the sign of A_I/D that mode_profile
     certifies, so the column is exactly even or odd (an odd mode's centre
-    node is 0 when nx is odd).  Raises ValueError for a mode of another
-    slab than cfg's.
+    node is 0).  Raises ValueError for a mode of another slab than cfg's.
     """
     if mode.slab != cfg.slab:
         raise ValueError(f"the mode's slab {mode.slab} is not the grid's {cfg.slab}")
@@ -375,7 +355,7 @@ def tapered_mode_column(mode: ModeField, cfg: BpmConfig) -> np.ndarray:
     a_i, _, _, d = mode.coefficients
     parity = 1.0 if (a_i / d).real > 0 else -1.0
     column = mode.evaluate(x)
-    if parity < 0 and cfg.nx % 2:
+    if parity < 0:
         column[0] = 0.0
     r = (x - _TAPER_INNER * a) / ((_TAPER_OUTER - _TAPER_INNER) * a)
     window = np.where(r >= 1, 0.0, np.cos(0.5 * np.pi * np.clip(r, 0, 1)) ** 2)

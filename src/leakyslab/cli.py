@@ -247,12 +247,15 @@ def cmd_mode_field(args) -> int:
     }
     # the grid is formed a block of whole x rows at a time.  Each block is
     # first formed and checked by FieldGrid with the row before it, so that
-    # the x step between blocks is checked too, and a refused field writes
-    # no header; the written blocks are then formed again
+    # the x step between blocks is checked too, and its written component
+    # (|E|^2 can overflow where E does not) must be finite, so that a
+    # refused field writes no header; the written blocks are then formed again
     rows = max(1, _BLOCK // len(z))
     starts = range(0, len(x), rows)
     for i in starts:
-        propagate_mode(field, x[max(i - 1, 0):i + rows], z)
+        block = propagate_mode(field, x[max(i - 1, 0):i + rows], z)
+        if not np.all(np.isfinite(_COMPONENTS[args.component](block.amplitudes))):
+            raise ValueError(f"the {args.component} component must be finite")
     blocks = (propagate_mode(field, x[i:i + rows], z) for i in starts)
     return _emit(args, "mode-field", meta, _grid_table(blocks, args.component))
 

@@ -16,8 +16,10 @@ import leakyslab
 from leakyslab import (
     LeakySlabError,
     SlabConfig,
+    approximate_resonances,
     measure_decay,
     mode_profile,
+    refine_all,
     tapered_mode_column,
 )
 from leakyslab.bpm import MAX_STEPS, BpmConfig, Propagator, step_count
@@ -92,15 +94,17 @@ def packet(prop, x0, kx, var=25.0):
 
 
 def test_transparent_boundary_passes_outgoing_packets(cfg30):
-    # packets launched 15 units inside an edge and marched to z = 200: those
-    # heading out leave through it (a fast one almost entirely), those heading
-    # in keep their norm (by z = 200 they reach the core, not the far edge); the
-    # norm never grows in a step, whichever way the packet moves
+    # mirrored pairs of packets launched 15 units inside each edge and marched
+    # to z = 200: those heading out leave through it (a fast one almost
+    # entirely), those heading in keep their norm (by z = 200 they reach the
+    # core, not the far edge); the norm never grows in a step, whichever way
+    # the packets move
     prop = Propagator(cfg30)
     edge = cfg30.transverse_halfwidth_X - 15.0
     nsteps = step_count(200.0, cfg30.dz)
-    for x0, kx in ((edge, 0.5), (-edge, -0.5), (edge, -0.5), (-edge, 0.5), (edge, 1.0)):
+    for x0, kx in ((edge, 0.5), (edge, -0.5), (edge, 1.0)):
         col = packet(prop, x0, kx)
+        col = col + col[::-1]
         norms = [prop.norm(col)] + [prop.norm(out) for out in prop.march(col, nsteps)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:])), (x0, kx)
         if x0 * kx > 0:
@@ -293,11 +297,12 @@ def test_instability_detector_flags_non_finite_column(cfg30, how):
 def test_march_equals_successive_steps(slab30, refined_modes, cfg30):
     prop = Propagator(cfg30)
     r32 = next(r for r in refined_modes if r.mode_index_m == 32)
-    # a packet leaving through the right edge: the boundary ratio is read
-    # from the current column at every step, in one long march as in 250
+    # a mirrored packet pair leaving through the edges: the boundary ratio is
+    # read from the current column at every step, in one long march as in 250
     # single-step marches
     edge = cfg30.transverse_halfwidth_X - 15.0
-    for col in (tapered_mode_column(mode_profile(r32, slab30), cfg30), packet(prop, edge, 0.5)):
+    pair = packet(prop, edge, 0.5)
+    for col in (tapered_mode_column(mode_profile(r32, slab30), cfg30), pair + pair[::-1]):
         marched = list(prop.march(col, 250))
         assert len(marched) == 250
         for out in marched:
@@ -353,6 +358,52 @@ def test_march_validates_column_length(cfg30):
         measure_decay(cfg30, np.ones(17), 20 * cfg30.dz)
 
 
+def test_march_refuses_a_column_that_is_neither_even_nor_odd(cfg30):
+    # a one-sided packet, and an odd column whose centre node is not 0, are
+    # refused when march is called, and by measure_decay before a step
+    prop = Propagator(cfg30)
+    one_sided = packet(prop, 20.0, 0.5)
+    odd = one_sided - one_sided[::-1]
+    odd[cfg30.nx // 2] = 1e-300
+    for col in (one_sided, odd):
+        with pytest.raises(ValueError, match="neither exactly even nor exactly odd"):
+            prop.march(col, 1)
+        with pytest.raises(ValueError, match="mirror it, as tapered_mode_column does"):
+            measure_decay(cfg30, col, 20 * cfg30.dz)
+    odd[cfg30.nx // 2] = 0.0
+    assert len(list(prop.march(odd, 1))) == 1
+
+
+def test_the_library_launches_pass_the_parity_gate(slab30, refined_modes):
+    # every refined mode's tapered launch marches, on the reference slab and
+    # on slabs whose linspace grid is not mirror-symmetric (x + x[::-1] is
+    # nonzero in 1684, 1662 and 1592 entries)
+    slabs = ((slab30, 0), (SlabConfig(17.3, 1.2), 1684), (SlabConfig(33.3, 1.2), 1662),
+             (SlabConfig(5.1, 1.5), 1592))
+    marched = []
+    for slab, asymmetric in slabs:
+        cfg = BpmConfig.for_slab(slab)
+        prop = Propagator(cfg)
+        assert np.count_nonzero(prop.x + prop.x[::-1]) == asymmetric, slab
+        modes = refined_modes if slab == slab30 else refine_all(approximate_resonances(slab), slab)
+        for res in modes:
+            (col,) = prop.march(tapered_mode_column(mode_profile(res, slab), cfg), 1)
+            assert np.all(np.isfinite(col)), (slab, res.mode_index_m)
+        marched.append(len(modes))
+    assert marched == [17, 11, 21, 2]
+    # acceptance criterion 11's Gaussian is exactly even on the reference
+    # grid, whose nodes are mirror-symmetric, and refused on (17.3, 1.2)'s
+    for slab in (slab30, SlabConfig(17.3, 1.2)):
+        prop = Propagator(BpmConfig.for_slab(slab))
+        gauss = np.exp(-prop.x**2 / (2 * 5.0**2)).astype(complex)
+        if slab == slab30:
+            assert np.array_equal(gauss, gauss[::-1])
+            assert len(list(prop.march(gauss, 1))) == 1
+        else:
+            with pytest.raises(ValueError, match="neither exactly even nor exactly odd"):
+                prop.march(gauss, 1)
+
+
 def test_march_refuses_a_step_count_that_is_not_a_non_negative_integer(cfg30):
     # refused when march is called, as BpmConfig refuses a non-integer nx
     prop = Propagator(cfg30)
@@ -367,6 +418,9 @@ def test_march_refuses_a_step_count_that_is_not_a_non_negative_integer(cfg30):
 def test_config_validation(slab30):
     with pytest.raises(ValueError, match="nx"):
         replace(BpmConfig.for_slab(slab30), nx=257)
+    # an even nx has no centre node
+    with pytest.raises(ValueError, match="nx must be odd"):
+        replace(BpmConfig.for_slab(slab30), nx=4096)
     with pytest.raises(ValueError, match="dz"):
         replace(BpmConfig.for_slab(slab30), dz=0.0)
     with pytest.raises(ValueError, match="dz"):
@@ -501,11 +555,12 @@ def test_step_multiplies_guided_modes_by_the_pade_factor(slab30):
     substeps = [(1 + 1j * b * w) / (1 + 1j * a * w) for a, b in PADE_SUBSTEPS]
     assert np.allclose(substeps[0] * substeps[1], pade_22(w), rtol=1e-14, atol=0)
     assert np.allclose(np.abs(np.array(substeps)[:, :2]), 1.0, rtol=1e-14, atol=0)
-    # a guided eigenvector v of S v = lambda N v that vanishes at both edges
-    # (below 1e-13 of its peak, so the transparent edge reads it as a
-    # Dirichlet one: 23 of the 24) is an eigenvector of the step, which
-    # multiplies it by pade_22(-i dz lambda); a second-order factor such as
-    # (1 + w/2)/(1 - w/2) misses this bound by 5e-3 at dz = 0.8, 8e-5 at 0.2
+    # a guided eigenvector v of S v = lambda N v, made exactly even or odd,
+    # that vanishes at both edges (below 1e-13 of its peak, so the
+    # transparent edge reads it as a Dirichlet one: 23 of the 24) is an
+    # eigenvector of the step, which multiplies it by pade_22(-i dz lambda);
+    # a second-order factor such as (1 + w/2)/(1 - w/2) misses this bound by
+    # 5e-3 at dz = 0.8, 8e-5 at 0.2
     for cfg in (BpmConfig.for_slab(slab30), replace(BpmConfig.for_slab(slab30), dz=0.2)):
         prop = Propagator(cfg)
         root_n = np.sqrt(prop.n)
@@ -516,6 +571,8 @@ def test_step_multiplies_guided_modes_by_the_pade_factor(slab30):
             select_range=(prop.n0 - slab30.core_index_U0, prop.n0 - 1.0 - 1e-9),
         )
         vecs = (u / root_n[:, None]).T
+        signs = np.sign(np.sum(vecs * vecs[:, ::-1], axis=1))
+        vecs = (vecs + signs[:, None] * vecs[:, ::-1]) / 2
         peak = np.max(np.abs(vecs), axis=1)
         clear = np.maximum(np.abs(vecs[:, 0]), np.abs(vecs[:, -1])) <= 1e-13 * peak
         assert len(lam) == 24 and np.count_nonzero(clear) == 23
@@ -530,15 +587,18 @@ def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
     for cfg in (BpmConfig(slab30, 2049, 0.05), cfg30):
         prop = Propagator(cfg)
         # each step against the exact step of the same column: a leaky mode,
-        # a packet leaving through the right edge, one moving inward from the
-        # left edge (an incoming tail, so a clamped eta) and a column whose
-        # edge ratios are 0/0 on the left and overflow to inf on the right
-        # (both taken as Dirichlet edges)
+        # a mirrored packet pair leaving through the edges, one moving inward
+        # from them (an incoming tail, so a clamped eta), and two columns
+        # whose edge ratios are 0/0 and overflow to inf (both taken as
+        # Dirichlet edges)
         edge = cfg.transverse_halfwidth_X - 15.0
-        bad_edges = np.exp(-prop.x**2 / 200.0).astype(complex)
-        bad_edges[[0, 1, -2, -1]] = 0.0, 0.0, 1e-320, 1e-10
+        out, into = packet(prop, edge, 0.5), packet(prop, -edge, 0.5)
+        zero_edges = np.exp(-prop.x**2 / 200.0).astype(complex)
+        zero_edges[[0, 1, -2, -1]] = 0.0
+        overflow_edges = np.exp(-prop.x**2 / 200.0).astype(complex)
+        overflow_edges[[0, 1, -2, -1]] = 1e-10, 1e-320, 1e-320, 1e-10
         for col in (tapered_mode_column(mode_profile(r32, slab30), cfg),
-                    packet(prop, edge, 0.5), packet(prop, -edge, 0.5), bad_edges):
+                    out + out[::-1], into + into[::-1], zero_edges, overflow_edges):
             steps = list(prop.march(col, 250))
             before = [col, *steps[:-1]]
             banded = [banded_step(cfg, c) for c in before]
@@ -547,11 +607,11 @@ def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
             peak = np.max(np.abs(exact), axis=1)
             err = (np.max(np.abs(np.array(steps) - exact), axis=1) / peak).astype(float)
             err_banded = (np.max(np.abs(np.array(banded) - exact), axis=1) / peak).astype(float)
-            # the factored substeps with their corner updates round as pivoted
-            # banded solves of the whole bands do (the largest errors within
-            # 1.24x here, the typical ones within 1.04x): on the 2049 / 0.05
-            # grid to below 1e-15 of the peak, on the default grid (dz/dx^2
-            # 64x larger) to ~1e-14 for either
+            # the factored half-grid substeps with their corner update round as
+            # pivoted banded solves of the whole bands do (the largest errors
+            # within 1.05x here): on the 2049 / 0.05 grid to below 1e-15 of the
+            # peak (at most 6.4e-16), on the default grid (dz/dx^2 64x larger)
+            # to ~1e-14 for either
             assert err.max() <= 1.25 * err_banded.max(), (err.max(), err_banded.max())
             if cfg is not cfg30:
                 assert err.max() <= 1e-15
@@ -563,54 +623,40 @@ def test_factored_step_matches_banded_solve(slab30, refined_modes, cfg30):
 
 
 def test_coupled_corners_match_banded_solve():
-    # on a short grid with a long step A_k^{-1} e_0 reaches the far edge in
-    # each substep, so the corner update couples both edges (on the default
-    # grid it does not)
+    # on a short grid with a long step A_k^{-1} e_-1 reaches the centre in
+    # each substep, so the x = X corner's update reaches the closure row (on
+    # the default grid it does not).  An exactly even and an exactly odd
+    # packet pair march on x >= 0, closed on the mirror image (the centre
+    # row reads its neighbour twice, or the centre node is dropped); each
+    # step is the whole band's solve, and each column yielded is exactly
+    # mirrored
     cfg = BpmConfig(SlabConfig(1.0, 1.5), 513, 10.0)
-    for k in range(2):
-        ab, _ = pade_substep_band(cfg, np.zeros(cfg.nx, dtype=complex), k)
-        reach = solve_banded((1, 1), ab, np.eye(cfg.nx, 1, dtype=complex)[:, 0])
-        assert abs(reach[-1]) > 1e-8 * abs(reach[0]), (k, abs(reach[-1] / reach[0]))
     prop = Propagator(cfg)
-    for x0, kx in ((2.5, 5.0), (-2.5, -5.0)):
-        col = packet(prop, x0, kx, var=0.05)
+    half = packet(prop, 2.5, 5.0, var=0.05)
+    for sign in (1.0, -1.0):
+        col = half + sign * half[::-1]
+        assert np.array_equal(col, sign * col[::-1])
         for out in prop.march(col, 100):
             ref = banded_step(cfg, col)
-            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(out, sign * out[::-1]), sign
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), sign
             col = out
-    # an exactly even and an exactly odd packet march on x >= 0, closed on
-    # the mirror image (odd nx: the centre row reads its neighbour twice, or
-    # the centre node is dropped; even nx: main +- off on the first row), and
-    # the x = X corner's update reaches the closure row; each step is the
-    # whole band's solve, and each column yielded is exactly mirrored
-    for nx in (513, 514):
-        cfg = BpmConfig(SlabConfig(1.0, 1.5), nx, 10.0)
-        prop = Propagator(cfg)
-        half = packet(prop, 2.5, 5.0, var=0.05)
-        for sign in (1.0, -1.0):
-            col = half + sign * half[::-1]
-            assert np.array_equal(col, sign * col[::-1])
-            for out in prop.march(col, 100):
-                ref = banded_step(cfg, col)
-                assert np.array_equal(out, sign * out[::-1]), (nx, sign)
-                assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), (nx, sign)
-                col = out
-            for substep in prop._grid(sign)[2]:
-                assert substep._hi_reach.start == 0, (nx, sign)
+        for substep in prop._grid(sign)[2]:
+            assert substep._reach.start == 0, sign
 
 
 def test_tapered_mode_columns_and_the_operator_are_exactly_mirrored(slab30, refined_modes):
     # every reference mode's launch is exactly even or odd, with the parity
-    # A_I/D of its profile, on an odd and an even grid; an odd mode's centre
-    # node is exactly 0 on the odd grid
-    for cfg in (BpmConfig.for_slab(slab30), BpmConfig(slab30, 4096, 0.8)):
+    # A_I/D of its profile, on two grids; an odd mode's centre node is
+    # exactly 0
+    for cfg in (BpmConfig.for_slab(slab30), BpmConfig(slab30, 4095, 0.8)):
         for res in refined_modes:
             mode = mode_profile(res, slab30)
             a_i, _, _, d = mode.coefficients
             sign = 1.0 if (a_i / d).real > 0 else -1.0
             col = tapered_mode_column(mode, cfg)
             assert np.array_equal(col, sign * col[::-1]), (cfg.nx, res.mode_index_m)
-            if sign < 0 and cfg.nx % 2:
+            if sign < 0:
                 assert col[cfg.nx // 2] == 0, res.mode_index_m
     assert len(refined_modes) == 17
     # N and S are exactly symmetric where linspace's nodes are not (x + x[::-1]

@@ -620,19 +620,29 @@ def test_no_cli_input_ends_in_a_traceback(tmp_path, capsys, command, code):
     assert out == "" and not out_path.exists()
 
 
-def test_a_refused_field_writes_nothing_to_stdout(capsys):
+def test_a_refused_field_writes_nothing_to_stdout(tmp_path, capsys):
     # every block of mode-field's grid is checked before the header goes
-    # out: a field that overflows at x = 1e300 only, and an x repeated only
-    # across two blocks of 10 rows (1.0 at rows 9 and 10 of 20), leave
-    # stdout empty as they leave no -o file
+    # out: a field that overflows at x = 1e300 only, an x repeated only
+    # across two blocks of 10 rows (1.0 at rows 9 and 10 of 20), and a field
+    # whose |E|^2 overflows where E (up to 2.9e259) does not, leave stdout
+    # empty as they leave no -o file
     repeated = f"1:{1.0 + 18 * 2.0**-52!r}:20"
     assert len(parse_grid(repeated)) - len(np.unique(parse_grid(repeated))) == 1
+    abs2 = "--m 28 --x 15000:25000:3 --z 0:1:2 --component abs2"
     for command, err in (
         ("--m 40 --x -1:1e300:3 --z 0:1:2", "error: amplitudes must be finite\n"),
         (f"--m 30 --x {repeated} --z 0:1:401", "error: grids must be increasing\n"),
+        (abs2, "error: the abs2 component must be finite\n"),
     ):
         argv = ["mode-field", "--k0a", "30", "--u0", "1.5", *command.split()]
         assert run(argv, capsys) == (2, "", err), command
+    out_path = tmp_path / "abs2.csv"
+    argv = ["mode-field", "--k0a", "30", "--u0", "1.5", *abs2.split(), "-o", str(out_path)]
+    assert run(argv, capsys) == (2, "", "error: the abs2 component must be finite\n")
+    assert not out_path.exists()
+    # the same grid's real part is finite, and is written
+    code, out, _ = run(["mode-field", "--k0a", "30", "--u0", "1.5", *abs2.split()[:-2]], capsys)
+    assert code == 0 and "inf" not in out
 
 
 @pytest.mark.parametrize(
